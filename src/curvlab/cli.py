@@ -4,16 +4,19 @@
                    [--seed N] [--trials N] [--jet-order K] [--tol X]
                    [--exact | --float] [--json PATH]
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 configuration error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 configuration error,
+3 internal error (any exception that is not a ``CurvLabError``; the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
-from .errors import ConfigError, CurvLabError, ExactnessError
+from .errors import CurvLabError
 from .suites import SUITES, run_suite
 
 
@@ -50,6 +53,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    try:
+        return _verify(args)
+    except Exception:           # a crash is not a failed verification
+        traceback.print_exc()
+        return 3
+
+
+def _verify(args) -> int:
     options = {}
     if args.model is not None:
         options["model"] = args.model
@@ -73,9 +84,6 @@ def main(argv=None) -> int:
         options["exact"] = False
     try:
         reports = run_suite(args.suite, **options)
-    except (ConfigError, ExactnessError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CurvLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from .invariants import (InvariantPolynomial, pfaffian_of, rho_phi,
 from .jets import Dual, Jet
 from .polys import Poly
 from .report import Check, VerificationReport, check_exact, check_residual
-from .tensors import Tensor, raise_slot, residual as tensor_residual
+from .tensors import Tensor, einsum, raise_slot, residual as tensor_residual
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,12 @@ def rescale(ctx: GeometryContext, ups: ConformalFactor) -> GeometryContext:
 
 def _wp(st) -> Tensor:
     p_uu = raise_slot(st.ctx, st.schouten_mixed, 0)
-    a = np.einsum("isjt,st->ij", st.weyl.a, p_uu.a, optimize=True)
-    return Tensor(st.dim, ("d", "d"), np.asarray(a, dtype=object))
+    return Tensor(st.dim, ("d", "d"), einsum("isjt,st->ij", st.weyl.a, p_uu.a))
 
 
 def _tf_pp(st) -> Tensor:
-    a = np.einsum("is,sj->ij", st.schouten_mixed.a, st.schouten.a,
-                  optimize=True)
-    pp = Tensor(st.dim, ("d", "d"), np.asarray(a, dtype=object))
+    pp = Tensor(st.dim, ("d", "d"),
+                einsum("is,sj->ij", st.schouten_mixed.a, st.schouten.a))
     return st.trace_free(pp)
 
 
@@ -165,8 +163,7 @@ def _w_check_sq(st) -> Tensor:
     w_up = st.weyl
     for s in (1, 2, 3):
         w_up = raise_slot(st.ctx, w_up, s)
-    a = np.einsum("istu,jstu->ij", st.weyl.a, w_up.a, optimize=True)
-    return Tensor(st.dim, ("d", "d"), np.asarray(a, dtype=object))
+    return Tensor(st.dim, ("d", "d"), einsum("istu,jstu->ij", st.weyl.a, w_up.a))
 
 
 QUANTITIES = {
@@ -354,7 +351,8 @@ def verify_ac_identities(ctx: GeometryContext, k: int,
     E_dd = mixed_to_down(st, E)
     rep.add(check_residual(
         "div E = 0",
-        max_abs(st.div(E_dd, 1).at_point()) / max(1.0, _max_abs(E_dd)), tol))
+        max_abs(st.div(E_dd, 1).at_point())
+        / max(1.0, max_abs(E_dd.at_point())), tol))
     T_dd = mixed_to_down(st, T)
     tfT = st.trace_free(T_dd)
     div_tfT = st.div(tfT, 1)
@@ -380,18 +378,12 @@ def verify_ac_identities(ctx: GeometryContext, k: int,
         u0 = ups.value_at_base(ctx)
         du = st.grad_scalar(ups.field(ctx))
         du_up = raise_slot(ctx, du, 0)
-        corr = Tensor(n, ("d",), np.asarray(
-            np.einsum("i,ij->j", du_up.a, tfT.a, optimize=True), dtype=object))
+        corr = Tensor(n, ("d",), einsum("i,ij->j", du_up.a, tfT.a))
         rhs16 = (div_tfT + corr.scale(n - 2 * k)).at_point()
         rep.add(check_residual(
             "conformal transformation of div(tf T)",
             tensor_residual(div_h.scale(math.exp(2 * k * u0)), rhs16), tol))
     return rep
-
-
-def _max_abs(t: Tensor) -> float:
-    from .tensors import max_abs
-    return max_abs(t.at_point())
 
 
 def naturality_rows(ctx: GeometryContext, ups: ConformalFactor):

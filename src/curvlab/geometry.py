@@ -33,7 +33,7 @@ from .errors import (DegenerateMetricError, DimensionError, ExactnessError,
 from .jets import Dual, Jet, JetAlgebra, field_partial, field_value, scalar_float
 from .polys import Poly, RationalFunc
 from .scalars import FLOAT, RATIONAL, QuadExt, Ring, exact_sqrt
-from .tensors import _LETTERS, Tensor, contract, lower_slot, raise_slot
+from .tensors import _LETTERS, Tensor, contract, einsum, lower_slot, raise_slot
 
 
 def jet_ring(alg: JetAlgebra, exact: bool) -> Ring:
@@ -407,7 +407,7 @@ class CurvatureStack:
                 sub = dum + der + letters[s]       # Gamma^{e}_{Y j_s}
             src = letters[:s] + dum + letters[s + 1:]
             spec = f"{sub},{src}->{der}{letters}"
-            corr = np.einsum(spec, gam, t.a, optimize=True)
+            corr = einsum(spec, gam, t.a)
             out = Tensor(out.dim, out.valence,
                          out.a + corr if t.valence[s] == "u" else out.a - corr)
         return out
@@ -434,18 +434,18 @@ class CurvatureStack:
         n = ctx.dim
         g = ctx.metric
         dg = self._dirderiv(g).a                      # [a][b][c] = D_a g_bc
-        low = np.einsum("abc->abc", dg, optimize=True) * Fraction(1, 2) \
-            + np.einsum("bac->abc", dg, optimize=True) * Fraction(1, 2) \
-            - np.einsum("cab->abc", dg, optimize=True) * Fraction(1, 2)
+        low = einsum("abc->abc", dg) * Fraction(1, 2) \
+            + einsum("bac->abc", dg) * Fraction(1, 2) \
+            - einsum("cab->abc", dg) * Fraction(1, 2)
         if ctx.structure is not None:
             c = ctx.structure
             gl = g.a
             low = low + Fraction(1, 2) * (
-                np.einsum("eab,ec->abc", c, gl, optimize=True)
-                - np.einsum("ebc,ea->abc", c, gl, optimize=True)
-                + np.einsum("eca,eb->abc", c, gl, optimize=True))
-        gam = np.einsum("dc,abc->dab", ctx.metric_inv.a, low, optimize=True)
-        return Tensor(n, ("u", "d", "d"), np.asarray(gam, dtype=object))
+                einsum("eab,ec->abc", c, gl)
+                - einsum("ebc,ea->abc", c, gl)
+                + einsum("eca,eb->abc", c, gl))
+        gam = einsum("dc,abc->dab", ctx.metric_inv.a, low)
+        return Tensor(n, ("u", "d", "d"), gam)
 
     @cached_property
     def rm_mixed(self) -> Tensor:
@@ -453,14 +453,13 @@ class CurvatureStack:
         ctx = self.ctx
         gam = self.gamma
         dgam = self._dirderiv(gam).a                  # [a][c][b][d] = D_a G^c_bd
-        r = np.einsum("acbd->abcd", dgam, optimize=True) \
-            - np.einsum("bcad->abcd", dgam, optimize=True) \
-            + np.einsum("cae,ebd->abcd", gam.a, gam.a, optimize=True) \
-            - np.einsum("cbe,ead->abcd", gam.a, gam.a, optimize=True)
+        r = einsum("acbd->abcd", dgam) \
+            - einsum("bcad->abcd", dgam) \
+            + einsum("cae,ebd->abcd", gam.a, gam.a) \
+            - einsum("cbe,ead->abcd", gam.a, gam.a)
         if ctx.structure is not None:
-            r = r - np.einsum("eab,ced->abcd", ctx.structure, gam.a,
-                              optimize=True)
-        return Tensor(ctx.dim, ("d", "d", "u", "d"), np.asarray(r, dtype=object))
+            r = r - einsum("eab,ced->abcd", ctx.structure, gam.a)
+        return Tensor(ctx.dim, ("d", "d", "u", "d"), r)
 
     @cached_property
     def rm(self) -> Tensor:
@@ -512,8 +511,7 @@ class CurvatureStack:
     def cotton(self) -> Tensor:
         """C_ijk = grad_i P_jk - grad_j P_ik."""
         np_ = self.nabla(self.schouten)
-        return Tensor(np_.dim, np_.valence, np_.a - np.einsum(
-            "jik->ijk", np_.a, optimize=True))
+        return Tensor(np_.dim, np_.valence, np_.a - einsum("jik->ijk", np_.a))
 
     @cached_property
     def cotton_ddu(self) -> Tensor:
@@ -528,8 +526,8 @@ class CurvatureStack:
             raise DimensionError("Bach tensor needs dim >= 3")
         divC = self.div(self.cotton, 0)
         p_uu = raise_slot(self.ctx, self.schouten_mixed, 0)
-        wp = np.einsum("isjt,st->ij", self.weyl.a, p_uu.a, optimize=True)
-        return Tensor(n, ("d", "d"), divC.a + np.asarray(wp, dtype=object))
+        wp = einsum("isjt,st->ij", self.weyl.a, p_uu.a)
+        return Tensor(n, ("d", "d"), divC.a + wp)
 
     # -- small conveniences -----------------------------------------------------
 
@@ -604,11 +602,11 @@ class CurvatureStack:
 
 def kulkarni_nomizu_pg(p: Tensor, g: Tensor) -> Tensor:
     """P_ik g_jl - P_il g_jk + P_jl g_ik - P_jk g_il."""
-    a = np.einsum("ik,jl->ijkl", p.a, g.a, optimize=True) \
-        - np.einsum("il,jk->ijkl", p.a, g.a, optimize=True) \
-        + np.einsum("jl,ik->ijkl", p.a, g.a, optimize=True) \
-        - np.einsum("jk,il->ijkl", p.a, g.a, optimize=True)
-    return Tensor(p.dim, ("d",) * 4, np.asarray(a, dtype=object))
+    a = einsum("ik,jl->ijkl", p.a, g.a) \
+        - einsum("il,jk->ijkl", p.a, g.a) \
+        + einsum("jl,ik->ijkl", p.a, g.a) \
+        - einsum("jk,il->ijkl", p.a, g.a)
+    return Tensor(p.dim, ("d",) * 4, a)
 
 
 def build_stack(ctx: GeometryContext) -> CurvatureStack:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionError, SlotError
-from .tensors import (AltForm, Permutation, Tensor, contract, gkd_contract,
-                      lower_slot, perm_sign, raise_slot,
+from .tensors import (AltForm, Permutation, Tensor, contract, einsum,
+                      gkd_contract, lower_slot, perm_sign, raise_slot,
                       signed_permutations, zeros)
 
 
@@ -79,7 +79,7 @@ class InvariantPolynomial:
                 prod = mats[cyc[0]].a
                 for a in cyc[1:]:
                     prod = np.dot(prod, mats[a].a)
-                tr = np.einsum("ii->", prod)
+                tr = einsum("ii->", prod)[()]
                 term = tr if term is None else term * tr
             term = c * term
             total = term if total is None else total + term
@@ -425,7 +425,7 @@ def _cycle_alt_form(factors, cycle, dim, ring) -> AltForm:
         for groups, sign in _assignments(key, degs):
             slices = [m.a[(slice(None), slice(None)) + g]
                       for m, g in zip(mats, groups)]
-            val = np.einsum(subs, *slices, optimize=True)
+            val = einsum(subs, *slices)[()]
             term = val if sign > 0 else -val
             acc = term if acc is None else acc + term
         if acc is not None:
@@ -571,7 +571,7 @@ def conformal_killing_K(stack, alpha: Tensor) -> Tensor:
     n = stack.dim
     na = stack.nabla(alpha)
     sym = Tensor(n, ("d", "d"),
-                 na.a + np.einsum("ij->ji", na.a, optimize=True))
+                 na.a + einsum("ij->ji", na.a))
     divv = contract(raise_slot(stack.ctx, na, 0), [(0, 1)]).item()
     return sym - stack.ctx.metric.scale(divv * Fraction(2, n))
 

@@ -2,12 +2,29 @@
 
 Components are numpy object arrays over one scalar kind (Fraction, QuadExt,
 float, Jet, or Dual).  Slot order is storage order; valence is a tuple of
-'u'/'d' flags.  Contractions go through ``np.einsum`` (which dispatches to the
-scalars' Python arithmetic), so the same code path serves exact and float
-modes.  Contractions of three or more object operands run pairwise, one
-einsum per step of numpy's greedy plan, with ndarray intermediates: numpy >= 2
-runs each pairwise step through ``bmm_einsum``, which needs ``.shape``, and an
+'u'/'d' flags.
+
+Every contraction goes through ``einsum(spec, *arrays)``, which always
+returns an ndarray.  Three or more operands run pairwise, one einsum per
+step of numpy's greedy plan, with ndarray intermediates: numpy >= 2 runs
+each pairwise step through ``bmm_einsum``, which needs ``.shape``, and an
 object einsum returns a bare scalar for a step that contracts to rank 0.
+Each step dispatches on its operands' scalars alone:
+
+- Two operands of float ``Jet``s from one ``JetAlgebra``, or of ``Dual``s
+  over them, run a dense kernel.  The coefficients are packed
+  coefficient-major, each output's ``valid`` is the min over the
+  components that feed it (what the chain of ``Jet.__mul__``/``__add__``
+  calls gives), and the jet multiplication table up to the largest output
+  ``valid`` is taken sorted by product monomial.  Each block of that table
+  is one float ``np.einsum`` with a leading pair axis, summed per monomial
+  by ``np.add.reduceat``.  A block ends at a monomial boundary and holds at
+  most ``_BLOCK_FLOATS`` floats of operand gathers plus output.  The
+  coefficients above each output's ``valid`` are zeroed before they are
+  unpacked into jets.  A Dual product is the runs re.re and re.im + im.re.
+- Any other step (exact jets, Fraction, QuadExt, plain floats, arrays that
+  mix kinds, one operand) is ``np.einsum(..., optimize=True)`` on the
+  objects, so exact results are unchanged bit for bit.
 
 Generalized Kronecker deltas are evaluated as signed permutation sums and are
 never materialized inside a larger contraction: ``gkd_contract`` wires delta
@@ -150,8 +167,8 @@ class Tensor:
         _check_same_kind(self, other)
         sub_a = _LETTERS[:self.rank]
         sub_b = _LETTERS[self.rank:self.rank + other.rank]
-        a = np.einsum(f"{sub_a},{sub_b}->{sub_a}{sub_b}", self.a, other.a)
-        return Tensor(self.dim, self.valence + other.valence, np.asarray(a, dtype=object))
+        a = einsum(f"{sub_a},{sub_b}->{sub_a}{sub_b}", self.a, other.a)
+        return Tensor(self.dim, self.valence + other.valence, a)
 
     def permuted(self, perm) -> "Tensor":
         """Reorder slots: new slot i holds old slot perm[i]."""
@@ -187,24 +204,30 @@ def _object_array(x) -> np.ndarray:
     return a
 
 
-def _object_einsum(spec: str, *arrays: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, *arrays, optimize=True)`` on object arrays, always
-    returning an ndarray.
+def einsum(spec: str, *arrays: np.ndarray) -> np.ndarray:
+    """Contract object arrays by ``spec``; always an ndarray.
 
-    Three or more operands run pairwise, one ``np.einsum`` per step of
-    numpy's own greedy plan, with every intermediate kept as an ndarray.
-    numpy >= 2 runs each pairwise step through ``bmm_einsum``, which reads
-    ``.shape`` of both operands, while an object einsum that contracts to
-    rank 0 returns a bare scalar (Fraction, Jet); left to numpy, a rank-0
-    intermediate therefore crashes the next step.
+    Three or more operands run pairwise along numpy's greedy plan, with
+    every intermediate kept as an ndarray.  A two-operand step of float jets
+    (or of ``Dual`` numbers over them) with an explicit ``->`` output runs
+    the dense kernel ``_float_jet_einsum``; any other step is
+    ``np.einsum(..., optimize=True)`` on the objects themselves.
     """
     if len(arrays) < 3:
-        return _object_array(np.einsum(spec, *arrays, optimize=True))
+        return _einsum_step(spec, *arrays)
     ops = list(arrays)
     for positions, step in _pairwise_plan(spec, tuple(a.shape for a in ops)):
         args = [ops.pop(i) for i in positions]
-        ops.append(_object_array(np.einsum(step, *args[::-1], optimize=True)))
+        ops.append(_einsum_step(step, *args[::-1]))
     return ops[0]
+
+
+def _einsum_step(spec: str, *arrays: np.ndarray) -> np.ndarray:
+    if len(arrays) == 2 and "->" in spec and "." not in spec:
+        out = _float_jet_einsum(spec, *arrays)
+        if out is not None:
+            return out
+    return _object_array(np.einsum(spec, *arrays, optimize=True))
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +258,165 @@ def _pairwise_plan(spec: str, shapes) -> tuple:
         terms.append(result)
         steps.append((positions, ",".join(taken[::-1]) + "->" + result))
     return tuple(steps)
+
+
+# -- dense float-jet kernel ------------------------------------------------------
+
+_BLOCK_FLOATS = 1 << 15     # operand gathers plus output of one kernel block
+
+
+def _float_jet_einsum(spec: str, a: np.ndarray, b: np.ndarray):
+    """A two-operand ``einsum`` step on float jets, or None for other scalars.
+
+    Both operands must hold float ``Jet``s of one ``JetAlgebra``, or
+    ``Dual``s over them.  A Dual product is three kernel runs, re.re and
+    re.im + im.re; a Jet operand contributes no im run.  Each output's
+    ``valid`` is the min over the components that feed it, as the chain of
+    ``Jet.__mul__``/``__add__`` calls gives; a Dual's im part is also capped
+    at its re part's ``valid``, as ``Dual.__mul__`` does.
+    """
+    pa = _pack(a)
+    if pa is None:
+        return None
+    pb = _pack(b)
+    if pb is None or pb[0] is not pa[0]:
+        return None
+    alg, (ra, *ima), (rb, *imb) = pa[0], pa[1], pb[1]
+    pair = next(x for x in _LETTERS if x not in spec)
+    re_c, re_v = _jet_product(alg, spec, pair, ra, rb)
+    runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
+    if not runs:
+        return _unpack(alg, re_c, re_v)
+    im_c, im_v = 0.0, re_v
+    for x, y in runs:
+        c, v = _jet_product(alg, spec, pair, x, y)
+        im_c = im_c + c
+        im_v = np.minimum(im_v, v)
+    return _unpack(alg, re_c, re_v, im_c, im_v)
+
+
+def _pack(a: np.ndarray):
+    """(alg, parts) for an array of float jets or of Duals over them.
+
+    parts holds (coefficients, valid) for the re parts and, for Duals, the im
+    parts: coefficient-major (N, *a.shape) floats and an int array of
+    a.shape.  None when a holds anything else.
+    """
+    first = a.flat[0]
+    if type(first) is Dual:
+        flat = a.ravel().tolist()
+        if not all(type(x) is Dual for x in flat):
+            return None
+        groups = ([x.re for x in flat], [x.im for x in flat])
+    elif type(first) is Jet:
+        groups = (a.ravel().tolist(),)
+    else:
+        return None
+    alg = getattr(groups[0][0], "alg", None)
+    parts = []
+    for jets in groups:
+        if not all(type(x) is Jet and x.alg is alg and not x.exact
+                   for x in jets):
+            return None
+        c = np.stack([x.c for x in jets], axis=1).reshape((alg.N,) + a.shape)
+        v = np.array([x.valid for x in jets]).reshape(a.shape)
+        parts.append((c, v))
+    return alg, parts
+
+
+def _jet_product(alg, spec: str, pair: str, a, b):
+    """The contraction ``spec`` of two packed float-jet operands.
+
+    a and b are (coefficients, valid) pairs from ``_pack``.  Returns
+    (coefficients, valid): (size, N) floats, one row per output component
+    in C order, and the valid orders, an int array of the output's shape.
+    The pair table holds every monomial pair up to the largest output
+    ``valid``, sorted by product monomial; each block of it is one float
+    einsum with the pair axis ``pair`` leading, summed per product monomial
+    by ``np.add.reduceat``.  Coefficients above an output's ``valid`` are
+    left for ``_unpack`` to zero.
+    """
+    (ca, va), (cb, vb) = a, b
+    v = _min_valid(spec, va, vb)
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    pspec = f"{pair}{sa},{pair}{sb}->{pair}{out}"
+    size = v.size
+    ia, ib, blocks = _pair_blocks(alg, int(v.max()),
+                                  va.size + vb.size + size)
+    rows = np.zeros((size, alg.N))
+    for p0, p1, starts, m0, m1 in blocks:
+        t = np.einsum(pspec, ca[ia[p0:p1]], cb[ib[p0:p1]])
+        rows[:, m0:m1] += np.add.reduceat(t, starts, axis=0).reshape(
+            m1 - m0, size).T
+    return rows, v
+
+
+def _min_valid(spec: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Per output component, the min of the operand valids that feed it."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    letters = out + "".join(x for x in dict.fromkeys(sa + sb) if x not in out)
+    m = np.minimum(_spread(va, sa, letters), _spread(vb, sb, letters))
+    if len(letters) > len(out):
+        m = m.min(axis=tuple(range(len(out), len(letters))))
+    return np.asarray(m)
+
+
+def _spread(v: np.ndarray, sub: str, letters: str) -> np.ndarray:
+    """v with its axes moved to their places in ``letters``, size 1 elsewhere;
+    a letter repeated in ``sub`` takes the diagonal."""
+    uniq = "".join(dict.fromkeys(sub))
+    if len(uniq) < len(sub):
+        v = np.einsum(f"{sub}->{uniq}", v)
+    ordered = sorted(uniq, key=letters.index)
+    v = v.transpose([uniq.index(x) for x in ordered])
+    shape = [v.shape[ordered.index(x)] if x in uniq else 1 for x in letters]
+    return v.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _pair_blocks(alg, cap: int, per_pair: int):
+    """``alg.mul_table(cap)`` sorted by product monomial, cut into blocks.
+
+    Returns (ia, ib, blocks); each block (p0, p1, starts, m0, m1) takes the
+    pairs p0:p1, which make the product monomials m0:m1, with ``starts`` the
+    block-relative first pair of each.  Blocks end at monomial boundaries
+    and hold at most ``_BLOCK_FLOATS // per_pair`` pairs, or one monomial.
+    """
+    ia, ib, io = alg.mul_table(cap)
+    order = np.argsort(io, kind="stable")
+    ia, ib, io = ia[order], ib[order], io[order]
+    first = np.flatnonzero(np.r_[True, io[1:] != io[:-1]])
+    bounds = np.r_[first, len(io)]          # monomial m takes bounds[m:m+2]
+    most = max(1, _BLOCK_FLOATS // per_pair)
+    blocks, m0 = [], 0
+    while m0 < len(first):
+        m1 = m0 + 1
+        while m1 < len(first) and bounds[m1 + 1] - bounds[m0] <= most:
+            m1 += 1
+        p0, p1 = bounds[m0], bounds[m1]
+        blocks.append((p0, p1, first[m0:m1] - p0, m0, m1))
+        m0 = m1
+    return ia, ib, tuple(blocks)
+
+
+def _unpack(alg, re_c, re_v, im_c=None, im_v=None) -> np.ndarray:
+    """Object array of float Jets (Duals when im is given) from (size, N)
+    coefficient rows, zeroed above each component's ``valid``."""
+    parts = [_jets(alg, re_c, re_v)]
+    if im_c is not None:
+        parts.append(_jets(alg, im_c, im_v))
+    out = np.empty(re_v.size, dtype=object)
+    out[:] = parts[0] if im_c is None else \
+        [Dual(x, y) for x, y in zip(*parts)]
+    return out.reshape(re_v.shape)
+
+
+def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
+    v = v.ravel()
+    c[alg.deg[None, :] > v[:, None]] = 0.0
+    return [Jet(alg, row, k, False) for row, k in zip(c, v.tolist())]
 
 
 # -- permutations -------------------------------------------------------------
@@ -330,9 +512,9 @@ def contract(t: Tensor, slot_pairs) -> Tensor:
     for i, j in pairs:
         letters[j] = letters[i]
     out = [letters[s] for s in range(t.rank) if s not in set(used)]
-    a = np.einsum(f"{''.join(letters)}->{''.join(out)}", t.a, optimize=True)
+    a = einsum(f"{''.join(letters)}->{''.join(out)}", t.a)
     valence = tuple(t.valence[s] for s in range(t.rank) if s not in set(used))
-    return Tensor(t.dim, valence, np.asarray(a, dtype=object))
+    return Tensor(t.dim, valence, a)
 
 
 def contract_with(a: Tensor, b: Tensor, pairs) -> Tensor:
@@ -352,11 +534,10 @@ def contract_with(a: Tensor, b: Tensor, pairs) -> Tensor:
     jb = {j for _, j in pairs}
     out = [la[s] for s in range(a.rank) if s not in ia] + \
         [lb[s] for s in range(b.rank) if s not in jb]
-    arr = np.einsum(f"{''.join(la)},{''.join(lb)}->{''.join(out)}",
-                    a.a, b.a, optimize=True)
+    arr = einsum(f"{''.join(la)},{''.join(lb)}->{''.join(out)}", a.a, b.a)
     valence = tuple(a.valence[s] for s in range(a.rank) if s not in ia) + \
         tuple(b.valence[s] for s in range(b.rank) if s not in jb)
-    return Tensor(a.dim, valence, np.asarray(arr, dtype=object))
+    return Tensor(a.dim, valence, arr)
 
 
 def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
@@ -480,13 +661,13 @@ def gkd_contract(dim, lower, upper, factors, ring, *, coeff=Fraction(1),
             [free_up[b] for b in sorted(free_up)]
         spec = ",".join("".join(s) for s in subs + extra_subs) + \
             "->" + "".join(out_sub)
-        term = _object_einsum(spec, *(arrays + extra_arrays))
+        term = einsum(spec, *(arrays + extra_arrays))
         if sign * size != 1:
             term = term * (sign * size)
         acc = term if acc is None else acc + term
     if acc is None:
         return zeros(dim, out_valence, ring)
-    return Tensor(dim, out_valence, np.asarray(acc * coeff, dtype=object))
+    return Tensor(dim, out_valence, _object_array(acc * coeff))
 
 
 @lru_cache(maxsize=None)
@@ -525,31 +706,25 @@ def _orbit_representatives(p: int, sym):
 
 
 def raise_slot(ctx, t: Tensor, slot: int) -> Tensor:
-    if t.valence[slot] != "d":
-        raise SlotError(f"slot {slot} is already up")
-    ginv = ctx.metric_inv
-    letters = list(_LETTERS[:t.rank])
-    fresh = _LETTERS[t.rank]
-    spec = f"{''.join(letters)},{letters[slot]}{fresh}->" + \
-        "".join(fresh if i == slot else letters[i] for i in range(t.rank))
-    a = np.einsum(spec, t.a, ginv.a, optimize=True)
-    valence = list(t.valence)
-    valence[slot] = "u"
-    return Tensor(t.dim, tuple(valence), np.asarray(a, dtype=object))
+    return _move_slot(t, slot, ctx.metric_inv, "u")
 
 
 def lower_slot(ctx, t: Tensor, slot: int) -> Tensor:
-    if t.valence[slot] != "u":
-        raise SlotError(f"slot {slot} is already down")
-    g = ctx.metric
-    letters = list(_LETTERS[:t.rank])
+    return _move_slot(t, slot, ctx.metric, "d")
+
+
+def _move_slot(t: Tensor, slot: int, g: Tensor, to: str) -> Tensor:
+    """Contract ``slot`` with the metric (or its inverse) g; the slot keeps
+    its position and takes the variance ``to``."""
+    if t.valence[slot] == to:
+        where = "up" if to == "u" else "down"
+        raise SlotError(f"slot {slot} is already {where}")
+    letters = _LETTERS[:t.rank]
     fresh = _LETTERS[t.rank]
-    spec = f"{''.join(letters)},{letters[slot]}{fresh}->" + \
-        "".join(fresh if i == slot else letters[i] for i in range(t.rank))
-    a = np.einsum(spec, t.a, g.a, optimize=True)
-    valence = list(t.valence)
-    valence[slot] = "d"
-    return Tensor(t.dim, tuple(valence), np.asarray(a, dtype=object))
+    spec = f"{letters},{letters[slot]}{fresh}->" + \
+        letters[:slot] + fresh + letters[slot + 1:]
+    valence = t.valence[:slot] + (to,) + t.valence[slot + 1:]
+    return Tensor(t.dim, valence, einsum(spec, t.a, g.a))
 
 
 def raise_lower(ctx, t: Tensor, slot: int, direction: str) -> Tensor:
@@ -605,22 +780,11 @@ def hodge_star(ctx, alpha: Tensor) -> Tensor:
         return eps.scale(alpha.item())
     sub_e = _LETTERS[:n]
     spec = f"{sub_e},{sub_e[:k]}->{sub_e[k:]}"
-    a = np.einsum(spec, eps.a, alpha.a, optimize=True)
-    out = Tensor(n, ("d",) * (n - k), np.asarray(a, dtype=object))
+    out = Tensor(n, ("d",) * (n - k), einsum(spec, eps.a, alpha.a))
     return out.scale(Fraction(1, math.factorial(k)))
 
 
 # -- trace / residual helpers ---------------------------------------------------
-
-
-def trace_metric(ctx, t: Tensor, slot1: int, slot2: int):
-    """g-trace of two down slots (or plain trace of an up/down pair)."""
-    if {t.valence[slot1], t.valence[slot2]} == {"u", "d"}:
-        up, down = (slot1, slot2) if t.valence[slot1] == "u" else (slot2, slot1)
-        return contract(t, [(up, down)])
-    if t.valence[slot1] == "d":
-        return contract(raise_slot(ctx, t, slot1), [(slot1, slot2)])
-    return contract(lower_slot(ctx, t, slot1), [(slot2, slot1)])
 
 
 def max_abs(t: Tensor) -> float:

@@ -1,9 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from curvlab import cli
 from curvlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 from curvlab.report import Check, VerificationReport
 
 
@@ -36,6 +40,15 @@ class TestExitCodes:
     def test_bad_rational_exits_two(self):
         assert main(["verify", "--suite", "berger", "--t", "4/0"]) == 2
 
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyError])
+    def test_internal_error_exits_three(self, exc, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise exc("boom")
+        monkeypatch.setattr(cli, "run_suite", crash)
+        assert main(["verify", "--suite", "berger", "--t", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and f"{exc.__name__}: " in err
+
 
 class TestJsonReport:
     def test_deterministic_given_seed(self, tmp_path):
@@ -45,6 +58,14 @@ class TestJsonReport:
         assert main(args + ["--json", str(p1)]) == 0
         assert main(args + ["--json", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_exact_berger_matches_golden(self, tmp_path):
+        """Exact reports are byte-identical to the checked-in golden file."""
+        path = tmp_path / "berger.json"
+        assert main(["verify", "--suite", "berger", "--t", "4", "--exact",
+                     "--json", str(path)]) == 0
+        assert path.read_bytes() == \
+            (GOLDEN / "berger_t4_exact.json").read_bytes()
 
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "rep.json"

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from curvlab.errors import (DegenerateMetricError, ExactnessError,
                             ScalarKindError, SlotError)
 from curvlab.geometry import GeometryContext
-from curvlab.scalars import RATIONAL
+from curvlab.jets import Dual, Jet, JetAlgebra
+from curvlab.scalars import RATIONAL, QuadExt
 from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
-                             contract, contract_with, epsilon_form,
+                             contract, contract_with, einsum, epsilon_form,
                              generalized_delta, gkd_contract, hodge_star,
                              is_zero_tensor, lower_slot, max_abs, perm_sign,
                              raise_lower, raise_slot, residual, symmetrize,
@@ -194,22 +195,151 @@ class TestGkdKernel:
                 assert x.valid == y.valid
                 assert np.allclose(x.c, y.c, rtol=1e-12, atol=1e-12)
 
-    def test_pairwise_run_matches_numpy_bits(self, chart4_stack):
+    def test_pairwise_run_matches_numpy_bits(self):
         """Without a rank-0 step numpy's own optimized einsum runs, and the
-        pairwise run repeats its plan and matmul calls bit for bit."""
-        from curvlab.tensors import _object_einsum
-        w, p = chart4_stack.weyl_dduu, chart4_stack.schouten_mixed
+        pairwise run gives the very same rationals."""
+        rng = np.random.default_rng(23)
+        w = rational_tensor(4, ("d", "d", "u", "u"), rng)
+        p = rational_tensor(4, ("d", "u"), rng)
         spec = "abcd,ce,fa->fbed"
-        got = _object_einsum(spec, w.a, p.a, p.a)
+        got = einsum(spec, w.a, p.a, p.a)
         ref = np.einsum(spec, w.a, p.a, p.a, optimize=True)
-        assert all(np.array_equal(x.c, y.c)
-                   for x, y in zip(got.flat, ref.flat))
+        assert got.shape == ref.shape and np.all(got == ref)
 
     def test_p_above_dim_returns_zero(self):
         w = zeros(2, ("d", "d", "u", "u"), RATIONAL)
         out = gkd_contract(2, [(0, 2), (0, 3), None], [(0, 0), (0, 1), None],
                            [w], RATIONAL)
         assert is_zero_tensor(out)
+
+
+def random_jets(alg, shape, rng, kind):
+    """Array of float jets ("jet") or Duals over them ("dual") with random
+    coefficients and a random ``valid`` per component."""
+    def jet():
+        valid = int(rng.integers(0, alg.order + 1))
+        c = rng.standard_normal(alg.N)
+        c[alg.deg > valid] = 0.0
+        return Jet(alg, c, valid, False)
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        a[idx] = jet() if kind == "jet" else Dual(jet(), jet())
+    return a
+
+
+def random_scalars(shape, rng, kind):
+    """Array of rationals, QuadExts in Q(sqrt 2), plain floats or exact jets."""
+    alg = JetAlgebra.get(2, 3)
+
+    def rational():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
+
+    def scalar():
+        if kind == "rational":
+            return rational()
+        if kind == "quadext":
+            return QuadExt(rational(), rational(), 2)
+        if kind == "float":
+            return float(rng.standard_normal())
+        valid = int(rng.integers(0, alg.order + 1))
+        c = np.empty(alg.N, dtype=object)
+        c[:] = [rational() if d <= valid else Fraction(0) for d in alg.deg]
+        return Jet(alg, c, valid, True)
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        a[idx] = scalar()
+    return a
+
+
+def assert_jets_close(x, y):
+    """Same ``valid`` and coefficients within 1e-12 relative."""
+    if isinstance(y, Dual):
+        assert isinstance(x, Dual)
+        assert_jets_close(x.re, y.re)
+        assert_jets_close(x.im, y.im)
+        return
+    assert type(x) is Jet and x.valid == y.valid
+    scale = max(1.0, float(np.abs(y.c).max()))
+    assert float(np.abs(x.c - y.c).max()) <= 1e-12 * scale
+
+
+@st.composite
+def two_operand_specs(draw):
+    """Explicit specs with operands of rank <= 4 (repeated letters take a
+    diagonal) and an output of rank <= 4, possibly 0."""
+    letters = st.sampled_from("abcde")
+    sa = "".join(draw(st.lists(letters, max_size=4)))
+    sb = "".join(draw(st.lists(letters, max_size=4)))
+    used = sorted(set(sa + sb))
+    out = draw(st.permutations(used))[:draw(st.integers(0, min(4, len(used))))]
+    return f"{sa},{sb}->{''.join(out)}"
+
+
+def operand_shapes(spec, dim):
+    return [(dim,) * len(sub) for sub in spec.split("->")[0].split(",")]
+
+
+class TestEinsumKernel:
+    """The dense float-jet kernel behind ``einsum`` against numpy's object
+    einsum, and the unchanged path for every other scalar kind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_operand_specs(), st.sampled_from([2, 3]),
+           st.sampled_from([3, 5]), st.sampled_from(["jet", "dual"]),
+           st.sampled_from(["jet", "dual"]), st.integers(0, 10 ** 6))
+    def test_float_jets_match_object_einsum(self, spec, dim, order, ka, kb,
+                                            seed):
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        a, b = (random_jets(alg, shape, rng, kind) for shape, kind
+                in zip(operand_shapes(spec, dim), (ka, kb)))
+        got = einsum(spec, a, b)
+        ref = np.asarray(np.einsum(spec, a, b, optimize=False), dtype=object)
+        assert isinstance(got, np.ndarray) and got.shape == ref.shape
+        for x, y in zip(got.flat, ref.flat):
+            assert_jets_close(x, y)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["abcd,ce,fa->fbed", "ab,bc,ca->",
+                            ",ab,bc->ac", "iab,ajA,bAk->ijk"]),
+           st.sampled_from([3, 5]), st.lists(st.sampled_from(["jet", "dual"]),
+                                             min_size=3, max_size=3),
+           st.integers(0, 10 ** 6))
+    def test_three_operands_run_pairwise(self, spec, order, kinds, seed):
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        ops = [random_jets(alg, shape, rng, kind) for shape, kind
+               in zip(operand_shapes(spec, 3), kinds)]
+        got = einsum(spec, *ops)
+        ref = np.asarray(np.einsum(spec, *ops, optimize=False), dtype=object)
+        assert got.shape == ref.shape
+        for x, y in zip(got.flat, ref.flat):
+            assert_jets_close(x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_operand_specs(),
+           st.sampled_from(["rational", "quadext", "float", "exact-jet"]),
+           st.integers(0, 10 ** 6))
+    def test_other_scalars_keep_numpy_path(self, spec, kind, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (random_scalars(shape, rng, kind)
+                for shape in operand_shapes(spec, 3))
+        got = einsum(spec, a, b)
+        ref = np.asarray(np.einsum(spec, a, b, optimize=True), dtype=object)
+        assert got.shape == ref.shape
+        for x, y in zip(got.flat, ref.flat):
+            assert type(x) is type(y) and x == y
+            if kind == "exact-jet":
+                assert x.valid == y.valid
+
+    def test_mixed_array_keeps_numpy_path(self):
+        alg = JetAlgebra.get(2, 3)
+        a = random_jets(alg, (3, 3), np.random.default_rng(5), "jet")
+        a[0, 0] = 1.5
+        got = einsum("ab,bc->ac", a, a)
+        ref = np.einsum("ab,bc->ac", a, a, optimize=True)
+        for x, y in zip(got.flat, ref.flat):
+            assert x.valid == y.valid and np.array_equal(x.c, y.c)
 
 
 class TestEpsilonHodge:
