@@ -182,24 +182,15 @@ class FrameContext(GeometryContext):
         self._validate()
 
     def _validate(self):
-        c, g, n = self.structure, self.metric.a, self.dim
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    if c[e, a, b] != -c[e, b, a]:
-                        raise ValueError("structure constants not antisymmetric")
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    for f in range(n):
-                        s = sum((c[e, a, d] * c[d, b, f] + c[e, b, d] * c[d, f, a]
-                                 + c[e, f, d] * c[d, a, b]) for d in range(n))
-                        if s:
-                            raise ValueError("Jacobi identity fails")
-        for i in range(n):
-            for j in range(n):
-                if g[i, j] != g[j, i]:
-                    raise ValueError("frame metric not symmetric")
+        c, g = self.structure, self.metric.a
+        if np.any(c != -c.transpose(0, 2, 1)):
+            raise ValueError("structure constants not antisymmetric")
+        # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
+        m = einsum("ead,dbf->eabf", c, c)
+        if any((m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).flat):
+            raise ValueError("Jacobi identity fails")
+        if np.any(g != g.T):
+            raise ValueError("frame metric not symmetric")
 
     def to_float(self) -> "FrameContext":
         sc = {}
@@ -602,10 +593,9 @@ class CurvatureStack:
 
 def kulkarni_nomizu_pg(p: Tensor, g: Tensor) -> Tensor:
     """P_ik g_jl - P_il g_jk + P_jl g_ik - P_jk g_il."""
-    a = einsum("ik,jl->ijkl", p.a, g.a) \
-        - einsum("il,jk->ijkl", p.a, g.a) \
-        + einsum("jl,ik->ijkl", p.a, g.a) \
-        - einsum("jk,il->ijkl", p.a, g.a)
+    x = einsum("ik,jl->ijkl", p.a, g.a)
+    a = x - x.transpose(0, 1, 3, 2) + x.transpose(1, 0, 3, 2) \
+        - x.transpose(1, 0, 2, 3)
     return Tensor(p.dim, ("d",) * 4, a)
 
 

@@ -22,9 +22,17 @@ Each step dispatches on its operands' scalars alone:
   most ``_BLOCK_FLOATS`` floats of operand gathers plus output.  The
   coefficients above each output's ``valid`` are zeroed before they are
   unpacked into jets.  A Dual product is the runs re.re and re.im + im.re.
-- Any other step (exact jets, Fraction, QuadExt, plain floats, arrays that
-  mix kinds, one operand) is ``np.einsum(..., optimize=True)`` on the
-  objects, so exact results are unchanged bit for bit.
+- Two operands of ``Fraction``s alone run an int64 kernel: each operand is
+  packed as int64 numerators over the lcm of its denominators, one int64
+  ``np.einsum`` makes the output numerators over the product of the two
+  denominators, and each output is reduced once.  It runs only when
+  max|Na| * max|Nb| times the product of the extents of the summed letters
+  is below 2**63, which bounds every partial sum; past that the step takes
+  the object path.  Fractions are canonical, so results are the same.
+- Any other step (exact jets, QuadExt, plain floats, arrays that mix kinds
+  or mix int with Fraction, one operand, Fractions past the int64 bound) is
+  ``np.einsum(..., optimize=True)`` on the objects, so exact results are
+  unchanged bit for bit.
 
 Generalized Kronecker deltas are evaluated as signed permutation sums and are
 never materialized inside a larger contraction: ``gkd_contract`` wires delta
@@ -208,9 +216,10 @@ def einsum(spec: str, *arrays: np.ndarray) -> np.ndarray:
     """Contract object arrays by ``spec``; always an ndarray.
 
     Three or more operands run pairwise along numpy's greedy plan, with
-    every intermediate kept as an ndarray.  A two-operand step of float jets
-    (or of ``Dual`` numbers over them) with an explicit ``->`` output runs
-    the dense kernel ``_float_jet_einsum``; any other step is
+    every intermediate kept as an ndarray.  A two-operand step with an
+    explicit ``->`` output runs the dense kernel ``_float_jet_einsum`` on
+    float jets (or ``Dual`` numbers over them) and the int64 kernel
+    ``_rational_einsum`` on Fractions; any other step is
     ``np.einsum(..., optimize=True)`` on the objects themselves.
     """
     if len(arrays) < 3:
@@ -224,9 +233,10 @@ def einsum(spec: str, *arrays: np.ndarray) -> np.ndarray:
 
 def _einsum_step(spec: str, *arrays: np.ndarray) -> np.ndarray:
     if len(arrays) == 2 and "->" in spec and "." not in spec:
-        out = _float_jet_einsum(spec, *arrays)
-        if out is not None:
-            return out
+        for kernel in (_float_jet_einsum, _rational_einsum):
+            out = kernel(spec, *arrays)
+            if out is not None:
+                return out
     return _object_array(np.einsum(spec, *arrays, optimize=True))
 
 
@@ -417,6 +427,65 @@ def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
     v = v.ravel()
     c[alg.deg[None, :] > v[:, None]] = 0.0
     return [Jet(alg, row, k, False) for row, k in zip(c, v.tolist())]
+
+
+# -- int64 kernel for Fraction operands -----------------------------------------
+
+_INT64_BOUND = 1 << 63
+
+
+def _rational_einsum(spec: str, a: np.ndarray, b: np.ndarray):
+    """A two-operand ``einsum`` step on Fractions, or None.
+
+    None unless every element of both operands is a ``Fraction``, or when
+    the int64 sum might overflow.  Each operand is packed as int64
+    numerators over the lcm of its denominators, fraction-free (Bareiss,
+    Math. Comp. 22 (1968)); one int64 ``np.einsum`` makes the numerators of
+    the output over the product of the two denominators, and each distinct
+    numerator is reduced once, into one Fraction shared by the outputs that
+    hold it.  Every partial sum is bounded by max|Na| * max|Nb| times
+    the number of terms, the product of the extents of the summed letters,
+    so the run is exact when that bound is below 2**63.
+    """
+    pa = _pack_rational(a)
+    if pa is None:
+        return None
+    pb = _pack_rational(b)
+    if pb is None:
+        return None
+    (na, da, ma), (nb, db, mb) = pa, pb
+    ins, out = spec.split("->")
+    bound = max(ma, 1) * max(mb, 1)
+    for x, n in dict(zip(ins.replace(",", ""), a.shape + b.shape)).items():
+        if x not in out:
+            bound *= n
+    if bound >= _INT64_BOUND:
+        return None
+    nums = np.asarray(np.einsum(spec, na, nb))
+    flat = nums.ravel().tolist()
+    den = da * db
+    fracs = {n: Fraction(n, den) for n in set(flat)}
+    res = np.empty(len(flat), dtype=object)
+    res[:] = list(map(fracs.__getitem__, flat))
+    return res.reshape(nums.shape)
+
+
+def _pack_rational(a: np.ndarray):
+    """(numerators, denominator, max |numerator|) of an array of Fractions:
+    int64 numerators over the lcm of the denominators, or None when ``a``
+    holds anything but Fractions or a numerator leaves int64."""
+    if type(a.flat[0]) is not Fraction:
+        return None
+    flat = a.ravel().tolist()
+    if set(map(type, flat)) != {Fraction}:
+        return None
+    nums, dens = zip(*map(Fraction.as_integer_ratio, flat))
+    den = math.lcm(*dens)
+    nums = [n * (den // d) for n, d in zip(nums, dens)]
+    top = max(map(abs, nums))
+    if top >= _INT64_BOUND:
+        return None
+    return np.array(nums, dtype=np.int64).reshape(a.shape), den, top
 
 
 # -- permutations -------------------------------------------------------------

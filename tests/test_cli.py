@@ -40,6 +40,25 @@ class TestExitCodes:
     def test_bad_rational_exits_two(self):
         assert main(["verify", "--suite", "berger", "--t", "4/0"]) == 2
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("dim, structure, message", [
+        # (e, a, a) is written as c and then as -c, so c^e_aa = -c != 0
+        (2, [(0, 1, 1)], "structure constants not antisymmetric"),
+        (3, [(0, 0, 1), (1, 1, 2), (0, 1, 2)], "Jacobi identity fails"),
+    ])
+    def test_broken_frame_config_exits_two(self, exact, dim, structure,
+                                           message, tmp_path, capsys):
+        cfg = {"kind": "frame", "dim": dim, "exact": exact,
+               "metric": [[str(int(i == j)) for j in range(dim)]
+                          for i in range(dim)],
+               "structure": [{"e": e, "a": a, "b": b, "c": "1"}
+                             for e, a, b in structure]}
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_pfaffian",
+                     "--model", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc", [RuntimeError, KeyError])
     def test_internal_error_exits_three(self, exc, monkeypatch, capsys):
         def crash(*args, **kwargs):

@@ -13,7 +13,7 @@ from curvlab.models import (berger_frame, berger_product, circle_frame,
                             flat_chart, fs_cp2_chart, random_chart,
                             round_sphere_chart)
 from curvlab.polys import Poly
-from curvlab.scalars import RATIONAL
+from curvlab.scalars import FLOAT, RATIONAL
 from curvlab.tensors import (Tensor, antisymmetrize, is_zero_tensor, max_abs,
                              residual, tensors_equal, zeros)
 
@@ -69,16 +69,18 @@ class TestBergerFrame:
                     assert gam.a[k, a, b] - gam.a[k, b, a] == c[k, a, b]
 
     def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            FrameContext(2, {(0, 0, 1): Fraction(1)},
-                         [[Fraction(1), 0], [0, Fraction(1)]])
-        bad_jacobi = {(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-1),
-                      (1, 1, 2): Fraction(1), (1, 2, 1): Fraction(-1),
-                      (0, 1, 2): Fraction(1), (0, 2, 1): Fraction(-1)}
-        with pytest.raises(ValueError):
-            FrameContext(3, bad_jacobi,
-                         [[Fraction(1), 0, 0], [0, Fraction(1), 0],
-                          [0, 0, Fraction(1)]])
+        """Both rejections, each with its message, in exact and float mode."""
+        bad_jacobi = {(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 2): 1,
+                      (1, 2, 1): -1, (0, 1, 2): 1, (0, 2, 1): -1}
+        for scalar, ring in ((Fraction, RATIONAL), (float, FLOAT)):
+            for dim, structure, message in (
+                    (2, {(0, 0, 1): 1}, "structure constants not antisymmetric"),
+                    (3, bad_jacobi, "Jacobi identity fails")):
+                sc = {k: scalar(v) for k, v in structure.items()}
+                g = [[scalar(int(i == j)) for j in range(dim)]
+                     for i in range(dim)]
+                with pytest.raises(ValueError, match=message):
+                    FrameContext(dim, sc, g, ring=ring)
 
 
 class TestStackInvariants:
