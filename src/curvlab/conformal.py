@@ -19,7 +19,7 @@ from .errors import DimensionError, ExactnessError
 from .geometry import GeometryContext, dual_ring
 from .invariants import (InvariantPolynomial, pfaffian_of, rho_phi,
                          star_rho_general, xi_k)
-from .jets import Dual, Jet
+from .jets import Jet
 from .polys import Poly
 from .report import Check, VerificationReport, check_exact, check_residual
 from .tensors import Tensor, einsum, raise_slot, residual as tensor_residual
@@ -128,8 +128,7 @@ def rescale(ctx: GeometryContext, ups: ConformalFactor) -> GeometryContext:
                 "e^{2c} leaves the exact field; rescale a float frame instead")
         factor = math.exp(2.0 * float(c))
         return clone_context(ctx, ctx.metric.scale(factor))
-    e2u = ups.exp2_field(ctx)
-    return clone_context(ctx, ctx.metric.map(lambda x: x * e2u))
+    return clone_context(ctx, ctx.metric.scale(ups.exp2_field(ctx)))
 
 
 # -- named natural quantities ---------------------------------------------------
@@ -137,12 +136,13 @@ def rescale(ctx: GeometryContext, ups: ConformalFactor) -> GeometryContext:
 
 def _wp(st) -> Tensor:
     p_uu = raise_slot(st.ctx, st.schouten_mixed, 0)
-    return Tensor(st.dim, ("d", "d"), einsum("isjt,st->ij", st.weyl.a, p_uu.a))
+    return Tensor(st.dim, ("d", "d"),
+                  einsum("isjt,st->ij", st.weyl.data, p_uu.data))
 
 
 def _tf_pp(st) -> Tensor:
     pp = Tensor(st.dim, ("d", "d"),
-                einsum("is,sj->ij", st.schouten_mixed.a, st.schouten.a))
+                einsum("is,sj->ij", st.schouten_mixed.data, st.schouten.data))
     return st.trace_free(pp)
 
 
@@ -163,7 +163,8 @@ def _w_check_sq(st) -> Tensor:
     w_up = st.weyl
     for s in (1, 2, 3):
         w_up = raise_slot(st.ctx, w_up, s)
-    return Tensor(st.dim, ("d", "d"), einsum("istu,jstu->ij", st.weyl.a, w_up.a))
+    return Tensor(st.dim, ("d", "d"),
+                  einsum("istu,jstu->ij", st.weyl.data, w_up.data))
 
 
 QUANTITIES = {
@@ -210,12 +211,21 @@ def linearize(ctx: GeometryContext, quantity, ups: ConformalFactor,
     if w is None:
         raise ValueError("a conformal weight is required")
     upsj = ups.field(ctx)
-    dual_metric = ctx.metric.map(lambda g: Dual(g, g * (2 * upsj)))
-    dctx = clone_context(ctx, dual_metric, ring=dual_ring(ctx.ring))
-    t_dual = fn(dctx.stack)
-    wu = w * upsj
-    fld = t_dual.map(lambda d: d.im - wu * d.re)
+    fld = _linear_part(fn(_dual_context(ctx, upsj).stack), w * upsj)
     return LinearizationResult(fld, fld.at_point(), "jet-exact")
+
+
+def _dual_context(ctx: GeometryContext, upsj) -> GeometryContext:
+    """ctx over dual numbers with the metric g + eps 2 Upsilon g."""
+    g = ctx.metric
+    return clone_context(ctx, Tensor.dual(g, g.scale(2 * upsj)),
+                         ring=dual_ring(ctx.ring))
+
+
+def _linear_part(t_dual: Tensor, wu) -> Tensor:
+    """d/dt of e^{-t w Upsilon} T at t = 0: im - w Upsilon re, given wu."""
+    re, im = t_dual.dual_parts()
+    return im - re.scale(wu)
 
 
 def linearize_fd(ctx: GeometryContext, quantity, ups: ConformalFactor,
@@ -378,7 +388,7 @@ def verify_ac_identities(ctx: GeometryContext, k: int,
         u0 = ups.value_at_base(ctx)
         du = st.grad_scalar(ups.field(ctx))
         du_up = raise_slot(ctx, du, 0)
-        corr = Tensor(n, ("d",), einsum("i,ij->j", du_up.a, tfT.a))
+        corr = Tensor(n, ("d",), einsum("i,ij->j", du_up.data, tfT.data))
         rhs16 = (div_tfT + corr.scale(n - 2 * k)).at_point()
         rep.add(check_residual(
             "conformal transformation of div(tf T)",
@@ -390,15 +400,10 @@ def naturality_rows(ctx: GeometryContext, ups: ConformalFactor):
     """Point values of the four candidate linearizations, sharing one dual
     stack: D of W.P, tf P^2, tf JP, tf hess J (all weight -2)."""
     upsj = ups.field(ctx)
-    dual_metric = ctx.metric.map(lambda g: Dual(g, g * (2 * upsj)))
-    dctx = clone_context(ctx, dual_metric, ring=dual_ring(ctx.ring))
-    dst = dctx.stack
+    dst = _dual_context(ctx, upsj).stack
     wu = -2 * upsj
-    out = []
-    for fn in (_wp, _tf_pp, _tf_jp, _tf_hess_j):
-        t_dual = fn(dst)
-        out.append(t_dual.map(lambda d: d.im - wu * d.re).at_point())
-    return out
+    return [_linear_part(fn(dst), wu).at_point()
+            for fn in (_wp, _tf_pp, _tf_jp, _tf_hess_j)]
 
 
 def naturality_rank_test(make_sample, samples: int = 40, *,

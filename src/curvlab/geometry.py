@@ -117,6 +117,8 @@ class GeometryContext:
 
     @property
     def jet_algebra(self):
+        if self.metric.field is not None:
+            return self.metric.field.alg
         s = self.metric.a.flat[0]
         while isinstance(s, Dual):
             s = s.re
@@ -131,7 +133,7 @@ class GeometryContext:
 
     @cached_property
     def metric_inv(self) -> Tensor:
-        return Tensor(self.dim, ("u", "u"), self._inv_det[0])
+        return Tensor(self.dim, ("u", "u"), self._inv_det[0]).pack()
 
     @cached_property
     def det_metric(self):
@@ -214,7 +216,7 @@ class ChartContext(GeometryContext):
         self.dim = dim
         self.ring = ring
         self.orientation = orientation
-        self.metric = metric_tensor
+        self.metric = metric_tensor.pack()
         self.base_point = tuple(base_point)
         self.var_base_point = tuple(base_point)
         self.jet_order = jet_order
@@ -309,7 +311,7 @@ class ProductContext(GeometryContext):
                             v = f.structure[e, a, b]
                             if v:
                                 c[off + e, off + a, off + b] = lift(v, f)
-        self.metric = Tensor(self.dim, ("d", "d"), g)
+        self.metric = Tensor(self.dim, ("d", "d"), g).pack()
         self.structure = c
 
 
@@ -377,6 +379,9 @@ class CurvatureStack:
         """D_a applied componentwise; derivative slot prepended."""
         ctx = self.ctx
         n = ctx.dim
+        if t.field is not None:
+            return Tensor(n, ("d",) + t.valence,
+                          t.field.derivatives(ctx.var_of_direction))
         out = np.empty((n,) + t.a.shape, dtype=object)
         for a in range(n):
             for idx in np.ndindex(t.a.shape):
@@ -388,7 +393,7 @@ class CurvatureStack:
         out = self._dirderiv(t)
         if t.rank == 0:
             return out
-        gam = self.gamma.a
+        gam = self.gamma.data
         letters = _LETTERS[:t.rank]
         der, dum = "Y", "Z"
         for s in range(t.rank):
@@ -398,9 +403,10 @@ class CurvatureStack:
                 sub = dum + der + letters[s]       # Gamma^{e}_{Y j_s}
             src = letters[:s] + dum + letters[s + 1:]
             spec = f"{sub},{src}->{der}{letters}"
-            corr = einsum(spec, gam, t.a)
+            corr = einsum(spec, gam, t.data)
             out = Tensor(out.dim, out.valence,
-                         out.a + corr if t.valence[s] == "u" else out.a - corr)
+                         out.data + corr if t.valence[s] == "u"
+                         else out.data - corr)
         return out
 
     def div(self, t: Tensor, slot: int) -> Tensor:
@@ -415,7 +421,7 @@ class CurvatureStack:
         return contract(n2, [(0, 1)])
 
     def at_point(self, t: Tensor) -> Tensor:
-        return t.map(self.ctx.point_value)
+        return t.at_point()
 
     # -- connection and curvature ---------------------------------------------
 
@@ -424,18 +430,18 @@ class CurvatureStack:
         ctx = self.ctx
         n = ctx.dim
         g = ctx.metric
-        dg = self._dirderiv(g).a                      # [a][b][c] = D_a g_bc
+        dg = self._dirderiv(g).data                   # [a][b][c] = D_a g_bc
         low = einsum("abc->abc", dg) * Fraction(1, 2) \
             + einsum("bac->abc", dg) * Fraction(1, 2) \
             - einsum("cab->abc", dg) * Fraction(1, 2)
         if ctx.structure is not None:
             c = ctx.structure
-            gl = g.a
+            gl = g.data
             low = low + Fraction(1, 2) * (
                 einsum("eab,ec->abc", c, gl)
                 - einsum("ebc,ea->abc", c, gl)
                 + einsum("eca,eb->abc", c, gl))
-        gam = einsum("dc,abc->dab", ctx.metric_inv.a, low)
+        gam = einsum("dc,abc->dab", ctx.metric_inv.data, low)
         return Tensor(n, ("u", "d", "d"), gam)
 
     @cached_property
@@ -443,13 +449,14 @@ class CurvatureStack:
         """R_ab^c_d with valence (d, d, u, d)."""
         ctx = self.ctx
         gam = self.gamma
-        dgam = self._dirderiv(gam).a                  # [a][c][b][d] = D_a G^c_bd
+        dgam = self._dirderiv(gam).data         # [a][c][b][d] = D_a G^c_bd
+        ga = gam.data
         r = einsum("acbd->abcd", dgam) \
             - einsum("bcad->abcd", dgam) \
-            + einsum("cae,ebd->abcd", gam.a, gam.a) \
-            - einsum("cbe,ead->abcd", gam.a, gam.a)
+            + einsum("cae,ebd->abcd", ga, ga) \
+            - einsum("cbe,ead->abcd", ga, ga)
         if ctx.structure is not None:
-            r = r - einsum("eab,ced->abcd", ctx.structure, gam.a)
+            r = r - einsum("eab,ced->abcd", ctx.structure, ga)
         return Tensor(ctx.dim, ("d", "d", "u", "d"), r)
 
     @cached_property
@@ -502,7 +509,8 @@ class CurvatureStack:
     def cotton(self) -> Tensor:
         """C_ijk = grad_i P_jk - grad_j P_ik."""
         np_ = self.nabla(self.schouten)
-        return Tensor(np_.dim, np_.valence, np_.a - einsum("jik->ijk", np_.a))
+        return Tensor(np_.dim, np_.valence,
+                      np_.data - einsum("jik->ijk", np_.data))
 
     @cached_property
     def cotton_ddu(self) -> Tensor:
@@ -517,8 +525,8 @@ class CurvatureStack:
             raise DimensionError("Bach tensor needs dim >= 3")
         divC = self.div(self.cotton, 0)
         p_uu = raise_slot(self.ctx, self.schouten_mixed, 0)
-        wp = einsum("isjt,st->ij", self.weyl.a, p_uu.a)
-        return Tensor(n, ("d", "d"), divC.a + wp)
+        wp = einsum("isjt,st->ij", self.weyl.data, p_uu.data)
+        return Tensor(n, ("d", "d"), divC.data + wp)
 
     # -- small conveniences -----------------------------------------------------
 
@@ -593,7 +601,7 @@ class CurvatureStack:
 
 def kulkarni_nomizu_pg(p: Tensor, g: Tensor) -> Tensor:
     """P_ik g_jl - P_il g_jk + P_jl g_ik - P_jk g_il."""
-    x = einsum("ik,jl->ijkl", p.a, g.a)
+    x = einsum("ik,jl->ijkl", p.data, g.data)
     a = x - x.transpose(0, 1, 3, 2) + x.transpose(1, 0, 3, 2) \
         - x.transpose(1, 0, 2, 3)
     return Tensor(p.dim, ("d",) * 4, a)

@@ -423,7 +423,7 @@ def _cycle_alt_form(factors, cycle, dim, ring) -> AltForm:
     for key in it.combinations(range(dim), total):
         acc = None
         for groups, sign in _assignments(key, degs):
-            slices = [m.a[(slice(None), slice(None)) + g]
+            slices = [m.data[(slice(None), slice(None)) + g]
                       for m, g in zip(mats, groups)]
             val = einsum(subs, *slices)[()]
             term = val if sign > 0 else -val

@@ -44,7 +44,11 @@ class JetAlgebra:
         self.index = {m: i for i, m in enumerate(mons)}
         self.N = len(mons)
         self.deg = np.array([sum(m) for m in mons])
+        # upto[d]: the number of monomials of degree <= d (mons is sorted)
+        self.upto = [sum(1 for m in mons if sum(m) <= d)
+                     for d in range(order + 1)]
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._above: dict[int, np.ndarray] = {}
         self._diff_tables = []
         for v in range(nvars):
             src, dst, fac = [], [], []
@@ -64,6 +68,14 @@ class JetAlgebra:
         if key not in cls._cache:
             cls._cache[key] = cls(nvars, order)
         return cls._cache[key]
+
+    def above(self, valid: int) -> np.ndarray:
+        """Boolean selector of the monomials of total degree > valid."""
+        sel = self._above.get(valid)
+        if sel is None:
+            sel = self._above[valid] = self.deg > valid
+            sel.flags.writeable = False
+        return sel
 
     def mul_table(self, cap: int):
         """Index triples (ia, ib, io) for all products of total degree <= cap."""
@@ -129,12 +141,8 @@ class Jet:
 
     def _mask(self, c, valid):
         if valid < self.alg.order:
-            sel = self.alg.deg > valid
-            if self.exact:
-                z = self._zero_coeff()
-                c[sel] = z
-            else:
-                c[sel] = 0.0
+            c[self.alg.above(valid)] = \
+                self._zero_coeff() if self.exact else 0.0
         return c
 
     def _coerce(self, other):
@@ -150,12 +158,18 @@ class Jet:
 
     # -- ring operations ----------------------------------------------------
 
+    # Coefficients above ``valid`` are zero, so a sum or difference of two
+    # jets with the same ``valid`` needs no mask.
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        c = self.c + o.c
+        if self.valid == o.valid:
+            return Jet(self.alg, c, self.valid, self.exact)
         v = min(self.valid, o.valid)
-        return Jet(self.alg, self._mask(self.c + o.c, v), v, self.exact)
+        return Jet(self.alg, self._mask(c, v), v, self.exact)
 
     __radd__ = __add__
 
@@ -166,13 +180,20 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        c = self.c - o.c
+        if self.valid == o.valid:
+            return Jet(self.alg, c, self.valid, self.exact)
         v = min(self.valid, o.valid)
-        return Jet(self.alg, self._mask(self.c - o.c, v), v, self.exact)
+        return Jet(self.alg, self._mask(c, v), v, self.exact)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, float)):
+            # a constant keeps every degree: scale the coefficients
+            return Jet(self.alg, self.c * _as_coeff(other, self.exact),
+                       self.valid, self.exact)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -400,6 +421,11 @@ class Dual:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, float, Fraction, QuadExt, Jet)):
+            # x = x + eps 0: the im part is im x, capped at re's ``valid``
+            # as the full product caps it
+            cap = getattr(self.re, "valid", None)
+            return Dual(self.re * other, _capped(self.im * other, cap))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -442,6 +468,13 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.re!r}, {self.im!r})"
+
+
+def _capped(x, valid):
+    """x with its ``valid`` lowered to ``valid`` when x is a jet above it."""
+    if valid is None or not isinstance(x, Jet) or x.valid <= valid:
+        return x
+    return Jet(x.alg, x._mask(x.c.copy(), valid), valid, x.exact)
 
 
 def field_partial(s, v: int):

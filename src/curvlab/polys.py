@@ -6,7 +6,11 @@ factors; they are evaluated into truncated jets at a base point.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .jets import Jet, JetAlgebra
 
@@ -25,7 +29,8 @@ class Poly:
                 raise ValueError(f"exponent {exp} has wrong arity")
             c = Fraction(c)
             if c:
-                self.coeffs[exp] = self.coeffs.get(exp, Fraction(0)) + c
+                old = self.coeffs.get(exp)
+                self.coeffs[exp] = c if old is None else old + c
         self.coeffs = {e: c for e, c in self.coeffs.items() if c}
 
     @classmethod
@@ -91,18 +96,39 @@ class Poly:
         return all(sum(e) == 0 for e in self.coeffs)
 
     def jet(self, alg: JetAlgebra, base_point, exact: bool) -> Jet:
-        """Expand around base_point as a truncated jet."""
-        vars_ = [Jet.variable(alg, v, base_point[v] if exact
-                              else float(base_point[v]), exact)
-                 for v in range(self.nvars)]
-        acc = Jet.const(alg, Fraction(0) if exact else 0.0, exact)
+        """Expand around base_point b as a truncated jet.
+
+        The coefficient of x^m is sum over e >= m of
+        c_e prod_v binom(e_v, m_v) b_v^(e_v - m_v), for |m| <= order; it is
+        summed in Fractions and, for a float jet, rounded once.
+        """
+        b = [Fraction(base_point[v]) for v in range(self.nvars)]
+        pad = (0,) * (alg.nvars - self.nvars)
+        acc: dict = {}
+        at_origin = not any(b)
         for e, c in self.coeffs.items():
-            term = Jet.const(alg, c if exact else float(c), exact)
-            for v, k in enumerate(e):
-                for _ in range(k):
-                    term = term * vars_[v]
-            acc = acc + term
-        return acc
+            if at_origin:           # only m = e: the coefficient itself
+                if sum(e) <= alg.order:
+                    acc[alg.index[e + pad]] = c
+                continue
+            lowered = (range(k + 1) if bv else (k,) for k, bv in zip(e, b))
+            for m in itertools.product(*lowered):
+                if sum(m) > alg.order:
+                    continue
+                term = c
+                for ev, mv, bv in zip(e, m, b):
+                    if ev > mv:
+                        term *= math.comb(ev, mv) * bv ** (ev - mv)
+                i = alg.index[m + pad]
+                acc[i] = acc[i] + term if i in acc else term
+        if exact:
+            c = np.empty(alg.N, dtype=object)
+            c[:] = [Fraction(0)] * alg.N
+        else:
+            c = np.zeros(alg.N)
+        for i, x in acc.items():
+            c[i] = x if exact else float(x)
+        return Jet(alg, c, alg.order, exact)
 
     def to_config(self) -> dict:
         return {",".join(map(str, e)): str(c) for e, c in self.coeffs.items()}

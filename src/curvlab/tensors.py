@@ -1,27 +1,46 @@
 """Dense tensor arithmetic with abstract-index semantics.
 
-Components are numpy object arrays over one scalar kind (Fraction, QuadExt,
-float, Jet, or Dual).  Slot order is storage order; valence is a tuple of
-'u'/'d' flags.
+Components are over one scalar kind (Fraction, QuadExt, float, Jet, or
+Dual).  Slot order is storage order; valence is a tuple of 'u'/'d' flags.
 
-Every contraction goes through ``einsum(spec, *arrays)``, which always
-returns an ndarray.  Three or more operands run pairwise, one einsum per
-step of numpy's greedy plan, with ndarray intermediates: numpy >= 2 runs
+Storage.  A ``Tensor`` holds its components either as a numpy object array
+or, for float jets of one ``JetAlgebra`` and Duals over them, packed in a
+``JetField``: one float coefficient array with the coefficient axis leading,
+(N, *shape), an int array of the per-component ``valid`` orders, zero
+coefficients above them, and a second coefficient/``valid`` pair for the im
+parts of Duals.  Chart metrics and their inverses are packed once, and
+every packed operation returns a packed result: ``+``, ``-``, negation,
+``scale``, ``permuted``, derivatives (a gather through the jet algebra's
+diff tables), ``contract`` and two-operand ``einsum`` steps, with the
+``valid`` orders a chain of ``Jet``/``Dual`` operations would give.  None of
+them reads ``Tensor.a``: that object array, for every reader that wants
+``Jet``/``Dual`` objects, is unpacked on first read and kept, read-only, so
+a write can never leave the packed data stale (``Tensor.copy`` gives a
+writable one).  ``Tensor.data`` is whichever storage the tensor has;
+exact scalars, plain floats and mixed arrays always stay object arrays.
+
+Every contraction goes through ``einsum(spec, *operands)``, which returns
+a ``JetField`` when a packed operand went through a packed step and an
+object ndarray otherwise.  Three or more operands run pairwise, one einsum
+per step of numpy's greedy plan, with array intermediates: numpy >= 2 runs
 each pairwise step through ``bmm_einsum``, which needs ``.shape``, and an
 object einsum returns a bare scalar for a step that contracts to rank 0.
 Each step dispatches on its operands' scalars alone:
 
 - Two operands of float ``Jet``s from one ``JetAlgebra``, or of ``Dual``s
-  over them, run a dense kernel.  The coefficients are packed
-  coefficient-major, each output's ``valid`` is the min over the
-  components that feed it (what the chain of ``Jet.__mul__``/``__add__``
-  calls gives), and the jet multiplication table up to the largest output
+  over them, run a dense kernel on packed fields (an object-array operand
+  is packed for the call, and the result unpacked unless an operand came
+  packed).  Each output's ``valid`` is the min over the components that
+  feed it (what the chain of ``Jet.__mul__``/``__add__`` calls gives), and
+  the jet multiplication table up to the largest output
   ``valid`` is taken sorted by product monomial.  Each block of that table
   is one float ``np.einsum`` with a leading pair axis, summed per monomial
   by ``np.add.reduceat``.  A block ends at a monomial boundary and holds at
   most ``_BLOCK_FLOATS`` floats of operand gathers plus output.  The
-  coefficients above each output's ``valid`` are zeroed before they are
-  unpacked into jets.  A Dual product is the runs re.re and re.im + im.re.
+  coefficients above each output's ``valid`` are zeroed.  A Dual product is
+  the runs re.re and re.im + im.re.
+- One packed operand sums (or transposes) its coefficients, each output's
+  ``valid`` the min over the components summed into it.
 - Two operands of ``Fraction``s alone run an int64 kernel: each operand is
   packed as int64 numerators over the lcm of its denominators, one int64
   ``np.einsum`` makes the output numerators over the product of the two
@@ -49,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ScalarKindError, SlotError
+from .errors import DimensionError, JetOrderError, ScalarKindError, SlotError
 from .jets import Dual, Jet, field_value, scalar_float
 from .scalars import QuadExt
 
@@ -83,18 +102,49 @@ def _check_same_kind(a: "Tensor", b: "Tensor"):
 
 
 class Tensor:
-    """Dense tensor at a point (or jet-valued field) with fixed slot valence."""
+    """Dense tensor at a point (or jet-valued field) with fixed slot valence.
 
-    __slots__ = ("dim", "valence", "a")
+    Components live in an object ndarray or, for float jets and Duals over
+    them, in a packed ``JetField``; ``data`` is whichever the tensor holds.
+    """
 
-    def __init__(self, dim: int, valence, a: np.ndarray):
+    __slots__ = ("dim", "valence", "_a", "field")
+
+    def __init__(self, dim: int, valence, a):
         valence = tuple(valence)
         if any(v not in ("u", "d") for v in valence):
             raise SlotError(f"bad valence {valence}")
         if a.shape != (dim,) * len(valence):
             raise SlotError(f"component shape {a.shape} does not match "
                             f"dim {dim}, rank {len(valence)}")
-        self.dim, self.valence, self.a = dim, valence, a
+        self.dim, self.valence = dim, valence
+        if isinstance(a, JetField):
+            self._a, self.field = None, a
+        else:
+            self._a, self.field = a, None
+
+    @property
+    def a(self) -> np.ndarray:
+        """The components as an object ndarray.  A packed tensor unpacks
+        them on first read into a read-only array, kept for later reads."""
+        if self._a is None:
+            a = self.field.unpack()
+            a.flags.writeable = False
+            self._a = a
+        return self._a
+
+    @property
+    def data(self):
+        """The packed ``JetField`` when there is one, else the object array."""
+        return self._a if self.field is None else self.field
+
+    def pack(self) -> "Tensor":
+        """This tensor with packed storage when its components are float jets
+        of one algebra (or Duals over them); otherwise the tensor itself."""
+        if self.field is not None:
+            return self
+        f = JetField.pack(self._a)
+        return self if f is None else Tensor(self.dim, self.valence, f)
 
     # -- construction --------------------------------------------------------
 
@@ -117,6 +167,28 @@ class Tensor:
         a[()] = value
         return cls(dim, (), a)
 
+    @classmethod
+    def dual(cls, re: "Tensor", im: "Tensor") -> "Tensor":
+        """The tensor of Duals re + eps im, component by component."""
+        fr, fi = re.field, im.field
+        if fr is not None and fi is not None and fr.ic is None \
+                and fi.ic is None and fr.alg is fi.alg:
+            return cls(re.dim, re.valence,
+                       JetField(fr.alg, fr.c, fr.v, fi.c, fi.v))
+        out = np.empty(re.a.shape, dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = Dual(re.a[idx], im.a[idx])
+        return cls(re.dim, re.valence, out)
+
+    def dual_parts(self) -> tuple["Tensor", "Tensor"]:
+        """(re, im) of a tensor of Duals."""
+        f = self.field
+        if f is not None:
+            return (Tensor(self.dim, self.valence, JetField(f.alg, f.c, f.v)),
+                    Tensor(self.dim, self.valence,
+                           JetField(f.alg, f.ic, f.iv)))
+        return self.map(lambda d: d.re), self.map(lambda d: d.im)
+
     # -- basics ---------------------------------------------------------------
 
     @property
@@ -124,7 +196,9 @@ class Tensor:
         return len(self.valence)
 
     def kind(self) -> str:
-        return kind_of(self.a.flat[0] if self.rank else self.a[()])
+        if self.field is not None:
+            return self.field.kind()
+        return kind_of(self._a.flat[0] if self.rank else self._a[()])
 
     def item(self):
         if self.rank:
@@ -132,12 +206,14 @@ class Tensor:
         return self.a[()]
 
     def copy(self) -> "Tensor":
+        """A tensor with a writable copy of the components."""
         return Tensor(self.dim, self.valence, self.a.copy())
 
     def map(self, fn) -> "Tensor":
-        out = np.empty(self.a.shape, dtype=object)
-        for idx in np.ndindex(self.a.shape):
-            out[idx] = fn(self.a[idx])
+        a = self.a
+        out = np.empty(a.shape, dtype=object)
+        for idx in np.ndindex(a.shape):
+            out[idx] = fn(a[idx])
         return Tensor(self.dim, self.valence, out)
 
     def __add__(self, other: "Tensor") -> "Tensor":
@@ -147,7 +223,7 @@ class Tensor:
             raise SlotError("tensor shape/valence mismatch in addition")
         _check_same_kind(self, other)
         return Tensor(self.dim, self.valence,
-                      np.asarray(self.a + other.a, dtype=object))
+                      _object_array(self.data + other.data))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
@@ -156,16 +232,15 @@ class Tensor:
             raise SlotError("tensor shape/valence mismatch in subtraction")
         _check_same_kind(self, other)
         return Tensor(self.dim, self.valence,
-                      np.asarray(self.a - other.a, dtype=object))
+                      _object_array(self.data - other.data))
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.dim, self.valence, np.asarray(-self.a, dtype=object))
+        return Tensor(self.dim, self.valence, _object_array(-self.data))
 
     def scale(self, s) -> "Tensor":
         if isinstance(s, Tensor):
             raise SlotError("use tp/contract for tensor-tensor products")
-        return Tensor(self.dim, self.valence,
-                      np.asarray(self.a * s, dtype=object))
+        return Tensor(self.dim, self.valence, _object_array(self.data * s))
 
     __rmul__ = scale
     __mul__ = scale
@@ -175,7 +250,7 @@ class Tensor:
         _check_same_kind(self, other)
         sub_a = _LETTERS[:self.rank]
         sub_b = _LETTERS[self.rank:self.rank + other.rank]
-        a = einsum(f"{sub_a},{sub_b}->{sub_a}{sub_b}", self.a, other.a)
+        a = einsum(f"{sub_a},{sub_b}->{sub_a}{sub_b}", self.data, other.data)
         return Tensor(self.dim, self.valence + other.valence, a)
 
     def permuted(self, perm) -> "Tensor":
@@ -184,7 +259,7 @@ class Tensor:
         if sorted(perm) != list(range(self.rank)):
             raise SlotError(f"bad slot permutation {perm}")
         return Tensor(self.dim, tuple(self.valence[p] for p in perm),
-                      np.transpose(self.a, perm))
+                      self.data.transpose(perm))
 
     def swap(self, i, j) -> "Tensor":
         perm = list(range(self.rank))
@@ -193,6 +268,8 @@ class Tensor:
 
     def at_point(self) -> "Tensor":
         """Collapse jet-valued components to their base-point values."""
+        if self.field is not None:
+            return Tensor(self.dim, self.valence, self.field.at_point())
         return self.map(field_value)
 
     def __repr__(self):
@@ -203,41 +280,54 @@ def zeros(dim, valence, ring) -> Tensor:
     return Tensor.filled(dim, valence, ring.zero())
 
 
-def _object_array(x) -> np.ndarray:
-    """x itself if it is an array, else a 0-d object array holding it."""
-    if isinstance(x, np.ndarray):
+def _object_array(x):
+    """x itself if it is an array or a ``JetField``, else a 0-d object array
+    holding it."""
+    if isinstance(x, (np.ndarray, JetField)):
         return x
     a = np.empty((), dtype=object)
     a[()] = x           # item assignment: numpy never tries to unpack a Jet
     return a
 
 
-def einsum(spec: str, *arrays: np.ndarray) -> np.ndarray:
-    """Contract object arrays by ``spec``; always an ndarray.
+def einsum(spec: str, *operands):
+    """Contract object arrays and packed ``JetField``s by ``spec``.
 
-    Three or more operands run pairwise along numpy's greedy plan, with
-    every intermediate kept as an ndarray.  A two-operand step with an
-    explicit ``->`` output runs the dense kernel ``_float_jet_einsum`` on
-    float jets (or ``Dual`` numbers over them) and the int64 kernel
-    ``_rational_einsum`` on Fractions; any other step is
-    ``np.einsum(..., optimize=True)`` on the objects themselves.
+    The result is a ``JetField`` when an operand is one and the step ran
+    packed, else an object ndarray (never a bare scalar).  Three or more
+    operands run pairwise along numpy's greedy plan, with every intermediate
+    kept as an array.  A two-operand step with an explicit ``->`` output
+    runs the dense kernel ``_float_jet_einsum`` on float jets (or ``Dual``
+    numbers over them) and the int64 kernel ``_rational_einsum`` on
+    Fractions; a one-operand step on a ``JetField`` sums its coefficients
+    (``_field_einsum1``); any other step is ``np.einsum(..., optimize=True)``
+    on the objects themselves.
     """
-    if len(arrays) < 3:
-        return _einsum_step(spec, *arrays)
-    ops = list(arrays)
+    if len(operands) < 3:
+        return _einsum_step(spec, *operands)
+    ops = list(operands)
     for positions, step in _pairwise_plan(spec, tuple(a.shape for a in ops)):
         args = [ops.pop(i) for i in positions]
         ops.append(_einsum_step(step, *args[::-1]))
     return ops[0]
 
 
-def _einsum_step(spec: str, *arrays: np.ndarray) -> np.ndarray:
-    if len(arrays) == 2 and "->" in spec and "." not in spec:
-        for kernel in (_float_jet_einsum, _rational_einsum):
-            out = kernel(spec, *arrays)
+def _einsum_step(spec: str, *ops):
+    packed = any(isinstance(x, JetField) for x in ops)
+    if "->" in spec and "." not in spec:
+        if len(ops) == 2:
+            out = _float_jet_einsum(spec, *ops)
             if out is not None:
-                return out
-    return _object_array(np.einsum(spec, *arrays, optimize=True))
+                return out if packed else out.unpack()
+            if not packed:
+                out = _rational_einsum(spec, *ops)
+                if out is not None:
+                    return out
+        elif packed:
+            return _field_einsum1(spec, ops[0])
+    if packed:
+        ops = [x.unpack() if isinstance(x, JetField) else x for x in ops]
+    return _object_array(np.einsum(spec, *ops, optimize=True))
 
 
 @lru_cache(maxsize=None)
@@ -270,81 +360,274 @@ def _pairwise_plan(spec: str, shapes) -> tuple:
     return tuple(steps)
 
 
+# -- packed float jets ----------------------------------------------------------
+
+
+class JetField:
+    """Float jets of one ``JetAlgebra``, or ``Dual``s over them, packed.
+
+    ``c`` holds the coefficients with the coefficient axis leading, shape
+    (N, *shape), and ``v`` the ``valid`` order of each component, an int
+    array of ``shape``; coefficients above a component's ``valid`` are zero,
+    as in a ``Jet``.  A field of Duals keeps its im parts in ``ic``/``iv``
+    (None for plain jets).  Operations build new fields and never write into
+    an operand's arrays, so fields may share them.  Each operation gives the
+    coefficients and ``valid`` orders the same operation on the ``Jet`` or
+    ``Dual`` objects gives, up to the order of float summation.
+    """
+
+    __slots__ = ("alg", "c", "v", "ic", "iv")
+    __array_ufunc__ = None      # ndarray (op) JetField defers to JetField
+
+    def __init__(self, alg, c, v, ic=None, iv=None):
+        self.alg, self.c, self.v, self.ic, self.iv = alg, c, v, ic, iv
+
+    @property
+    def shape(self) -> tuple:
+        return self.v.shape
+
+    def kind(self) -> str:
+        return "jet-float" if self.ic is None else "dual:jet-float"
+
+    def _parts(self):
+        yield self.c, self.v
+        if self.ic is not None:
+            yield self.ic, self.iv
+
+    def _with(self, parts) -> "JetField":
+        (c, v), *im = parts
+        return JetField(self.alg, c, v, *(im[0] if im else ()))
+
+    # -- packing -------------------------------------------------------------
+
+    @classmethod
+    def pack(cls, a: np.ndarray):
+        """The field of an object array of float jets of one algebra, or of
+        Duals over them; None when ``a`` holds anything else."""
+        first = a.flat[0]
+        if type(first) is Dual:
+            flat = a.ravel().tolist()
+            if not all(type(x) is Dual for x in flat):
+                return None
+            groups = ([x.re for x in flat], [x.im for x in flat])
+        elif type(first) is Jet:
+            groups = (a.ravel().tolist(),)
+        else:
+            return None
+        alg = getattr(groups[0][0], "alg", None)
+        parts = []
+        for jets in groups:
+            if not all(type(x) is Jet and x.alg is alg and not x.exact
+                       for x in jets):
+                return None
+            c = np.stack([x.c for x in jets], axis=1).reshape(
+                (alg.N,) + a.shape)
+            parts.append((c, np.array([x.valid for x in jets]).reshape(
+                a.shape)))
+        return cls(alg, *parts[0], *(parts[1] if len(parts) > 1 else ()))
+
+    def unpack(self) -> np.ndarray:
+        """An object array of new ``Jet``s (``Dual``s for a Dual field)."""
+        parts = [_jets(self.alg, c, v) for c, v in self._parts()]
+        out = np.empty(self.v.size, dtype=object)
+        out[:] = parts[0] if len(parts) == 1 else \
+            [Dual(x, y) for x, y in zip(*parts)]
+        return out.reshape(self.shape)
+
+    def at_point(self) -> np.ndarray:
+        """Base-point values, as ``field_value`` gives them, in an object
+        array."""
+        vals = [list(c[0].ravel()) for c, _ in self._parts()]
+        out = np.empty(self.v.size, dtype=object)
+        out[:] = vals[0] if len(vals) == 1 else \
+            [Dual(x, y) for x, y in zip(*vals)]
+        return out.reshape(self.shape)
+
+    def __getitem__(self, idx) -> "JetField | Jet | Dual":
+        """numpy indexing on the component axes; an index that picks one
+        component gives that component as a new ``Jet`` (or ``Dual``)."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        parts = [(c[(slice(None),) + idx], v[idx]) for c, v in self._parts()]
+        if np.ndim(parts[0][1]):
+            return self._with(parts)
+        jets = [Jet(self.alg, c.copy(), int(v), False) for c, v in parts]
+        return jets[0] if len(jets) == 1 else Dual(*jets)
+
+    # -- elementwise arithmetic ----------------------------------------------
+
+    def transpose(self, *axes) -> "JetField":
+        if len(axes) == 1 and not isinstance(axes[0], int):
+            axes = axes[0]
+        caxes = (0,) + tuple(x + 1 for x in axes)
+        return self._with((np.transpose(c, caxes), np.transpose(v, axes))
+                          for c, v in self._parts())
+
+    def __neg__(self) -> "JetField":
+        return self._with((-c, v) for c, v in self._parts())
+
+    def __add__(self, other):
+        return self._elementwise(other, np.add, False)
+
+    def __radd__(self, other):
+        return self._elementwise(other, np.add, True)
+
+    def __sub__(self, other):
+        return self._elementwise(other, np.subtract, False)
+
+    def __rsub__(self, other):
+        return self._elementwise(other, np.subtract, True)
+
+    def _elementwise(self, other, op, flip: bool):
+        """op(self, other), or op(other, self) when flipped: per part, the
+        coefficients combined, ``valid`` the min and zeros above it.  An
+        operand that does not pack alike takes the object path."""
+        o = other if isinstance(other, JetField) else \
+            JetField.pack(other) if isinstance(other, np.ndarray) else None
+        if o is None or o.alg is not self.alg or o.shape != self.shape \
+                or (o.ic is None) != (self.ic is None):
+            x = self.unpack()
+            y = other.unpack() if isinstance(other, JetField) else other
+            return op(y, x) if flip else op(x, y)
+        x, y = (o, self) if flip else (self, o)
+        parts = []
+        for (cx, vx), (cy, vy) in zip(x._parts(), y._parts()):
+            c = op(cx, cy)
+            if (vx == vy).all():
+                parts.append((c, vx))
+            else:
+                v = np.minimum(vx, vy)
+                parts.append((_zero_above(self.alg, c, v), v))
+        return self._with(parts)
+
+    def __mul__(self, s):
+        """The field times a scalar: a plain number scales the coefficients
+        (a Dual's im part capped at its re part's ``valid``, as
+        ``Dual.__mul__`` caps it); a Jet or Dual runs the kernel as a rank-0
+        operand."""
+        if isinstance(s, (int, Fraction, float)):
+            x = float(s)
+            if self.ic is None:
+                return JetField(self.alg, self.c * x, self.v)
+            iv = np.minimum(self.v, self.iv)
+            return JetField(self.alg, self.c * x, self.v,
+                            _zero_above(self.alg, self.ic * x, iv), iv)
+        if isinstance(s, (Jet, Dual)):
+            letters = _LETTERS[:len(self.shape)]
+            out = _float_jet_einsum(f"{letters},->{letters}", self,
+                                    _object_array(s))
+            if out is not None:
+                return out
+        return self.unpack() * s
+
+    __rmul__ = __mul__
+
+    def derivatives(self, variables) -> "JetField":
+        """D_a of every component in a new leading slot: the partial in
+        jet variable ``variables[a]``, or zero where that is None (a
+        constant direction, as ``s * 0`` gives)."""
+        alg, n = self.alg, len(variables)
+        if any(x is not None for x in variables) and \
+                any(bool((v < 1).any()) for _, v in self._parts()):
+            raise JetOrderError(
+                "jet order exhausted; rebuild the context with a higher order")
+        parts = []
+        for k, (c, v) in enumerate(self._parts()):
+            dc = np.zeros((alg.N, n) + self.shape)
+            dv = np.empty((n,) + self.shape, dtype=v.dtype)
+            for a, var in enumerate(variables):
+                if var is None:     # a Dual's im part capped as in s * 0
+                    dv[a] = v if k == 0 else np.minimum(self.v, v)
+                else:
+                    src, dst, fac, _ = alg._diff_tables[var]
+                    dc[dst, a] = c[src] * fac.reshape(
+                        (-1,) + (1,) * len(self.shape))
+                    dv[a] = v - 1
+            parts.append((dc, dv))
+        return self._with(parts)
+
+
+def _zero_above(alg, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c, with the coefficients above each component's ``valid`` set to zero
+    in place.  Monomials are sorted by degree, so a common ``valid`` zeroes
+    a tail of rows."""
+    lo = v.min()
+    if lo == v.max():
+        c[alg.upto[lo]:] = 0.0
+    else:
+        c[alg.deg.reshape((-1,) + (1,) * v.ndim) > v] = 0.0
+    return c
+
+
+def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
+    rows = c.reshape(alg.N, -1).T.copy()
+    return [Jet(alg, row, k, False)
+            for row, k in zip(rows, v.ravel().tolist())]
+
+
+def _field_einsum1(spec: str, f: JetField) -> JetField:
+    """A one-operand step on a field: transposes, diagonals and traces of
+    the coefficients; a component's ``valid`` is the min over the components
+    summed into it, with zeros above it, as a chain of ``Jet.__add__``
+    gives."""
+    ins, out = spec.split("->")
+    coef = next(x for x in _LETTERS if x not in spec)
+    letters = out + "".join(x for x in dict.fromkeys(ins) if x not in out)
+    summed = tuple(range(len(out), len(letters)))
+    parts = []
+    for c, v in f._parts():
+        v = _spread(v, ins, letters)
+        c = np.einsum(f"{coef}{ins}->{coef}{out}", c)
+        if summed:
+            v = v.min(axis=summed)
+            c = _zero_above(f.alg, c, v)
+        parts.append((c, v))
+    return f._with(parts)
+
+
 # -- dense float-jet kernel ------------------------------------------------------
 
 _BLOCK_FLOATS = 1 << 15     # operand gathers plus output of one kernel block
 
 
-def _float_jet_einsum(spec: str, a: np.ndarray, b: np.ndarray):
+def _float_jet_einsum(spec: str, a, b):
     """A two-operand ``einsum`` step on float jets, or None for other scalars.
 
-    Both operands must hold float ``Jet``s of one ``JetAlgebra``, or
-    ``Dual``s over them.  A Dual product is three kernel runs, re.re and
-    re.im + im.re; a Jet operand contributes no im run.  Each output's
+    Each operand is a ``JetField`` or an object array that packs into one
+    of the same ``JetAlgebra``.  A Dual product is three kernel runs, re.re
+    and re.im + im.re; a Jet operand contributes no im run.  Each output's
     ``valid`` is the min over the components that feed it, as the chain of
     ``Jet.__mul__``/``__add__`` calls gives; a Dual's im part is also capped
     at its re part's ``valid``, as ``Dual.__mul__`` does.
     """
-    pa = _pack(a)
-    if pa is None:
+    fa = a if isinstance(a, JetField) else JetField.pack(a)
+    if fa is None:
         return None
-    pb = _pack(b)
-    if pb is None or pb[0] is not pa[0]:
+    fb = b if isinstance(b, JetField) else JetField.pack(b)
+    if fb is None or fb.alg is not fa.alg:
         return None
-    alg, (ra, *ima), (rb, *imb) = pa[0], pa[1], pb[1]
+    alg, (ra, *ima), (rb, *imb) = fa.alg, fa._parts(), fb._parts()
     pair = next(x for x in _LETTERS if x not in spec)
     re_c, re_v = _jet_product(alg, spec, pair, ra, rb)
     runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
     if not runs:
-        return _unpack(alg, re_c, re_v)
+        return JetField(alg, re_c, re_v)
     im_c, im_v = 0.0, re_v
     for x, y in runs:
         c, v = _jet_product(alg, spec, pair, x, y)
         im_c = im_c + c
         im_v = np.minimum(im_v, v)
-    return _unpack(alg, re_c, re_v, im_c, im_v)
-
-
-def _pack(a: np.ndarray):
-    """(alg, parts) for an array of float jets or of Duals over them.
-
-    parts holds (coefficients, valid) for the re parts and, for Duals, the im
-    parts: coefficient-major (N, *a.shape) floats and an int array of
-    a.shape.  None when a holds anything else.
-    """
-    first = a.flat[0]
-    if type(first) is Dual:
-        flat = a.ravel().tolist()
-        if not all(type(x) is Dual for x in flat):
-            return None
-        groups = ([x.re for x in flat], [x.im for x in flat])
-    elif type(first) is Jet:
-        groups = (a.ravel().tolist(),)
-    else:
-        return None
-    alg = getattr(groups[0][0], "alg", None)
-    parts = []
-    for jets in groups:
-        if not all(type(x) is Jet and x.alg is alg and not x.exact
-                   for x in jets):
-            return None
-        c = np.stack([x.c for x in jets], axis=1).reshape((alg.N,) + a.shape)
-        v = np.array([x.valid for x in jets]).reshape(a.shape)
-        parts.append((c, v))
-    return alg, parts
+    return JetField(alg, re_c, re_v, _zero_above(alg, im_c, im_v), im_v)
 
 
 def _jet_product(alg, spec: str, pair: str, a, b):
     """The contraction ``spec`` of two packed float-jet operands.
 
-    a and b are (coefficients, valid) pairs from ``_pack``.  Returns
-    (coefficients, valid): (size, N) floats, one row per output component
-    in C order, and the valid orders, an int array of the output's shape.
-    The pair table holds every monomial pair up to the largest output
-    ``valid``, sorted by product monomial; each block of it is one float
-    einsum with the pair axis ``pair`` leading, summed per product monomial
-    by ``np.add.reduceat``.  Coefficients above an output's ``valid`` are
-    left for ``_unpack`` to zero.
+    a and b are (coefficients, valid) parts of ``JetField``s.  Returns the
+    output's (coefficients, valid), coefficient axis leading, zero above
+    each output's ``valid``.  The pair table holds every monomial pair up to
+    the largest output ``valid``, sorted by product monomial; each block of
+    it is one float einsum with the pair axis ``pair`` leading, summed per
+    product monomial by ``np.add.reduceat``.
     """
     (ca, va), (cb, vb) = a, b
     v = _min_valid(spec, va, vb)
@@ -354,12 +637,11 @@ def _jet_product(alg, spec: str, pair: str, a, b):
     size = v.size
     ia, ib, blocks = _pair_blocks(alg, int(v.max()),
                                   va.size + vb.size + size)
-    rows = np.zeros((size, alg.N))
+    c = np.zeros((alg.N, size))
     for p0, p1, starts, m0, m1 in blocks:
         t = np.einsum(pspec, ca[ia[p0:p1]], cb[ib[p0:p1]])
-        rows[:, m0:m1] += np.add.reduceat(t, starts, axis=0).reshape(
-            m1 - m0, size).T
-    return rows, v
+        c[m0:m1] = np.add.reduceat(t, starts, axis=0).reshape(m1 - m0, size)
+    return _zero_above(alg, c.reshape((alg.N,) + v.shape), v), v
 
 
 def _min_valid(spec: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -409,24 +691,6 @@ def _pair_blocks(alg, cap: int, per_pair: int):
         blocks.append((p0, p1, first[m0:m1] - p0, m0, m1))
         m0 = m1
     return ia, ib, tuple(blocks)
-
-
-def _unpack(alg, re_c, re_v, im_c=None, im_v=None) -> np.ndarray:
-    """Object array of float Jets (Duals when im is given) from (size, N)
-    coefficient rows, zeroed above each component's ``valid``."""
-    parts = [_jets(alg, re_c, re_v)]
-    if im_c is not None:
-        parts.append(_jets(alg, im_c, im_v))
-    out = np.empty(re_v.size, dtype=object)
-    out[:] = parts[0] if im_c is None else \
-        [Dual(x, y) for x, y in zip(*parts)]
-    return out.reshape(re_v.shape)
-
-
-def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
-    v = v.ravel()
-    c[alg.deg[None, :] > v[:, None]] = 0.0
-    return [Jet(alg, row, k, False) for row, k in zip(c, v.tolist())]
 
 
 # -- int64 kernel for Fraction operands -----------------------------------------
@@ -581,7 +845,7 @@ def contract(t: Tensor, slot_pairs) -> Tensor:
     for i, j in pairs:
         letters[j] = letters[i]
     out = [letters[s] for s in range(t.rank) if s not in set(used)]
-    a = einsum(f"{''.join(letters)}->{''.join(out)}", t.a)
+    a = einsum(f"{''.join(letters)}->{''.join(out)}", t.data)
     valence = tuple(t.valence[s] for s in range(t.rank) if s not in set(used))
     return Tensor(t.dim, valence, a)
 
@@ -603,7 +867,8 @@ def contract_with(a: Tensor, b: Tensor, pairs) -> Tensor:
     jb = {j for _, j in pairs}
     out = [la[s] for s in range(a.rank) if s not in ia] + \
         [lb[s] for s in range(b.rank) if s not in jb]
-    arr = einsum(f"{''.join(la)},{''.join(lb)}->{''.join(out)}", a.a, b.a)
+    arr = einsum(f"{''.join(la)},{''.join(lb)}->{''.join(out)}", a.data,
+                 b.data)
     valence = tuple(a.valence[s] for s in range(a.rank) if s not in ia) + \
         tuple(b.valence[s] for s in range(b.rank) if s not in jb)
     return Tensor(a.dim, valence, arr)
@@ -620,7 +885,7 @@ def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
         axes = list(range(t.rank))
         for pos, s in enumerate(slots):
             axes[s] = slots[perm[pos]]
-        arr = np.transpose(t.a, axes)
+        arr = t.data.transpose(axes)
         if signed and sign < 0:
             arr = -arr
         acc = arr if acc is None else acc + arr
@@ -695,9 +960,11 @@ def gkd_contract(dim, lower, upper, factors, ring, *, coeff=Fraction(1),
 
     orbits = _orbit_representatives(p, tuple(tuple(s) for s in sym))
     idm = _identity_matrix(dim, ring)
+    if any(f.field is not None for f in factors):
+        idm = JetField.pack(idm) or idm
     acc = None
     for sigma, sign, size in orbits:
-        arrays = [f.a for f in factors]
+        arrays = [f.data for f in factors]
         subs = [["?"] * f.rank for f in factors]
         extra_arrays, extra_subs, out_sub = [], [], []
         letters = iter(_LETTERS)
@@ -793,7 +1060,7 @@ def _move_slot(t: Tensor, slot: int, g: Tensor, to: str) -> Tensor:
     spec = f"{letters},{letters[slot]}{fresh}->" + \
         letters[:slot] + fresh + letters[slot + 1:]
     valence = t.valence[:slot] + (to,) + t.valence[slot + 1:]
-    return Tensor(t.dim, valence, einsum(spec, t.a, g.a))
+    return Tensor(t.dim, valence, einsum(spec, t.data, g.data))
 
 
 def raise_lower(ctx, t: Tensor, slot: int, direction: str) -> Tensor:
@@ -849,7 +1116,7 @@ def hodge_star(ctx, alpha: Tensor) -> Tensor:
         return eps.scale(alpha.item())
     sub_e = _LETTERS[:n]
     spec = f"{sub_e},{sub_e[:k]}->{sub_e[k:]}"
-    out = Tensor(n, ("d",) * (n - k), einsum(spec, eps.a, alpha.a))
+    out = Tensor(n, ("d",) * (n - k), einsum(spec, eps.data, alpha.data))
     return out.scale(Fraction(1, math.factorial(k)))
 
 

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from curvlab.models import berger_product, random_chart
+
+# Property tests draw fresh examples on every run by default.  CI runs with
+# --hypothesis-profile=ci, which derives every example from the test itself,
+# so a failure there repeats on any machine with the same command.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

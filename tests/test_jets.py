@@ -151,3 +151,107 @@ def test_dual_arithmetic_chain_rules():
     assert np.allclose((s.re * s.re).c, x.c, atol=1e-12)
     ex = d.exp()
     assert np.allclose(ex.im.c, (ex.re * d.im).c, atol=1e-10)
+
+
+def product_jet(p, alg, base, exact):
+    """A polynomial's jet by repeated ``Jet.__mul__`` of coordinate jets,
+    the loop ``Poly.jet`` replaced; the reference for it."""
+    xs = [Jet.variable(alg, v, base[v] if exact else float(base[v]), exact)
+          for v in range(p.nvars)]
+    acc = Jet.const(alg, Fraction(0) if exact else 0.0, exact)
+    for e, c in p.coeffs.items():
+        term = Jet.const(alg, c if exact else float(c), exact)
+        for v, k in enumerate(e):
+            for _ in range(k):
+                term = term * xs[v]
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(3, max_degree=5), st.sampled_from([2, 3, 5]),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                min_size=3, max_size=3))
+def test_poly_jet_writes_coefficients_directly(p, order, base):
+    """Exact: every coefficient a Fraction, equal to the product jet's, with
+    ``valid`` = order.  Float: the same bits at the origin, and the exact
+    coefficients rounded once elsewhere."""
+    alg = JetAlgebra.get(3, order)
+    exact = p.jet(alg, base, True)
+    assert exact.valid == order and exact == product_jet(p, alg, base, True)
+    assert all(type(x) is Fraction for x in exact.c)
+    flt = p.jet(alg, base, False)
+    assert flt.valid == order and flt.c.dtype == float
+    assert np.array_equal(flt.c, [float(x) for x in exact.c])
+    origin = (0, 0, 0)
+    assert p.jet(alg, origin, False).c.tobytes() == \
+        product_jet(p, alg, origin, False).c.tobytes()
+
+
+def test_mask_selector_is_cached():
+    alg = JetAlgebra.get(2, 4)
+    for v in range(5):
+        sel = alg.above(v)
+        assert sel is alg.above(v)
+        assert np.array_equal(sel, alg.deg > v)
+
+
+def random_float_jet(alg, valid, rng):
+    c = rng.standard_normal(alg.N)
+    c[alg.deg > valid] = 0.0
+    return Jet(alg, c, valid, False)
+
+
+@pytest.mark.parametrize("va, vb", [(3, 3), (3, 1), (0, 2), (2, 2)])
+def test_add_sub_keep_zeros_above_valid(va, vb):
+    """Same ``valid``: a plain coefficient sum; different: masked at the
+    min.  Either way nothing is left above the result's ``valid``."""
+    alg = JetAlgebra.get(2, 3)
+    rng = np.random.default_rng(va * 10 + vb)
+    a, b = random_float_jet(alg, va, rng), random_float_jet(alg, vb, rng)
+    v = min(va, vb)
+    for got, c in ((a + b, a.c + b.c), (a - b, a.c - b.c)):
+        assert got.valid == v
+        assert np.array_equal(got.c[alg.deg <= v], c[alg.deg <= v])
+        assert not got.c[alg.deg > v].any()
+
+
+@pytest.mark.parametrize("x", [2, -3, Fraction(2, 7), 0.375, 0])
+def test_mul_by_scalar_scales_coefficients(x):
+    """The same values as a product with a constant jet (up to the sign of
+    a zero), exact coefficients staying Fractions."""
+    alg = JetAlgebra.get(2, 3)
+    f = random_float_jet(alg, 2, np.random.default_rng(1))
+    got = f * x
+    ref = f * Jet.const(alg, float(x), False)
+    assert got.valid == ref.valid == 2 and np.array_equal(got.c, ref.c)
+    assert np.array_equal((x * f).c, got.c)
+    e = Poly(2, {(1, 0): Fraction(1, 3), (1, 2): Fraction(-5, 2)}) \
+        .jet(alg, (Fraction(1, 2), Fraction(2)), True)
+    if isinstance(x, float):
+        with pytest.raises(ScalarKindError):
+            e * x
+        return
+    got = e * x
+    assert got == e * Jet.const(alg, Fraction(x), True)
+    assert got.valid == e.valid and all(type(c) is Fraction for c in got.c)
+
+
+@pytest.mark.parametrize("re_v, im_v, x_v", [(3, 3, 3), (3, 2, 1), (1, 3, 3),
+                                             (2, 3, None), (0, 3, 2)])
+def test_dual_times_jet_or_scalar(re_v, im_v, x_v):
+    """Dual(re, im) * x = Dual(re x, im x): re keeps min(re, x) ``valid``,
+    im min(re, im, x), as the full Dual product with x + eps 0 gives."""
+    alg = JetAlgebra.get(2, 3)
+    rng = np.random.default_rng(re_v + 4 * im_v)
+    d = Dual(random_float_jet(alg, re_v, rng), random_float_jet(alg, im_v, rng))
+    x = 1.75 if x_v is None else random_float_jet(alg, x_v, rng)
+    cap = alg.order if x_v is None else x_v
+    zero = Jet.const(alg, 0.0, False)
+    full = Dual(d.re * x, d.re * (d.im * zero) + d.im * x)
+    for got in (d * x, x * d):
+        assert got.re.valid == min(re_v, cap)
+        assert got.im.valid == min(re_v, im_v, cap) == full.im.valid
+        assert np.allclose(got.re.c, full.re.c, rtol=0, atol=1e-15)
+        assert np.allclose(got.im.c, full.im.c, rtol=0, atol=1e-15)
+        assert not got.im.c[alg.deg > got.im.valid].any()

@@ -1,12 +1,15 @@
 import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.errors import (DegenerateMetricError, ExactnessError,
+                            JetOrderError,
                             ScalarKindError, SlotError)
 from curvlab.geometry import GeometryContext
 from curvlab.jets import Dual, Jet, JetAlgebra
@@ -17,7 +20,7 @@ from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              is_zero_tensor, lower_slot, max_abs, perm_sign,
                              raise_lower, raise_slot, residual, symmetrize,
                              tensors_equal, zeros)
-from curvlab.tensors import _rational_einsum
+from curvlab.tensors import JetField, _rational_einsum
 
 
 def diag_ctx(n, diag):
@@ -214,11 +217,11 @@ class TestGkdKernel:
         assert is_zero_tensor(out)
 
 
-def random_jets(alg, shape, rng, kind):
+def random_jets(alg, shape, rng, kind, low=0):
     """Array of float jets ("jet") or Duals over them ("dual") with random
-    coefficients and a random ``valid`` per component."""
+    coefficients and a random ``valid`` >= low per component."""
     def jet():
-        valid = int(rng.integers(0, alg.order + 1))
+        valid = int(rng.integers(low, alg.order + 1))
         c = rng.standard_normal(alg.N)
         c[alg.deg > valid] = 0.0
         return Jet(alg, c, valid, False)
@@ -408,6 +411,217 @@ class TestEinsumKernel:
         ref = np.einsum("ab,bc->ac", a, a, optimize=True)
         for x, y in zip(got.flat, ref.flat):
             assert x.valid == y.valid and np.array_equal(x.c, y.c)
+
+@st.composite
+def one_operand_specs(draw):
+    """Explicit one-operand specs of rank <= 4: transposes, diagonals and
+    traces, possibly to rank 0."""
+    sa = "".join(draw(st.lists(st.sampled_from("abc"), min_size=1,
+                               max_size=4)))
+    used = sorted(set(sa))
+    out = draw(st.permutations(used))[:draw(st.integers(0, len(used)))]
+    return f"{sa}->{''.join(out)}"
+
+
+@contextmanager
+def no_unpacking():
+    """Fail any JetField unpack (``Tensor.a`` included) inside the block."""
+    with mock.patch.object(JetField, "unpack",
+                           side_effect=AssertionError("unpacked")):
+        yield
+
+
+def assert_arrays_close(got, ref):
+    ref = np.asarray(ref, dtype=object)
+    assert got.shape == ref.shape
+    for x, y in zip(got.flat, ref.flat):
+        assert_jets_close(x, y)
+
+
+class TestJetField:
+    """Packed float-jet tensors against the object path on the same jets:
+    identical ``valid`` everywhere and coefficients to 1e-12 relative, with
+    no unpacking between packed operations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5]), st.sampled_from(["jet", "dual"]),
+           st.integers(0, 3), st.integers(0, 10 ** 6))
+    def test_elementwise_matches_objects(self, order, kind, rank, seed):
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        val = ("d",) * rank
+        x, y = (random_jets(alg, (3,) * rank, rng, kind) for _ in range(2))
+        ox, oy = Tensor(3, val, x), Tensor(3, val, y)
+        px, py = ox.pack(), oy.pack()
+        assert px.field is not None and px.kind() == ox.kind()
+        sj = random_jets(alg, (), rng, "jet")[()]
+        sd = random_jets(alg, (), rng, "dual")[()]
+        perm = tuple(rng.permutation(rank).tolist())
+        ops = [lambda t, u: t + u, lambda t, u: t - u, lambda t, u: -t,
+               lambda t, u: t.scale(-2.5), lambda t, u: t.scale(Fraction(3, 7)),
+               lambda t, u: t.scale(sj), lambda t, u: t.scale(sd),
+               lambda t, u: t.permuted(perm)]
+        with no_unpacking():
+            got = [op(px, py) for op in ops]
+        for op, g in zip(ops, got):
+            ref = op(ox, oy)
+            assert g.field is not None and g.valence == ref.valence
+            assert_arrays_close(g.a, ref.a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_operand_specs(), st.sampled_from([3, 5]),
+           st.sampled_from(["jet", "dual"]), st.integers(0, 10 ** 6))
+    def test_one_operand_einsum_matches_objects(self, spec, order, kind,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        a = random_jets(alg, (3,) * len(spec.split("->")[0]), rng, kind)
+        f = JetField.pack(a)
+        with no_unpacking():
+            got = einsum(spec, f)
+        assert isinstance(got, JetField)
+        assert_arrays_close(got.unpack(), np.einsum(spec, a, optimize=False))
+
+    def test_contract_stays_packed(self):
+        rng = np.random.default_rng(3)
+        alg = JetAlgebra.get(2, 3)
+        t = Tensor(3, ("u", "d", "d"), random_jets(alg, (3,) * 3, rng, "dual"))
+        with no_unpacking():
+            got = contract(t.pack(), [(0, 2)])
+        assert got.field is not None and got.valence == ("d",)
+        assert_arrays_close(got.a, contract(t, [(0, 2)]).a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 5]), st.sampled_from(["jet", "dual"]),
+           st.integers(0, 2), st.integers(0, 10 ** 6))
+    def test_derivatives_match_objects(self, order, kind, rank, seed):
+        """D_a per component: ``d`` in a jet variable, ``s * 0`` in a
+        constant direction (where a Dual's im part is capped at its re
+        part's ``valid``)."""
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        a = random_jets(alg, (3,) * rank, rng, kind, low=1)
+        variables = [0, None, 1]
+        ref = np.empty((3,) + a.shape, dtype=object)
+        for d, var in enumerate(variables):
+            for idx in np.ndindex(a.shape):
+                x = a[idx]
+                ref[(d,) + idx] = x * 0 if var is None else x.d(var)
+        with no_unpacking():
+            got = JetField.pack(a).derivatives(variables)
+        assert_arrays_close(got.unpack(), ref)
+
+    def test_exhausted_valid_raises(self):
+        """A component with ``valid`` 0 has no derivative in a jet variable,
+        as ``Jet.d`` says; constant directions need none."""
+        alg = JetAlgebra.get(2, 3)
+        a = random_jets(alg, (3,), np.random.default_rng(1), "dual", low=1)
+        a[1] = Dual(a[1].re, Jet(alg, np.zeros(alg.N), 0, False))
+        f = JetField.pack(a)
+        with pytest.raises(JetOrderError):
+            a[1].d(0)
+        with pytest.raises(JetOrderError):
+            f.derivatives([None, 0])
+        got = f.derivatives([None, None])
+        assert got.iv[0, 1] == 0 and got.v[1, 2] == a[2].re.valid
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 5]),
+           st.lists(st.sampled_from(["jet", "dual"]), min_size=3,
+                    max_size=3),
+           st.integers(0, 10 ** 6))
+    def test_chained_einsum_without_unpack(self, order, kinds, seed):
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(2, order)
+        a, b, c = (random_jets(alg, shape, rng, kind) for shape, kind
+                   in zip([(3, 3, 3), (3, 3), (3,)], kinds))
+        with no_unpacking():
+            mid = einsum("abc,cd->abd", JetField.pack(a), JetField.pack(b))
+            got = einsum("abd,b->ad", mid, JetField.pack(c))
+        assert isinstance(mid, JetField) and isinstance(got, JetField)
+        ref = np.einsum("abd,b->ad",
+                        np.einsum("abc,cd->abd", a, b, optimize=False), c,
+                        optimize=False)
+        assert_arrays_close(got.unpack(), ref)
+
+    def test_indexing_matches_objects(self):
+        """Slices stay packed; an index that picks one component gives it
+        as a Jet or Dual, as indexing the object array does."""
+        rng = np.random.default_rng(2)
+        alg = JetAlgebra.get(2, 3)
+        for kind in ("jet", "dual"):
+            a = random_jets(alg, (3, 3, 3), rng, kind)
+            f = JetField.pack(a)
+            with no_unpacking():
+                part = f[:, :, 1]
+                one = f[2, 0, 1]
+            assert isinstance(part, JetField)
+            assert_arrays_close(part.unpack(), a[:, :, 1])
+            assert type(one) is type(a[2, 0, 1])
+            assert_jets_close(one, a[2, 0, 1])
+            assert_jets_close(JetField.pack(a[2:, 0, 1])[0], a[2, 0, 1])
+
+    @pytest.mark.parametrize("model", ["chart", "product"])
+    def test_dirderiv_matches_object_path(self, model):
+        """D_a of a packed metric against the per-component loop on the same
+        jets, on a chart and on a product whose frame directions are
+        constant."""
+        from curvlab.models import product_8d, random_chart
+        ctx = random_chart(4, seed=8, jet_order=3) if model == "chart" \
+            else product_8d(jet_order=3)
+        st = ctx.stack
+        assert ctx.metric.field is not None
+        with no_unpacking():
+            got = st._dirderiv(ctx.metric)
+        ref = st._dirderiv(Tensor(ctx.dim, ("d", "d"), ctx.metric.a.copy()))
+        assert got.field is not None and ref.field is None
+        assert_arrays_close(got.a, ref.a)
+
+    def test_object_operands_still_give_arrays(self):
+        """einsum on object arrays keeps returning object arrays."""
+        rng = np.random.default_rng(4)
+        alg = JetAlgebra.get(2, 3)
+        a = random_jets(alg, (3, 3), rng, "jet")
+        out = einsum("ab,bc->ac", a, a)
+        assert isinstance(out, np.ndarray) and out.dtype == object
+        assert isinstance(einsum("ab,bc->ac", JetField.pack(a), a), JetField)
+
+    def test_a_is_a_read_only_object_array(self):
+        """``.a`` of a packed tensor is unpacked once, equal to the jets it
+        was packed from, and cannot be written, so it never goes stale."""
+        rng = np.random.default_rng(5)
+        alg = JetAlgebra.get(2, 5)
+        for kind in ("jet", "dual"):
+            a = random_jets(alg, (3, 3), rng, kind)
+            t = Tensor(3, ("d", "d"), a).pack()
+            got = t.a
+            assert isinstance(got, np.ndarray) and got.dtype == object
+            assert t.a is got
+            for x, y in zip(got.flat, a.flat):
+                for gx, gy in ((x, y),) if kind == "jet" else \
+                        ((x.re, y.re), (x.im, y.im)):
+                    assert type(gx) is Jet and gx.valid == gy.valid
+                    assert np.array_equal(gx.c, gy.c)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = got[1, 1]
+            with pytest.raises(ValueError):
+                t.permuted((1, 0)).a[0, 1] = got[1, 1]
+            writable = t.copy()
+            writable.a[0, 0] = got[1, 1]
+            assert writable.field is None
+
+    def test_unpackable_operands_take_the_object_path(self):
+        """A packed field meeting components that do not pack (plain floats
+        here) is unpacked and combined on the objects."""
+        rng = np.random.default_rng(6)
+        alg = JetAlgebra.get(2, 3)
+        a = random_jets(alg, (3,), rng, "jet")
+        floats = np.empty(3, dtype=object)
+        floats[:] = [1.5, -2.0, 0.25]
+        got = JetField.pack(a) + floats
+        assert isinstance(got, np.ndarray)
+        assert_arrays_close(got, a + floats)
 
 
 class TestEpsilonHodge:
