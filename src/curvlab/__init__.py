@@ -18,8 +18,7 @@ from .geometry import (ChartContext, CurvatureStack, FrameContext,
                        GeometryContext, ProductContext, bach, build_stack,
                        cotton, covariant_derivative, product)
 from .invariants import (InvariantPolynomial, WeightedOneForm,
-                         conformal_killing_K, functional_density,
-                         functional_value, K_star,
+                         conformal_killing_K, functional_density, K_star,
                          lovelock_E, omega_k, p_phi_scalar, pfaffian_k,
                          pfaffian_of, phi_w_c_form, rho_phi,
                          star_p_phi_form, star_rho_general, T_k_W, xi_k)

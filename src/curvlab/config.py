@@ -32,7 +32,18 @@ def _poly(dim: int, data: dict) -> Poly:
 
 
 def context_from_config(cfg: dict) -> GeometryContext:
+    try:
+        return _context(cfg)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(
+            f"bad model config: {type(exc).__name__}: {exc}") from exc
+
+
+def _context(cfg: dict) -> GeometryContext:
     kind = cfg.get("kind")
+    orientation = int(cfg.get("orientation", 1))
+    if orientation not in (1, -1):
+        raise ConfigError(f"orientation must be 1 or -1, got {orientation}")
     if kind == "chart":
         dim = int(cfg["dim"])
         exact = bool(cfg.get("exact", False))
@@ -51,7 +62,7 @@ def context_from_config(cfg: dict) -> GeometryContext:
             entries.append(row)
         return ChartContext.from_polys(
             entries, base_point=base, jet_order=int(cfg.get("jet_order", 3)),
-            exact=exact, orientation=int(cfg.get("orientation", 1)),
+            exact=exact, orientation=orientation,
             name=cfg.get("name", "chart"))
     if kind == "frame":
         dim = int(cfg["dim"])
@@ -65,14 +76,10 @@ def context_from_config(cfg: dict) -> GeometryContext:
         g = [[_fraction(x) if exact else float(_fraction(x)) for x in row]
              for row in cfg["metric"]]
         kwargs = {} if exact else {"ring": FLOAT}
-        try:
-            return FrameContext(dim, sc, g,
-                                orientation=int(cfg.get("orientation", 1)),
-                                name=cfg.get("name", "frame"), **kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return FrameContext(dim, sc, g, orientation=orientation,
+                            name=cfg.get("name", "frame"), **kwargs)
     if kind == "product":
-        factors = [context_from_config(f) for f in cfg["factors"]]
+        factors = [_context(f) for f in cfg["factors"]]
         return product(factors, name=cfg.get("name", "product"))
     raise ConfigError(f"unknown context kind {kind!r}")
 

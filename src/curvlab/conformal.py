@@ -12,6 +12,7 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -103,11 +104,13 @@ class ConformalFactor:
 
 def clone_context(ctx: GeometryContext, metric: Tensor,
                   ring=None) -> GeometryContext:
-    """Shallow context copy with a new metric; cached curvature is dropped."""
+    """Shallow context copy with a new metric; every cached property (the
+    inverse, determinant, volume and curvature stack) is dropped."""
     new = copy.copy(ctx)
-    for key in ("_inv_det", "metric_inv", "det_metric", "sqrt_abs_det",
-                "stack"):
-        new.__dict__.pop(key, None)
+    for cls in type(ctx).__mro__:
+        for key, attr in vars(cls).items():
+            if isinstance(attr, cached_property):
+                new.__dict__.pop(key, None)
     new.metric = metric
     if ring is not None:
         new.ring = ring

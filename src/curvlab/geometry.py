@@ -140,20 +140,29 @@ class GeometryContext:
         return self._inv_det[1]
 
     @cached_property
-    def sqrt_abs_det(self):
-        det = self.det_metric
-        if scalar_float(det) < 0.0:
-            det = -det
+    def volume(self):
+        """(eps_{0..n-1}, eps^{0..n-1}) = (o sqrt|det g|, o sgn(det g) / sqrt|det g|)
+        for the orientation o = +-1; sgn(det g) is read from the real
+        base-point value (the ``re`` part of a Dual)."""
+        o = self.orientation
+        if o not in (1, -1):
+            raise DimensionError("context has no orientation")
+        det, sign = self.det_metric, 1
+        base = field_value(det)
+        if float(base.re if isinstance(base, Dual) else base) < 0:
+            det, sign = -det, -1
         if isinstance(det, (Jet, Dual)):
-            return det.sqrt()
-        if isinstance(det, float):
-            return math.sqrt(det)
-        root = exact_sqrt(det)
-        if isinstance(root, QuadExt) and "quadext" not in self.ring.name:
-            raise ExactnessError(
-                f"sqrt|det g| = sqrt({det}) is not rational; switch the "
-                "context to a QuadExt or float scalar kind")
-        return root
+            root = det.sqrt()
+        elif isinstance(det, float):
+            root = math.sqrt(det)
+        else:
+            root = exact_sqrt(det)
+            if isinstance(root, QuadExt) and "quadext" not in self.ring.name:
+                raise ExactnessError(
+                    f"sqrt|det g| = sqrt({det}) is not rational; switch the "
+                    "context to a QuadExt or float scalar kind")
+        inv = root.inverse() if hasattr(root, "inverse") else 1 / root
+        return root * o, inv * (o * sign)
 
     @cached_property
     def stack(self) -> "CurvatureStack":

@@ -489,60 +489,38 @@ def phi_w_c_form(stack, phi: InvariantPolynomial) -> AltForm:
     return _phi_chain_form(stack, phi, [C] + [W] * (k - 1))
 
 
-def _top_form_scalar(stack, form: AltForm):
-    """Contract a top-degree form with the raised volume form."""
-    ctx = stack.ctx
-    n = ctx.dim
-    idx = tuple(range(n))
-    comp = form.comps.get(idx)
-    if comp is None:
-        comp = stack.ring.zero()
-    s = ctx.sqrt_abs_det
-    from .jets import scalar_float
-    det = ctx.det_metric
-    sign = -1 if scalar_float(det) < 0 else 1
-    orient = ctx.orientation or 1
-    # eps^{0..n-1} = orientation * sign(det) / sqrt|det g|
-    return comp * orient * sign * s.inverse() if hasattr(s, "inverse") \
-        else comp * orient * sign / s
-
-
 def p_phi_scalar(stack, phi: InvariantPolynomial, which: str = "weyl"):
-    """p_Phi via full volume-form contraction; requires dim n = 2k."""
+    """p_Phi = (top component of the Phi-chain form) * eps^{0..n-1};
+    requires dim n = 2k."""
     k = phi.degree
     n = stack.dim
     if n != 2 * k:
         raise DimensionError("the scalar p_Phi lives in dimension 2k")
     form = star_p_phi_form(stack, phi, which)
-    return _top_form_scalar(stack, form)
+    return form.get(tuple(range(n)), stack.ring.zero()) \
+        * stack.ctx.volume[1]
 
 
 def rho_phi(stack, phi: InvariantPolynomial) -> WeightedOneForm:
     """rho^Phi_i in dimension 2k: volume-contracted Cotton chain plus the
-    gradient of p_Phi."""
-    from .tensors import epsilon_form
+    gradient of p_Phi.
+
+    With G = Phi W^{k-1} C the (n-1)-form, the contraction
+    (1/(2k-1)!) eps_i^{j_2..j_n} G_{j_2..j_n} collapses to
+    g_im (-1)^m G_{[n] minus m} eps^{0..n-1}.
+    """
     k = phi.degree
     n = stack.dim
     if n != 2 * k:
         raise DimensionError("rho^Phi lives in dimension 2k")
-    if stack.ctx.orientation not in (1, -1):
-        raise DimensionError("rho^Phi needs an oriented context")
+    eps_up = stack.ctx.volume[1]
     G = phi_w_c_form(stack, phi)
-    eps = epsilon_form(stack.ctx)
-    for s in range(1, n):
-        eps = raise_slot(stack.ctx, eps, s)
-    comp = np.empty((n,), dtype=object)
     zero = stack.ring.zero()
-    for i in range(n):
-        acc = zero
-        for idx, val in G.comps.items():
-            for perm, sign in signed_permutations(n - 1):
-                tup = tuple(idx[q] for q in perm)
-                term = eps.a[(i,) + tup] * val
-                acc = acc + (term if sign > 0 else -term)
-        comp[i] = acc
-    first = Tensor(n, ("d",), comp).scale(
-        Fraction(1, math.factorial(2 * k - 1)))
+    vec = np.empty((n,), dtype=object)
+    for m in range(n):
+        x = G.get(tuple(j for j in range(n) if j != m), zero) * eps_up
+        vec[m] = x if m % 2 == 0 else -x
+    first = lower_slot(stack.ctx, Tensor(n, ("u",), vec).pack(), 0)
     p = p_phi_scalar(stack, phi, "weyl")
     grad = stack.grad_scalar(p)
     return WeightedOneForm(first + grad.scale(Fraction(1, 2 * k)), -2 * k)
@@ -595,9 +573,3 @@ def functional_density(ctx, omega: WeightedOneForm, X: Tensor):
         raise SlotError("X must be a vector (valence 'u')")
     val = contract(omega.components.tp(X), [(1, 0)]).item()
     return ctx.point_value(val)
-
-
-def functional_value(ctx, omega: WeightedOneForm, X: Tensor, volume):
-    """Global functional = constant density times an externally supplied
-    total volume (no integration machinery lives here)."""
-    return functional_density(ctx, omega, X) * volume

@@ -1071,18 +1071,12 @@ def raise_lower(ctx, t: Tensor, slot: int, direction: str) -> Tensor:
     raise SlotError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
-def epsilon_form(ctx, orientation: int | None = None) -> Tensor:
-    """Volume form eps_{i_1..i_n} = orientation * sqrt|det g| * sign(perm)."""
+def epsilon_form(ctx) -> Tensor:
+    """Dense volume form eps_{i_1..i_n} = sign(perm) eps_{0..n-1}."""
     n = ctx.dim
     if n > 7:
         raise DimensionError("dense volume form is limited to dim <= 7")
-    if orientation is None:
-        orientation = ctx.orientation
-    if orientation not in (1, -1):
-        raise DimensionError("context has no orientation")
-    s = ctx.sqrt_abs_det
-    if orientation < 0:
-        s = -s
+    s = ctx.volume[0]
     t = zeros(n, ("d",) * n, ctx.ring)
     for perm, sign in signed_permutations(n):
         t.a[perm] = s if sign > 0 else -s
@@ -1101,7 +1095,9 @@ def is_antisymmetric(t: Tensor, tol: float = 1e-10) -> bool:
 
 
 def hodge_star(ctx, alpha: Tensor) -> Tensor:
-    """Hodge star of a fully antisymmetric all-down k-form."""
+    """Hodge star of a fully antisymmetric all-down k-form:
+    (star alpha)_J = eps_{IJ} alpha^I over increasing I and J, so only the
+    complement I of J contributes."""
     n, k = ctx.dim, alpha.rank
     if any(v != "d" for v in alpha.valence):
         raise SlotError("hodge star expects an all-down form")
@@ -1109,15 +1105,15 @@ def hodge_star(ctx, alpha: Tensor) -> Tensor:
         raise SlotError("form degree exceeds dimension")
     if k >= 2 and not is_antisymmetric(alpha):
         raise SlotError("hodge star input is not antisymmetric")
-    eps = epsilon_form(ctx)
+    up = alpha
     for s in range(k):
-        eps = raise_slot(ctx, eps, s)
-    if k == 0:
-        return eps.scale(alpha.item())
-    sub_e = _LETTERS[:n]
-    spec = f"{sub_e},{sub_e[:k]}->{sub_e[k:]}"
-    out = Tensor(n, ("d",) * (n - k), einsum(spec, eps.data, alpha.data))
-    return out.scale(Fraction(1, math.factorial(k)))
+        up = raise_slot(ctx, up, s)
+    vol, comps = ctx.volume[0], {}
+    for idx in itertools.combinations(range(n), k):
+        rest = tuple(j for j in range(n) if j not in idx)
+        x = vol * up.a[idx]
+        comps[rest] = x if perm_sign(idx + rest) > 0 else -x
+    return AltForm(n, n - k, comps).to_tensor(ctx.ring)
 
 
 # -- trace / residual helpers ---------------------------------------------------

@@ -8,6 +8,7 @@ from curvlab import cli
 from curvlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parent.parent / "configs"
 from curvlab.report import Check, VerificationReport
 
 
@@ -78,13 +79,16 @@ class TestJsonReport:
         assert main(args + ["--json", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_exact_berger_matches_golden(self, tmp_path):
-        """Exact reports are byte-identical to the checked-in golden file."""
+    @pytest.mark.parametrize("t, golden", [
+        ("4", "berger_t4_exact.json"),
+        ("9/4", "berger_t9_4_exact.json"),
+    ], ids=["t4", "t9_4"])
+    def test_exact_berger_matches_golden(self, t, golden, tmp_path):
+        """Exact reports are byte-identical to the checked-in golden files."""
         path = tmp_path / "berger.json"
-        assert main(["verify", "--suite", "berger", "--t", "4", "--exact",
+        assert main(["verify", "--suite", "berger", "--t", t, "--exact",
                      "--json", str(path)]) == 0
-        assert path.read_bytes() == \
-            (GOLDEN / "berger_t4_exact.json").read_bytes()
+        assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "rep.json"
@@ -124,6 +128,25 @@ class TestModelConfigPath:
         path.write_text("{not json")
         assert main(["verify", "--suite", "thm_invariance",
                      "--model", str(path), "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("orientation", [2, 0])
+    def test_bad_orientation_exits_two(self, orientation, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "berger_frame.json").read_text())
+        cfg["factors"][0]["orientation"] = orientation
+        path = tmp_path / "oriented.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_pfaffian",
+                     "--model", str(path)]) == 2
+        assert "orientation must be 1 or -1" in capsys.readouterr().err
+
+    def test_frame_config_without_dim_exits_two(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "berger_frame.json").read_text())
+        del cfg["factors"][0]["dim"]
+        path = tmp_path / "nodim.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_pfaffian",
+                     "--model", str(path)]) == 2
+        assert "KeyError: 'dim'" in capsys.readouterr().err
 
 
 class TestReportObject:
