@@ -29,10 +29,18 @@ from .models import (ModelSpec, berger_frame, berger_product, build_model,
 from .polys import Poly, RationalFunc
 from .report import Check, VerificationReport
 from .scalars import QuadExt, exact_sqrt, promote, rational_sqrt
-from .suites import SUITES, run_suite
 from .tensors import (AltForm, Permutation, Tensor, antisymmetrize, contract,
                       contract_with, epsilon_form, generalized_delta,
                       gkd_contract, hodge_star, lower_slot, raise_lower,
                       raise_slot, symmetrize)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``SUITES`` and ``run_suite``, imported on first use: the suites (and
+    the config reader they use) are not needed to compute anything."""
+    if name in ("SUITES", "run_suite"):
+        from . import suites
+        return getattr(suites, name)
+    raise AttributeError(f"module 'curvlab' has no attribute {name!r}")

@@ -33,7 +33,9 @@ from .errors import (DegenerateMetricError, DimensionError, ExactnessError,
 from .jets import Dual, Jet, JetAlgebra, field_partial, field_value, scalar_float
 from .polys import Poly, RationalFunc
 from .scalars import FLOAT, RATIONAL, QuadExt, Ring, exact_sqrt
-from .tensors import _LETTERS, Tensor, contract, einsum, lower_slot, raise_slot
+from .fields import _LETTERS, RationalField
+from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
+                      raise_slot)
 
 
 def jet_ring(alg: JetAlgebra, exact: bool) -> Ring:
@@ -118,7 +120,7 @@ class GeometryContext:
     @property
     def jet_algebra(self):
         if self.metric.field is not None:
-            return self.metric.field.alg
+            return getattr(self.metric.field, "alg", None)
         s = self.metric.a.flat[0]
         while isinstance(s, Dual):
             s = s.re
@@ -184,23 +186,24 @@ class FrameContext(GeometryContext):
         c[...] = ring.zero()
         for (e, a, b), val in structure_constants.items():
             c[e, a, b] = val
-        self.structure = c
         g = np.empty((dim, dim), dtype=object)
         for i in range(dim):
             for j in range(dim):
                 g[i, j] = metric_entries[i][j]
-        self.metric = Tensor(dim, ("d", "d"), g)
+        self.structure = RationalField.pack(c) or c
+        self.metric = Tensor(dim, ("d", "d"), g).pack()
         self._validate()
 
     def _validate(self):
-        c, g = self.structure, self.metric.a
-        if np.any(c != -c.transpose(0, 2, 1)):
+        c, g, n = self.structure, self.metric.data, self.dim
+        if not is_zero_tensor(Tensor(n, "udd", c + c.transpose(0, 2, 1))):
             raise ValueError("structure constants not antisymmetric")
         # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
         m = einsum("ead,dbf->eabf", c, c)
-        if any((m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).flat):
+        jacobi = m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)
+        if not is_zero_tensor(Tensor(n, "uddd", jacobi)):
             raise ValueError("Jacobi identity fails")
-        if np.any(g != g.T):
+        if not is_zero_tensor(Tensor(n, "dd", g - g.transpose())):
             raise ValueError("frame metric not symmetric")
 
     def to_float(self) -> "FrameContext":
@@ -321,7 +324,7 @@ class ProductContext(GeometryContext):
                             if v:
                                 c[off + e, off + a, off + b] = lift(v, f)
         self.metric = Tensor(self.dim, ("d", "d"), g).pack()
-        self.structure = c
+        self.structure = RationalField.pack(c) or c
 
 
 @lru_cache(maxsize=None)
@@ -388,9 +391,10 @@ class CurvatureStack:
         """D_a applied componentwise; derivative slot prepended."""
         ctx = self.ctx
         n = ctx.dim
-        if t.field is not None:
+        f = t.field if t.field is not None else RationalField.pack(t.a)
+        if f is not None:
             return Tensor(n, ("d",) + t.valence,
-                          t.field.derivatives(ctx.var_of_direction))
+                          f.derivatives(ctx.var_of_direction))
         out = np.empty((n,) + t.a.shape, dtype=object)
         for a in range(n):
             for idx in np.ndindex(t.a.shape):
@@ -444,12 +448,11 @@ class CurvatureStack:
             + einsum("bac->abc", dg) * Fraction(1, 2) \
             - einsum("cab->abc", dg) * Fraction(1, 2)
         if ctx.structure is not None:
-            c = ctx.structure
-            gl = g.data
+            # c^e_ab g_ec - c^e_bc g_ea + c^e_ca g_eb: one product m_abc =
+            # c^e_ab g_ec and two transposes of it
+            m = einsum("eab,ec->abc", ctx.structure, g.data)
             low = low + Fraction(1, 2) * (
-                einsum("eab,ec->abc", c, gl)
-                - einsum("ebc,ea->abc", c, gl)
-                + einsum("eca,eb->abc", c, gl))
+                m - einsum("bca->abc", m) + einsum("cab->abc", m))
         gam = einsum("dc,abc->dab", ctx.metric_inv.data, low)
         return Tensor(n, ("u", "d", "d"), gam)
 

@@ -3,26 +3,37 @@
 Components are over one scalar kind (Fraction, QuadExt, float, Jet, or
 Dual).  Slot order is storage order; valence is a tuple of 'u'/'d' flags.
 
-Storage.  A ``Tensor`` holds its components either as a numpy object array
-or, for float jets of one ``JetAlgebra`` and Duals over them, packed in a
-``JetField``: one float coefficient array with the coefficient axis leading,
-(N, *shape), an int array of the per-component ``valid`` orders, zero
-coefficients above them, and a second coefficient/``valid`` pair for the im
-parts of Duals.  Chart metrics and their inverses are packed once, and
-every packed operation returns a packed result: ``+``, ``-``, negation,
-``scale``, ``permuted``, derivatives (a gather through the jet algebra's
-diff tables), ``contract`` and two-operand ``einsum`` steps, with the
+Storage.  A ``Tensor`` holds its components as a numpy object array or
+packed in a field (``curvlab.fields``):
+
+- float jets of one ``JetAlgebra`` and Duals over them in a ``JetField``:
+  one float coefficient array with the coefficient axis leading,
+  (N, *shape), an int array of the per-component ``valid`` orders, zero
+  coefficients above them, and a second coefficient/``valid`` pair for the
+  im parts of Duals;
+- Fractions alone (no ints among them) in a ``RationalField``: integer
+  numerators over one positive Python-int denominator, kept canonical
+  (gcd of the denominator and every numerator is 1), so each component
+  unpacks to the very Fraction the object path gives.  The numerators are
+  int64 when every one fits and Python ints in an object array otherwise.
+
+Chart metrics, exact frame and product metrics, their inverses and exact
+structure constants are packed once, and every packed operation returns a
+packed result: ``+``, ``-``, negation, ``scale``, ``permuted``, indexing,
+derivatives (a gather through the jet algebra's diff tables; zeros for
+rationals), ``contract`` and two-operand ``einsum`` steps, with the
 ``valid`` orders a chain of ``Jet``/``Dual`` operations would give.  None of
 them reads ``Tensor.a``: that object array, for every reader that wants
-``Jet``/``Dual`` objects, is unpacked on first read and kept, read-only, so
-a write can never leave the packed data stale (``Tensor.copy`` gives a
-writable one).  ``Tensor.data`` is whichever storage the tensor has;
-exact scalars, plain floats and mixed arrays always stay object arrays.
+scalar objects, is unpacked on first read and kept, read-only, so a write
+can never leave the packed data stale (``Tensor.copy``, ``zeros``,
+``Tensor.filled`` and ``Tensor.from_function`` give writable ones).
+``Tensor.data`` is whichever storage the tensor has; exact jets, QuadExt,
+plain floats and mixed arrays always stay object arrays.
 
 Every contraction goes through ``einsum(spec, *operands)``, which returns
-a ``JetField`` when a packed operand went through a packed step and an
-object ndarray otherwise.  Three or more operands run pairwise, one einsum
-per step of numpy's greedy plan, with array intermediates: numpy >= 2 runs
+a field when a packed operand went through a packed step and an object
+ndarray otherwise.  Three or more operands run pairwise, one einsum per
+step of numpy's greedy plan, with array intermediates: numpy >= 2 runs
 each pairwise step through ``bmm_einsum``, which needs ``.shape``, and an
 object einsum returns a bare scalar for a step that contracts to rank 0.
 Each step dispatches on its operands' scalars alone:
@@ -39,17 +50,18 @@ Each step dispatches on its operands' scalars alone:
   most ``_BLOCK_FLOATS`` floats of operand gathers plus output.  The
   coefficients above each output's ``valid`` are zeroed.  A Dual product is
   the runs re.re and re.im + im.re.
-- One packed operand sums (or transposes) its coefficients, each output's
-  ``valid`` the min over the components summed into it.
-- Two operands of ``Fraction``s alone run an int64 kernel: each operand is
-  packed as int64 numerators over the lcm of its denominators, one int64
-  ``np.einsum`` makes the output numerators over the product of the two
-  denominators, and each output is reduced once.  It runs only when
-  max|Na| * max|Nb| times the product of the extents of the summed letters
-  is below 2**63, which bounds every partial sum; past that the step takes
-  the object path.  Fractions are canonical, so results are the same.
+- One packed float-jet operand sums (or transposes) its coefficients, each
+  output's ``valid`` the min over the components summed into it.
+- One or two ``RationalField`` operands, or two object arrays of Fractions
+  alone (packed for the call, the result unpacked), contract their
+  numerators in one ``np.einsum`` over the product of the denominators.
+  It runs on int64 when the product of the operands' largest |numerator|
+  times the product of the extents of the summed letters, computed in
+  Python ints, is below 2**63, which bounds every partial sum, and on
+  Python ints otherwise; sums, differences and scalings prove their bound
+  the same way.  Either way the result is exact and reduced once.
 - Any other step (exact jets, QuadExt, plain floats, arrays that mix kinds
-  or mix int with Fraction, one operand, Fractions past the int64 bound) is
+  or mix int with Fraction, one object operand) is
   ``np.einsum(..., optimize=True)`` on the objects, so exact results are
   unchanged bit for bit.
 
@@ -68,12 +80,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, JetOrderError, ScalarKindError, SlotError
+from .errors import DimensionError, ScalarKindError, SlotError
+from .fields import (_LETTERS, JetField, RationalField, _Field, _field_einsum1,
+                     _float_jet_einsum, _object_array, _pack, _rational_einsum,
+                     _widened)
 from .jets import Dual, Jet, field_value, scalar_float
 from .scalars import QuadExt
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 def kind_of(x) -> str:
     if isinstance(x, Jet):
@@ -105,7 +117,8 @@ class Tensor:
     """Dense tensor at a point (or jet-valued field) with fixed slot valence.
 
     Components live in an object ndarray or, for float jets and Duals over
-    them, in a packed ``JetField``; ``data`` is whichever the tensor holds.
+    them, in a packed ``JetField``, and for Fractions in a packed
+    ``RationalField``; ``data`` is whichever the tensor holds.
     """
 
     __slots__ = ("dim", "valence", "_a", "field")
@@ -118,7 +131,7 @@ class Tensor:
             raise SlotError(f"component shape {a.shape} does not match "
                             f"dim {dim}, rank {len(valence)}")
         self.dim, self.valence = dim, valence
-        if isinstance(a, JetField):
+        if isinstance(a, _Field):
             self._a, self.field = None, a
         else:
             self._a, self.field = a, None
@@ -135,15 +148,16 @@ class Tensor:
 
     @property
     def data(self):
-        """The packed ``JetField`` when there is one, else the object array."""
+        """The packed field when there is one, else the object array."""
         return self._a if self.field is None else self.field
 
     def pack(self) -> "Tensor":
         """This tensor with packed storage when its components are float jets
-        of one algebra (or Duals over them); otherwise the tensor itself."""
+        of one algebra (or Duals over them) or Fractions alone; otherwise the
+        tensor itself."""
         if self.field is not None:
             return self
-        f = JetField.pack(self._a)
+        f = _pack(self._a)
         return self if f is None else Tensor(self.dim, self.valence, f)
 
     # -- construction --------------------------------------------------------
@@ -171,8 +185,8 @@ class Tensor:
     def dual(cls, re: "Tensor", im: "Tensor") -> "Tensor":
         """The tensor of Duals re + eps im, component by component."""
         fr, fi = re.field, im.field
-        if fr is not None and fi is not None and fr.ic is None \
-                and fi.ic is None and fr.alg is fi.alg:
+        if isinstance(fr, JetField) and isinstance(fi, JetField) \
+                and fr.ic is None and fi.ic is None and fr.alg is fi.alg:
             return cls(re.dim, re.valence,
                        JetField(fr.alg, fr.c, fr.v, fi.c, fi.v))
         out = np.empty(re.a.shape, dtype=object)
@@ -183,7 +197,7 @@ class Tensor:
     def dual_parts(self) -> tuple["Tensor", "Tensor"]:
         """(re, im) of a tensor of Duals."""
         f = self.field
-        if f is not None:
+        if isinstance(f, JetField):
             return (Tensor(self.dim, self.valence, JetField(f.alg, f.c, f.v)),
                     Tensor(self.dim, self.valence,
                            JetField(f.alg, f.ic, f.iv)))
@@ -203,7 +217,7 @@ class Tensor:
     def item(self):
         if self.rank:
             raise SlotError("item() on a tensor of positive rank")
-        return self.a[()]
+        return self.data[()]
 
     def copy(self) -> "Tensor":
         """A tensor with a writable copy of the components."""
@@ -280,28 +294,18 @@ def zeros(dim, valence, ring) -> Tensor:
     return Tensor.filled(dim, valence, ring.zero())
 
 
-def _object_array(x):
-    """x itself if it is an array or a ``JetField``, else a 0-d object array
-    holding it."""
-    if isinstance(x, (np.ndarray, JetField)):
-        return x
-    a = np.empty((), dtype=object)
-    a[()] = x           # item assignment: numpy never tries to unpack a Jet
-    return a
-
-
 def einsum(spec: str, *operands):
-    """Contract object arrays and packed ``JetField``s by ``spec``.
+    """Contract object arrays and packed fields by ``spec``.
 
-    The result is a ``JetField`` when an operand is one and the step ran
-    packed, else an object ndarray (never a bare scalar).  Three or more
-    operands run pairwise along numpy's greedy plan, with every intermediate
-    kept as an array.  A two-operand step with an explicit ``->`` output
-    runs the dense kernel ``_float_jet_einsum`` on float jets (or ``Dual``
-    numbers over them) and the int64 kernel ``_rational_einsum`` on
-    Fractions; a one-operand step on a ``JetField`` sums its coefficients
-    (``_field_einsum1``); any other step is ``np.einsum(..., optimize=True)``
-    on the objects themselves.
+    The result is a field when an operand is one and the step ran packed,
+    else an object ndarray (never a bare scalar).  Three or more operands
+    run pairwise along numpy's greedy plan, with every intermediate kept as
+    an array.  A two-operand step with an explicit ``->`` output runs the
+    dense kernel ``_float_jet_einsum`` on float jets (or ``Dual`` numbers
+    over them) and the numerator contraction ``_rational_einsum`` on
+    Fractions; a one-operand step on a field sums its coefficients
+    (``_field_einsum1``) or numerators; any other step is
+    ``np.einsum(..., optimize=True)`` on the objects themselves.
     """
     if len(operands) < 3:
         return _einsum_step(spec, *operands)
@@ -313,20 +317,20 @@ def einsum(spec: str, *operands):
 
 
 def _einsum_step(spec: str, *ops):
-    packed = any(isinstance(x, JetField) for x in ops)
+    packed = any(isinstance(x, _Field) for x in ops)
     if "->" in spec and "." not in spec:
         if len(ops) == 2:
             out = _float_jet_einsum(spec, *ops)
+            if out is None:
+                out = _rational_einsum(spec, *ops)
             if out is not None:
                 return out if packed else out.unpack()
-            if not packed:
-                out = _rational_einsum(spec, *ops)
-                if out is not None:
-                    return out
         elif packed:
-            return _field_einsum1(spec, ops[0])
+            if isinstance(ops[0], JetField):
+                return _field_einsum1(spec, ops[0])
+            return _rational_einsum(spec, ops[0])
     if packed:
-        ops = [x.unpack() if isinstance(x, JetField) else x for x in ops]
+        ops = [x.unpack() if isinstance(x, _Field) else x for x in ops]
     return _object_array(np.einsum(spec, *ops, optimize=True))
 
 
@@ -358,398 +362,6 @@ def _pairwise_plan(spec: str, shapes) -> tuple:
         terms.append(result)
         steps.append((positions, ",".join(taken[::-1]) + "->" + result))
     return tuple(steps)
-
-
-# -- packed float jets ----------------------------------------------------------
-
-
-class JetField:
-    """Float jets of one ``JetAlgebra``, or ``Dual``s over them, packed.
-
-    ``c`` holds the coefficients with the coefficient axis leading, shape
-    (N, *shape), and ``v`` the ``valid`` order of each component, an int
-    array of ``shape``; coefficients above a component's ``valid`` are zero,
-    as in a ``Jet``.  A field of Duals keeps its im parts in ``ic``/``iv``
-    (None for plain jets).  Operations build new fields and never write into
-    an operand's arrays, so fields may share them.  Each operation gives the
-    coefficients and ``valid`` orders the same operation on the ``Jet`` or
-    ``Dual`` objects gives, up to the order of float summation.
-    """
-
-    __slots__ = ("alg", "c", "v", "ic", "iv")
-    __array_ufunc__ = None      # ndarray (op) JetField defers to JetField
-
-    def __init__(self, alg, c, v, ic=None, iv=None):
-        self.alg, self.c, self.v, self.ic, self.iv = alg, c, v, ic, iv
-
-    @property
-    def shape(self) -> tuple:
-        return self.v.shape
-
-    def kind(self) -> str:
-        return "jet-float" if self.ic is None else "dual:jet-float"
-
-    def _parts(self):
-        yield self.c, self.v
-        if self.ic is not None:
-            yield self.ic, self.iv
-
-    def _with(self, parts) -> "JetField":
-        (c, v), *im = parts
-        return JetField(self.alg, c, v, *(im[0] if im else ()))
-
-    # -- packing -------------------------------------------------------------
-
-    @classmethod
-    def pack(cls, a: np.ndarray):
-        """The field of an object array of float jets of one algebra, or of
-        Duals over them; None when ``a`` holds anything else."""
-        first = a.flat[0]
-        if type(first) is Dual:
-            flat = a.ravel().tolist()
-            if not all(type(x) is Dual for x in flat):
-                return None
-            groups = ([x.re for x in flat], [x.im for x in flat])
-        elif type(first) is Jet:
-            groups = (a.ravel().tolist(),)
-        else:
-            return None
-        alg = getattr(groups[0][0], "alg", None)
-        parts = []
-        for jets in groups:
-            if not all(type(x) is Jet and x.alg is alg and not x.exact
-                       for x in jets):
-                return None
-            c = np.stack([x.c for x in jets], axis=1).reshape(
-                (alg.N,) + a.shape)
-            parts.append((c, np.array([x.valid for x in jets]).reshape(
-                a.shape)))
-        return cls(alg, *parts[0], *(parts[1] if len(parts) > 1 else ()))
-
-    def unpack(self) -> np.ndarray:
-        """An object array of new ``Jet``s (``Dual``s for a Dual field)."""
-        parts = [_jets(self.alg, c, v) for c, v in self._parts()]
-        out = np.empty(self.v.size, dtype=object)
-        out[:] = parts[0] if len(parts) == 1 else \
-            [Dual(x, y) for x, y in zip(*parts)]
-        return out.reshape(self.shape)
-
-    def at_point(self) -> np.ndarray:
-        """Base-point values, as ``field_value`` gives them, in an object
-        array."""
-        vals = [list(c[0].ravel()) for c, _ in self._parts()]
-        out = np.empty(self.v.size, dtype=object)
-        out[:] = vals[0] if len(vals) == 1 else \
-            [Dual(x, y) for x, y in zip(*vals)]
-        return out.reshape(self.shape)
-
-    def __getitem__(self, idx) -> "JetField | Jet | Dual":
-        """numpy indexing on the component axes; an index that picks one
-        component gives that component as a new ``Jet`` (or ``Dual``)."""
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        parts = [(c[(slice(None),) + idx], v[idx]) for c, v in self._parts()]
-        if np.ndim(parts[0][1]):
-            return self._with(parts)
-        jets = [Jet(self.alg, c.copy(), int(v), False) for c, v in parts]
-        return jets[0] if len(jets) == 1 else Dual(*jets)
-
-    # -- elementwise arithmetic ----------------------------------------------
-
-    def transpose(self, *axes) -> "JetField":
-        if len(axes) == 1 and not isinstance(axes[0], int):
-            axes = axes[0]
-        caxes = (0,) + tuple(x + 1 for x in axes)
-        return self._with((np.transpose(c, caxes), np.transpose(v, axes))
-                          for c, v in self._parts())
-
-    def __neg__(self) -> "JetField":
-        return self._with((-c, v) for c, v in self._parts())
-
-    def __add__(self, other):
-        return self._elementwise(other, np.add, False)
-
-    def __radd__(self, other):
-        return self._elementwise(other, np.add, True)
-
-    def __sub__(self, other):
-        return self._elementwise(other, np.subtract, False)
-
-    def __rsub__(self, other):
-        return self._elementwise(other, np.subtract, True)
-
-    def _elementwise(self, other, op, flip: bool):
-        """op(self, other), or op(other, self) when flipped: per part, the
-        coefficients combined, ``valid`` the min and zeros above it.  An
-        operand that does not pack alike takes the object path."""
-        o = other if isinstance(other, JetField) else \
-            JetField.pack(other) if isinstance(other, np.ndarray) else None
-        if o is None or o.alg is not self.alg or o.shape != self.shape \
-                or (o.ic is None) != (self.ic is None):
-            x = self.unpack()
-            y = other.unpack() if isinstance(other, JetField) else other
-            return op(y, x) if flip else op(x, y)
-        x, y = (o, self) if flip else (self, o)
-        parts = []
-        for (cx, vx), (cy, vy) in zip(x._parts(), y._parts()):
-            c = op(cx, cy)
-            if (vx == vy).all():
-                parts.append((c, vx))
-            else:
-                v = np.minimum(vx, vy)
-                parts.append((_zero_above(self.alg, c, v), v))
-        return self._with(parts)
-
-    def __mul__(self, s):
-        """The field times a scalar: a plain number scales the coefficients
-        (a Dual's im part capped at its re part's ``valid``, as
-        ``Dual.__mul__`` caps it); a Jet or Dual runs the kernel as a rank-0
-        operand."""
-        if isinstance(s, (int, Fraction, float)):
-            x = float(s)
-            if self.ic is None:
-                return JetField(self.alg, self.c * x, self.v)
-            iv = np.minimum(self.v, self.iv)
-            return JetField(self.alg, self.c * x, self.v,
-                            _zero_above(self.alg, self.ic * x, iv), iv)
-        if isinstance(s, (Jet, Dual)):
-            letters = _LETTERS[:len(self.shape)]
-            out = _float_jet_einsum(f"{letters},->{letters}", self,
-                                    _object_array(s))
-            if out is not None:
-                return out
-        return self.unpack() * s
-
-    __rmul__ = __mul__
-
-    def derivatives(self, variables) -> "JetField":
-        """D_a of every component in a new leading slot: the partial in
-        jet variable ``variables[a]``, or zero where that is None (a
-        constant direction, as ``s * 0`` gives)."""
-        alg, n = self.alg, len(variables)
-        if any(x is not None for x in variables) and \
-                any(bool((v < 1).any()) for _, v in self._parts()):
-            raise JetOrderError(
-                "jet order exhausted; rebuild the context with a higher order")
-        parts = []
-        for k, (c, v) in enumerate(self._parts()):
-            dc = np.zeros((alg.N, n) + self.shape)
-            dv = np.empty((n,) + self.shape, dtype=v.dtype)
-            for a, var in enumerate(variables):
-                if var is None:     # a Dual's im part capped as in s * 0
-                    dv[a] = v if k == 0 else np.minimum(self.v, v)
-                else:
-                    src, dst, fac, _ = alg._diff_tables[var]
-                    dc[dst, a] = c[src] * fac.reshape(
-                        (-1,) + (1,) * len(self.shape))
-                    dv[a] = v - 1
-            parts.append((dc, dv))
-        return self._with(parts)
-
-
-def _zero_above(alg, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c, with the coefficients above each component's ``valid`` set to zero
-    in place.  Monomials are sorted by degree, so a common ``valid`` zeroes
-    a tail of rows."""
-    lo = v.min()
-    if lo == v.max():
-        c[alg.upto[lo]:] = 0.0
-    else:
-        c[alg.deg.reshape((-1,) + (1,) * v.ndim) > v] = 0.0
-    return c
-
-
-def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
-    rows = c.reshape(alg.N, -1).T.copy()
-    return [Jet(alg, row, k, False)
-            for row, k in zip(rows, v.ravel().tolist())]
-
-
-def _field_einsum1(spec: str, f: JetField) -> JetField:
-    """A one-operand step on a field: transposes, diagonals and traces of
-    the coefficients; a component's ``valid`` is the min over the components
-    summed into it, with zeros above it, as a chain of ``Jet.__add__``
-    gives."""
-    ins, out = spec.split("->")
-    coef = next(x for x in _LETTERS if x not in spec)
-    letters = out + "".join(x for x in dict.fromkeys(ins) if x not in out)
-    summed = tuple(range(len(out), len(letters)))
-    parts = []
-    for c, v in f._parts():
-        v = _spread(v, ins, letters)
-        c = np.einsum(f"{coef}{ins}->{coef}{out}", c)
-        if summed:
-            v = v.min(axis=summed)
-            c = _zero_above(f.alg, c, v)
-        parts.append((c, v))
-    return f._with(parts)
-
-
-# -- dense float-jet kernel ------------------------------------------------------
-
-_BLOCK_FLOATS = 1 << 15     # operand gathers plus output of one kernel block
-
-
-def _float_jet_einsum(spec: str, a, b):
-    """A two-operand ``einsum`` step on float jets, or None for other scalars.
-
-    Each operand is a ``JetField`` or an object array that packs into one
-    of the same ``JetAlgebra``.  A Dual product is three kernel runs, re.re
-    and re.im + im.re; a Jet operand contributes no im run.  Each output's
-    ``valid`` is the min over the components that feed it, as the chain of
-    ``Jet.__mul__``/``__add__`` calls gives; a Dual's im part is also capped
-    at its re part's ``valid``, as ``Dual.__mul__`` does.
-    """
-    fa = a if isinstance(a, JetField) else JetField.pack(a)
-    if fa is None:
-        return None
-    fb = b if isinstance(b, JetField) else JetField.pack(b)
-    if fb is None or fb.alg is not fa.alg:
-        return None
-    alg, (ra, *ima), (rb, *imb) = fa.alg, fa._parts(), fb._parts()
-    pair = next(x for x in _LETTERS if x not in spec)
-    re_c, re_v = _jet_product(alg, spec, pair, ra, rb)
-    runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
-    if not runs:
-        return JetField(alg, re_c, re_v)
-    im_c, im_v = 0.0, re_v
-    for x, y in runs:
-        c, v = _jet_product(alg, spec, pair, x, y)
-        im_c = im_c + c
-        im_v = np.minimum(im_v, v)
-    return JetField(alg, re_c, re_v, _zero_above(alg, im_c, im_v), im_v)
-
-
-def _jet_product(alg, spec: str, pair: str, a, b):
-    """The contraction ``spec`` of two packed float-jet operands.
-
-    a and b are (coefficients, valid) parts of ``JetField``s.  Returns the
-    output's (coefficients, valid), coefficient axis leading, zero above
-    each output's ``valid``.  The pair table holds every monomial pair up to
-    the largest output ``valid``, sorted by product monomial; each block of
-    it is one float einsum with the pair axis ``pair`` leading, summed per
-    product monomial by ``np.add.reduceat``.
-    """
-    (ca, va), (cb, vb) = a, b
-    v = _min_valid(spec, va, vb)
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
-    pspec = f"{pair}{sa},{pair}{sb}->{pair}{out}"
-    size = v.size
-    ia, ib, blocks = _pair_blocks(alg, int(v.max()),
-                                  va.size + vb.size + size)
-    c = np.zeros((alg.N, size))
-    for p0, p1, starts, m0, m1 in blocks:
-        t = np.einsum(pspec, ca[ia[p0:p1]], cb[ib[p0:p1]])
-        c[m0:m1] = np.add.reduceat(t, starts, axis=0).reshape(m1 - m0, size)
-    return _zero_above(alg, c.reshape((alg.N,) + v.shape), v), v
-
-
-def _min_valid(spec: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Per output component, the min of the operand valids that feed it."""
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
-    letters = out + "".join(x for x in dict.fromkeys(sa + sb) if x not in out)
-    m = np.minimum(_spread(va, sa, letters), _spread(vb, sb, letters))
-    if len(letters) > len(out):
-        m = m.min(axis=tuple(range(len(out), len(letters))))
-    return np.asarray(m)
-
-
-def _spread(v: np.ndarray, sub: str, letters: str) -> np.ndarray:
-    """v with its axes moved to their places in ``letters``, size 1 elsewhere;
-    a letter repeated in ``sub`` takes the diagonal."""
-    uniq = "".join(dict.fromkeys(sub))
-    if len(uniq) < len(sub):
-        v = np.einsum(f"{sub}->{uniq}", v)
-    ordered = sorted(uniq, key=letters.index)
-    v = v.transpose([uniq.index(x) for x in ordered])
-    shape = [v.shape[ordered.index(x)] if x in uniq else 1 for x in letters]
-    return v.reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _pair_blocks(alg, cap: int, per_pair: int):
-    """``alg.mul_table(cap)`` sorted by product monomial, cut into blocks.
-
-    Returns (ia, ib, blocks); each block (p0, p1, starts, m0, m1) takes the
-    pairs p0:p1, which make the product monomials m0:m1, with ``starts`` the
-    block-relative first pair of each.  Blocks end at monomial boundaries
-    and hold at most ``_BLOCK_FLOATS // per_pair`` pairs, or one monomial.
-    """
-    ia, ib, io = alg.mul_table(cap)
-    order = np.argsort(io, kind="stable")
-    ia, ib, io = ia[order], ib[order], io[order]
-    first = np.flatnonzero(np.r_[True, io[1:] != io[:-1]])
-    bounds = np.r_[first, len(io)]          # monomial m takes bounds[m:m+2]
-    most = max(1, _BLOCK_FLOATS // per_pair)
-    blocks, m0 = [], 0
-    while m0 < len(first):
-        m1 = m0 + 1
-        while m1 < len(first) and bounds[m1 + 1] - bounds[m0] <= most:
-            m1 += 1
-        p0, p1 = bounds[m0], bounds[m1]
-        blocks.append((p0, p1, first[m0:m1] - p0, m0, m1))
-        m0 = m1
-    return ia, ib, tuple(blocks)
-
-
-# -- int64 kernel for Fraction operands -----------------------------------------
-
-_INT64_BOUND = 1 << 63
-
-
-def _rational_einsum(spec: str, a: np.ndarray, b: np.ndarray):
-    """A two-operand ``einsum`` step on Fractions, or None.
-
-    None unless every element of both operands is a ``Fraction``, or when
-    the int64 sum might overflow.  Each operand is packed as int64
-    numerators over the lcm of its denominators, fraction-free (Bareiss,
-    Math. Comp. 22 (1968)); one int64 ``np.einsum`` makes the numerators of
-    the output over the product of the two denominators, and each distinct
-    numerator is reduced once, into one Fraction shared by the outputs that
-    hold it.  Every partial sum is bounded by max|Na| * max|Nb| times
-    the number of terms, the product of the extents of the summed letters,
-    so the run is exact when that bound is below 2**63.
-    """
-    pa = _pack_rational(a)
-    if pa is None:
-        return None
-    pb = _pack_rational(b)
-    if pb is None:
-        return None
-    (na, da, ma), (nb, db, mb) = pa, pb
-    ins, out = spec.split("->")
-    bound = max(ma, 1) * max(mb, 1)
-    for x, n in dict(zip(ins.replace(",", ""), a.shape + b.shape)).items():
-        if x not in out:
-            bound *= n
-    if bound >= _INT64_BOUND:
-        return None
-    nums = np.asarray(np.einsum(spec, na, nb))
-    flat = nums.ravel().tolist()
-    den = da * db
-    fracs = {n: Fraction(n, den) for n in set(flat)}
-    res = np.empty(len(flat), dtype=object)
-    res[:] = list(map(fracs.__getitem__, flat))
-    return res.reshape(nums.shape)
-
-
-def _pack_rational(a: np.ndarray):
-    """(numerators, denominator, max |numerator|) of an array of Fractions:
-    int64 numerators over the lcm of the denominators, or None when ``a``
-    holds anything but Fractions or a numerator leaves int64."""
-    if type(a.flat[0]) is not Fraction:
-        return None
-    flat = a.ravel().tolist()
-    if set(map(type, flat)) != {Fraction}:
-        return None
-    nums, dens = zip(*map(Fraction.as_integer_ratio, flat))
-    den = math.lcm(*dens)
-    nums = [n * (den // d) for n, d in zip(nums, dens)]
-    top = max(map(abs, nums))
-    if top >= _INT64_BOUND:
-        return None
-    return np.array(nums, dtype=np.int64).reshape(a.shape), den, top
 
 
 # -- permutations -------------------------------------------------------------
@@ -875,21 +487,38 @@ def contract_with(a: Tensor, b: Tensor, pairs) -> Tensor:
 
 
 def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
+    """The (signed) average of t over the k! orderings of ``slots``.  A
+    tensor of Fractions is packed once and its k! transposes summed as
+    numerator arrays."""
     slots = list(slots)
     if len(set(slots)) != len(slots):
         raise SlotError("repeated slot in (anti)symmetrization list")
     if len({t.valence[s] for s in slots}) > 1:
         raise SlotError("(anti)symmetrization over mixed-variance slots")
-    acc = None
+    k = math.factorial(len(slots))
+    terms = []
     for perm, sign in signed_permutations(len(slots)):
         axes = list(range(t.rank))
         for pos, s in enumerate(slots):
             axes[s] = slots[perm[pos]]
+        terms.append((axes, signed and sign < 0))
+    f = RationalField.of(t.data)
+    if f is not None:
+        num, = _widened(max(f.top, 1) * k, f.num)
+        acc = np.zeros_like(num)
+        for axes, negative in terms:
+            if negative:
+                acc -= num.transpose(axes)
+            else:
+                acc += num.transpose(axes)
+        return Tensor(t.dim, t.valence, RationalField.reduced(acc, f.den * k))
+    acc = None
+    for axes, negative in terms:
         arr = t.data.transpose(axes)
-        if signed and sign < 0:
+        if negative:
             arr = -arr
         acc = arr if acc is None else acc + arr
-    return Tensor(t.dim, t.valence, acc * Fraction(1, math.factorial(len(slots))))
+    return Tensor(t.dim, t.valence, acc * Fraction(1, k))
 
 
 def antisymmetrize(t: Tensor, slots) -> Tensor:
@@ -961,7 +590,7 @@ def gkd_contract(dim, lower, upper, factors, ring, *, coeff=Fraction(1),
     orbits = _orbit_representatives(p, tuple(tuple(s) for s in sym))
     idm = _identity_matrix(dim, ring)
     if any(f.field is not None for f in factors):
-        idm = JetField.pack(idm) or idm
+        idm = _pack(idm) or idm
     acc = None
     for sigma, sign, size in orbits:
         arrays = [f.data for f in factors]
@@ -1084,14 +713,27 @@ def epsilon_form(ctx) -> Tensor:
 
 
 def is_antisymmetric(t: Tensor, tol: float = 1e-10) -> bool:
-    """Check antisymmetry via adjacent-slot swaps (they generate S_rank)."""
-    m = max(max_abs(t), 1.0)
-    for s in range(t.rank - 1):
-        sw = np.swapaxes(t.a, s, s + 1)
-        for idx in np.ndindex(t.a.shape):
-            if abs(scalar_float(t.a[idx] + sw[idx])) > tol * m:
-                return False
-    return True
+    """Check antisymmetry via adjacent-slot swaps (they generate S_rank):
+    exactly in exact rings, and on the base-point values to ``tol`` times
+    the largest of them (at least 1) in float rings."""
+    swaps = [(s, s + 1) for s in range(t.rank - 1)]
+    if not swaps:
+        return True
+    f, r = t.field, RationalField.of(t.data)
+    if r is not None:
+        return all(np.array_equal(r.num, -r.num.swapaxes(*w)) for w in swaps)
+    if "float" not in t.kind():
+        return not any(any((t.a + t.a.swapaxes(*w)).flat) for w in swaps)
+    if isinstance(f, JetField):     # base-point values, one row per part
+        base = np.stack([c[0] for c, _ in f._parts()])
+    else:
+        vals = [field_value(x) for x in t.a.flat]
+        base = np.array([(x.re, x.im) if isinstance(x, Dual) else (x,)
+                         for x in vals], dtype=float).T.reshape(
+                             (-1,) + t.a.shape)
+    m = max(float(np.abs(base).max()), 1.0)
+    return not any((np.abs(base + base.swapaxes(i + 1, j + 1)) > tol * m).any()
+                   for i, j in swaps)
 
 
 def hodge_star(ctx, alpha: Tensor) -> Tensor:
@@ -1143,13 +785,9 @@ def tensors_equal(a: Tensor, b: Tensor) -> bool:
 
 
 def is_zero_tensor(t: Tensor) -> bool:
-    def zero(x):
-        if isinstance(x, Jet):
-            return x.is_zero()
-        return not x
-    if t.rank == 0:
-        return zero(t.item())
-    return all(zero(x) for x in t.a.flat)
+    if isinstance(t.field, RationalField):
+        return not t.field.num.any()
+    return not any(t.a.flat)
 
 
 # -- compressed alternating forms ----------------------------------------------

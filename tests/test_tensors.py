@@ -17,10 +17,11 @@ from curvlab.scalars import RATIONAL, QuadExt
 from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              contract, contract_with, einsum, epsilon_form,
                              generalized_delta, gkd_contract, hodge_star,
-                             is_zero_tensor, lower_slot, max_abs, perm_sign,
-                             raise_lower, raise_slot, residual, symmetrize,
+                             is_antisymmetric, is_zero_tensor, lower_slot,
+                             max_abs, perm_sign, raise_lower, raise_slot,
+                             residual, signed_permutations, symmetrize,
                              tensors_equal, zeros)
-from curvlab.tensors import JetField, _rational_einsum
+from curvlab.fields import JetField, RationalField, _rational_einsum
 
 
 def diag_ctx(n, diag):
@@ -111,6 +112,23 @@ class TestSymmetrization:
     def test_mixed_variance_rejected(self):
         with pytest.raises(SlotError):
             antisymmetrize(identity_mixed(3), [0, 1])
+
+    def test_rank5_fractions_against_increasing_components(self):
+        """Alt of a random rank-5 Fraction tensor at n = 5 against the form
+        built from its one increasing component, the signed average of the
+        120 orderings, through ``AltForm.to_tensor``."""
+        rng = np.random.default_rng(12)
+        t = rational_tensor(5, ("d",) * 5, rng)
+        comp = sum(sign * t.a[perm] for perm, sign
+                   in signed_permutations(5)) * Fraction(1, 120)
+        oracle = AltForm(5, 5, {tuple(range(5)): comp}).to_tensor(RATIONAL)
+        got = antisymmetrize(t, range(5))
+        assert isinstance(got.field, RationalField)
+        assert all(type(x) is Fraction for x in got.a.flat)
+        assert tensors_equal(got, oracle)
+        sym = symmetrize(t, [1, 3])
+        assert tensors_equal(sym, (t + t.permuted((0, 3, 2, 1, 4)))
+                             .scale(Fraction(1, 2)))
 
 
 class TestGeneralizedDelta:
@@ -348,8 +366,8 @@ class TestEinsumKernel:
         (2 ** 30, 1, 7, True),          # 7 * 2**60 < 2**63: the kernel runs
     ])
     def test_int64_guard(self, top, den, dim, kernel):
-        """Past the overflow bound the step takes the object path; either
-        way the sums are exact."""
+        """Past the overflow bound the numerators are contracted as Python
+        ints; either way the sums are exact."""
         rng = np.random.default_rng(top + dim)
         a = np.empty((dim, dim), dtype=object)
         b = np.empty((dim, dim), dtype=object)
@@ -357,22 +375,26 @@ class TestEinsumKernel:
             a[idx] = Fraction(top - int(rng.integers(0, 2)))
             b[idx] = Fraction(-top + int(rng.integers(0, 2)))
         a[0, 0] = Fraction(top, den)    # the lcm of a's denominators
-        assert (_rational_einsum("ab,bc->ac", a, b) is not None) is kernel
+        with mock.patch.object(np, "einsum", wraps=np.einsum) as spy:
+            assert _rational_einsum("ab,bc->ac", a, b) is not None
+        assert (spy.call_args.args[1].dtype == np.int64) is kernel
         got = einsum("ab,bc->ac", a, b)
         ref = np.einsum("ab,bc->ac", a, b, optimize=False)
         for x, y in zip(got.flat, ref.flat):
             assert type(x) is Fraction and x == y
 
     def test_numerator_past_int64_times_zeros(self):
-        """A numerator that leaves int64 is never packed, even when the other
-        operand is zero and the product bound would be 0."""
+        """A numerator that leaves int64 is packed as a Python int, and its
+        products stay exact even when the other operand is zero."""
         a = np.empty((2, 2), dtype=object)
         a[...] = Fraction(2 ** 70, 3)
         b = np.empty((2, 2), dtype=object)
         b[...] = Fraction(0)
-        assert _rational_einsum("ab,bc->ac", a, b) is None
+        assert RationalField.pack(a).num.dtype == object
         got = einsum("ab,bc->ac", a, b)
         assert all(type(x) is Fraction and x == 0 for x in got.flat)
+        got = einsum("ab,bc->ac", a, a)
+        assert all(x == Fraction(2 ** 141, 9) for x in got.flat)
 
     def test_int_and_fraction_array_keeps_numpy_path(self):
         """An array that mixes int and Fraction is not packed, and each
@@ -624,6 +646,205 @@ class TestJetField:
         assert_arrays_close(got, a + floats)
 
 
+def random_fractions(shape, rng, top=40, dens=12):
+    """Object array of Fractions with a numerator in [-top, top] and a
+    denominator in [1, dens] drawn per element."""
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        a[idx] = Fraction(int(rng.integers(-top, top + 1)),
+                          int(rng.integers(1, dens + 1)))
+    return a
+
+
+@contextmanager
+def no_rational_unpacking():
+    """Fail any RationalField unpack (``Tensor.a`` included) in the block."""
+    with mock.patch.object(RationalField, "unpack",
+                           side_effect=AssertionError("unpacked")):
+        yield
+
+
+def assert_canonical(f):
+    """gcd(den, numerators) = 1, den > 0, and int64 storage exactly when
+    every numerator fits."""
+    nums = f.num.ravel().tolist()
+    assert isinstance(f, RationalField) and f.den > 0
+    assert math.gcd(f.den, *nums) == 1
+    assert (f.num.dtype == np.int64) == (max(map(abs, nums)) < 2 ** 63)
+    assert f.top == max(map(abs, nums))
+
+
+def assert_fractions_equal(got, ref):
+    """The same Fractions, value and type, as the object path."""
+    if isinstance(got, RationalField):
+        assert_canonical(got)
+        got = got.unpack()
+    ref = np.asarray(ref, dtype=object)
+    assert got.shape == ref.shape
+    for x, y in zip(got.flat, ref.flat):
+        assert type(x) is Fraction and type(y) is Fraction and x == y
+
+
+class TestRationalField:
+    """Packed Fraction tensors against the object path on the same
+    Fractions: equal values of type Fraction, canonical fields, and no
+    unpacking between packed operations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 10 ** 6))
+    def test_elementwise_matches_objects(self, rank, seed):
+        rng = np.random.default_rng(seed)
+        val = ("d",) * rank
+        ox, oy = (Tensor(3, val, random_fractions((3,) * rank, rng))
+                  for _ in range(2))
+        px, py = ox.pack(), oy.pack()
+        assert isinstance(px.field, RationalField) and px.kind() == "rational"
+        assert_fractions_equal(px.field, ox.a)
+        perm = tuple(rng.permutation(rank).tolist())
+        k, q = int(rng.integers(-9, 10)), Fraction(int(rng.integers(-9, 10)),
+                                                   int(rng.integers(1, 9)))
+        ops = [lambda t, u: t + u, lambda t, u: t - u, lambda t, u: -t,
+               lambda t, u: t + u.scale(-1), lambda t, u: t.scale(k),
+               lambda t, u: t.scale(q), lambda t, u: t.permuted(perm),
+               lambda t, u: (t - u).permuted(perm).scale(q) + t]
+        with no_rational_unpacking():
+            got = [op(px, py) for op in ops]
+        for op, g in zip(ops, got):
+            ref = op(ox, oy)
+            assert g.valence == ref.valence
+            assert_fractions_equal(g.field, ref.a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_operand_specs(), st.integers(0, 10 ** 6))
+    def test_one_operand_einsum_matches_objects(self, spec, seed):
+        """Transposes, diagonals and traces, rank-0 outputs included."""
+        rng = np.random.default_rng(seed)
+        a = random_fractions((3,) * len(spec.split("->")[0]), rng)
+        with no_rational_unpacking():
+            got = einsum(spec, RationalField.pack(a))
+        assert isinstance(got, RationalField)
+        assert_fractions_equal(got, np.einsum(spec, a, optimize=False))
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_operand_specs(), st.integers(0, 10 ** 6))
+    def test_two_operand_einsum_matches_objects(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (random_fractions(shape, rng)
+                for shape in operand_shapes(spec, 3))
+        with no_rational_unpacking():
+            got = einsum(spec, RationalField.pack(a), RationalField.pack(b))
+            mixed = einsum(spec, a, RationalField.pack(b))
+        ref = np.einsum(spec, a, b, optimize=False)
+        assert isinstance(got, RationalField)
+        assert_fractions_equal(got, ref)
+        assert_fractions_equal(mixed, ref)
+        assert_fractions_equal(einsum(spec, a, b), ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_chained_steps_without_unpack(self, seed):
+        """Contractions, sums and scalings in a chain, three-operand einsum
+        included, against the same chain on the objects."""
+        rng = np.random.default_rng(seed)
+        a, b, c = (random_fractions(shape, rng)
+                   for shape in [(3, 3, 3), (3, 3), (3,)])
+        pa, pb, pc = (RationalField.pack(x) for x in (a, b, c))
+        with no_rational_unpacking():
+            mid = einsum("abc,cd->abd", pa, pb)
+            got = einsum("abd,b->ad", mid - mid.transpose(2, 1, 0), pc)
+            got = got * Fraction(3, 14) + einsum("abc,cd,b->ad", pa, pb, pc)
+        m = np.einsum("abc,cd->abd", a, b, optimize=False)
+        ref = np.einsum("abd,b->ad", m - m.transpose(2, 1, 0), c,
+                        optimize=False) * Fraction(3, 14) \
+            + np.einsum("abc,cd,b->ad", a, b, c, optimize=False)
+        assert_fractions_equal(got, ref)
+
+    def test_indexing_and_rank0(self):
+        """Slices stay packed and canonical; one component is a Fraction."""
+        a = np.empty((2, 2), dtype=object)
+        a[...] = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+        a[1, 1] = Fraction(5, 6)
+        f = RationalField.pack(a)
+        assert (f.den, f.num.tolist()) == (6, [[3, 2], [9, 5]])
+        row = f[1, :]
+        assert_fractions_equal(row, a[1, :])
+        assert f[0, 1] == Fraction(1, 3) and type(f[0, 1]) is Fraction
+        zero = f * 0
+        assert (zero.den, zero.top) == (1, 0)
+        t = Tensor(2, ("d", "d"), f)
+        with no_rational_unpacking():
+            s = contract(Tensor(2, ("u", "d"), f), [(0, 1)])
+            assert s.item() == Fraction(4, 3) and not is_zero_tensor(t)
+            assert is_zero_tensor(t - t)
+
+    @pytest.mark.parametrize("n, fits", [(2 ** 63 - 1, True),
+                                         (2 ** 63, False)])
+    def test_pack_at_int64_bound(self, n, fits):
+        """A numerator just below 2**63 is stored as int64, one at it as a
+        Python int; both unpack exactly."""
+        a = np.empty(3, dtype=object)
+        a[:] = [Fraction(n, 3), Fraction(-n, 3), Fraction(0)]
+        f = RationalField.pack(a)
+        assert (f.num.dtype == np.int64) is fits and f.den == 3
+        assert_fractions_equal(f, a)
+        assert_fractions_equal(-f, -a)
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_sums_at_int64_bound(self, dim):
+        """The bound 2**63 itself is not below 2**63: each operation below
+        sums to exactly 2**63 there, which int64 cannot hold, and to
+        7 * 2**60 at dim 7, which it can."""
+        big = Fraction(2 ** 62)
+        a = np.empty((dim, dim), dtype=object)
+        a[...] = Fraction(2 ** 30)
+        f = RationalField.pack(a)
+        ref = Fraction(dim * 2 ** 60)
+        got = einsum("ab,bc->ac", f, f)
+        assert_fractions_equal(got, np.full((dim, dim), ref, dtype=object))
+        assert_fractions_equal(einsum("ab,cb->", f * 2 ** 30, f),
+                               np.einsum("ab,cb->", a * 2 ** 30, a))
+        x = np.full((2,), big, dtype=object)
+        y = np.full((2,), big - (dim == 7), dtype=object)
+        s = RationalField.pack(x) + RationalField.pack(y)
+        assert_fractions_equal(s, x + y)
+        assert_fractions_equal(RationalField.pack(y) * 2, y * 2)
+        assert_fractions_equal(RationalField.pack(x) - (-RationalField.pack(y)),
+                               x + y)
+
+    def test_object_ints_stay_packed_and_exact(self):
+        """Past int64 the numerators are Python ints; contractions, sums and
+        transposes on them stay packed and exact."""
+        rng = np.random.default_rng(9)
+        a = random_fractions((3, 3), rng) * (2 ** 61)
+        b = random_fractions((3, 3), rng)
+        pa, pb = RationalField.pack(a), RationalField.pack(b)
+        with no_rational_unpacking():
+            got = [einsum("ab,bc->ac", pa, pb), pa + pb, pa.transpose(),
+                   einsum("ab->ba", pa), pa * Fraction(2 ** 40, 3)]
+        refs = [np.einsum("ab,bc->ac", a, b), a + b, a.T, a.T,
+                a * Fraction(2 ** 40, 3)]
+        for g, r in zip(got, refs):
+            assert_fractions_equal(g, r)
+
+    def test_berger_stack_stays_packed(self):
+        """The exact Berger product at t = 4 runs from the metric through
+        the raised Weyl and Cotton tensors without an unpack."""
+        from curvlab.geometry import CurvatureStack
+        from curvlab.models import berger_product
+        ctx = berger_product(Fraction(4))
+        assert isinstance(ctx.metric_inv.field, RationalField)
+        st = CurvatureStack(ctx)
+        with no_rational_unpacking():
+            out = [st.gamma, st.rm, st.ric, st.schouten, st.weyl,
+                   st.weyl_dduu, st.cotton_ddu, st.rm_dduu, st.schouten_mixed]
+            scalar = st.scalar_curv
+        assert scalar == 0 and type(scalar) is Fraction
+        for t in out:
+            assert isinstance(t.field, RationalField)
+            assert_canonical(t.field)
+        assert [st.ric.a[i, i] for i in range(4)] == [32, -4, -4, 0]
+
+
 class TestEpsilonHodge:
     def test_euclidean_epsilon(self):
         eps = epsilon_form(diag_ctx(4, [1] * 4))
@@ -687,6 +908,42 @@ class TestEpsilonHodge:
         bad = Tensor.filled(3, ("d", "d"), Fraction(1))
         with pytest.raises(SlotError):
             hodge_star(ctx, bad)
+
+    def test_exact_antisymmetry_is_exact(self):
+        """An exact form off antisymmetry by 1e-13 is rejected, packed or
+        not; a float form is judged on its base-point values to 1e-10
+        relative."""
+        ctx = diag_ctx(3, [1, 1, 1])
+        form = zeros(3, ("d", "d"), RATIONAL)
+        form.a[0, 1], form.a[1, 0] = Fraction(1), Fraction(-1)
+        assert is_antisymmetric(form) and is_antisymmetric(form.pack())
+        form.a[1, 0] += Fraction(1, 10 ** 13)
+        for t in (form, form.pack()):
+            assert not is_antisymmetric(t)
+            with pytest.raises(SlotError):
+                hodge_star(ctx, t)
+        near = Tensor.filled(3, ("d", "d"), 0.0)
+        near.a[0, 1], near.a[1, 0] = 2.0, -2.0 + 1e-12
+        assert is_antisymmetric(near)
+        near.a[1, 0] = -2.0 + 1e-9
+        assert not is_antisymmetric(near)
+
+    def test_float_jet_antisymmetry_reads_base_points(self):
+        """Packed and object float jets (and Duals) give the same answer:
+        only the base-point values are compared."""
+        rng = np.random.default_rng(8)
+        alg = JetAlgebra.get(2, 3)
+        for kind in ("jet", "dual"):
+            a = random_jets(alg, (3, 3), rng, kind)
+            a = a - a.T
+            for t in (Tensor(3, ("d", "d"), a),
+                      Tensor(3, ("d", "d"), a).pack()):
+                assert is_antisymmetric(t)
+            b = a.copy()
+            b[0, 1] = b[0, 1] + 1e-6
+            for t in (Tensor(3, ("d", "d"), b),
+                      Tensor(3, ("d", "d"), b).pack()):
+                assert not is_antisymmetric(t)
 
 
 class TestRaiseLower:
