@@ -10,9 +10,11 @@ signed permutation sum wired straight into the factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -381,18 +383,20 @@ def _matrix_two_form(stack, which: str = "weyl") -> Tensor:
     return raise_slot(stack.ctx, W, 1)
 
 
+# the most components a chain step of a Phi-cycle holds: the middle factors
+# of a cycle carry one dim x dim matrix per (key, assignment) pair
+_CYCLE_COMPONENTS = 1 << 13
+
+
 def _assignments(values, degs):
     """Split a sorted tuple into per-factor index groups, pair groups kept
     increasing; yields (groups, parity) for each admissible arrangement."""
-    import itertools as it
-
     def rec(remaining, q):
         if q == len(degs):
             if not remaining:
                 yield []
             return
-        d = degs[q]
-        for pick in it.combinations(remaining, d):
+        for pick in itertools.combinations(remaining, degs[q]):
             rest = tuple(v for v in remaining if v not in pick)
             for tail in rec(rest, q + 1):
                 yield [pick] + tail
@@ -403,38 +407,123 @@ def _assignments(values, degs):
         yield groups, perm_sign(order)
 
 
-def _cycle_alt_form(factors, cycle, dim, ring) -> AltForm:
+def _index_arrays(groups) -> tuple:
+    """One int array per form slot that gathers a factor at ``groups``."""
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*groups))
+
+
+def _distinct(items) -> dict:
+    """Each distinct item to its position, in order of first appearance."""
+    return {x: i for i, x in enumerate(dict.fromkeys(items))}
+
+
+@lru_cache(maxsize=None)
+def _cycle_plan(dim: int, degs: tuple):
+    """The gathers and read-outs of one Phi-cycle whose factors have form
+    degrees ``degs``.
+
+    Returns (keys, pieces): keys are the increasing index tuples of the
+    total degree, and a piece (k0, k1, first, steps, last, parts) covers
+    some of the assignments of keys[k0:k1].  Factor 0 is gathered at
+    ``first``, its distinct form-index groups in the piece.  Each step
+    (xi, idx) multiplies the chain prefixes ``xi`` by factor j gathered at
+    ``idx``, one row per distinct prefix of j + 1 groups.  The last factor
+    is gathered at ``last``, its distinct groups, and the closing product
+    holds the trace of every (prefix, last group) pair.  Each part
+    (sign, read) reads the traces of the (key, assignment) pairs of one sign
+    out of it, with index arrays of shape (k1 - k0, assignments).
+
+    The assignments of a sorted key, and their signs, depend on positions
+    alone, so one table serves every key.  A gather at distinct groups is
+    never larger than its factor, but a chain step holds a matrix per
+    prefix, so a cycle with middle factors takes at most
+    ``_CYCLE_COMPONENTS // dim**2`` pairs per piece (one at least).
+    """
+    total = sum(degs)
+    keys = tuple(itertools.combinations(range(dim), total))
+    if not keys:
+        return keys, ()
+    table = tuple(_assignments(range(total), degs))
+    most = len(keys) * len(table)
+    if len(degs) > 2:
+        most = max(1, _CYCLE_COMPONENTS // dim ** 2)
+    rows = max(1, most // len(table))
+    width = min(len(table), most)
+    pieces = []
+    for k0 in range(0, len(keys), rows):
+        k1 = min(k0 + rows, len(keys))
+        for a0 in range(0, len(table), width):
+            cols = table[a0:a0 + width]
+            chains = {(k, a): [tuple(keys[k][p] for p in g) for g in groups]
+                      for k in range(k0, k1)
+                      for a, (groups, _) in enumerate(cols)}
+            prefixes = head = _distinct(tuple(t[:1])
+                                        for t in chains.values())
+            steps = []
+            for j in range(1, len(degs) - 1):
+                nxt = _distinct(tuple(t[:j + 1]) for t in chains.values())
+                xi = np.array([prefixes[p[:j]] for p in nxt], dtype=np.intp)
+                steps.append((xi, _index_arrays([p[j] for p in nxt])))
+                prefixes = nxt
+            last = _distinct(t[-1] for t in chains.values())
+            parts = []
+            for sign in (1, -1):
+                picked = [a for a, (_, s) in enumerate(cols) if s == sign]
+                if not picked:
+                    continue
+                where = [[chains[k, a] for a in picked]
+                         for k in range(k0, k1)]
+                read = [[[last[t[-1]] for t in r] for r in where]]
+                if len(degs) > 1:
+                    read.insert(0, [[prefixes[tuple(t[:-1])] for t in r]
+                                    for r in where])
+                parts.append((sign, tuple(np.array(x, dtype=np.intp)
+                                          for x in read)))
+            pieces.append((k0, k1, _index_arrays([p[0] for p in head]),
+                           tuple(steps), _index_arrays(last), tuple(parts)))
+    return keys, tuple(pieces)
+
+
+def _cycle_alt_form(factors, cycle, dim) -> AltForm:
     """Compressed Alt of the matrix-trace chain over one Phi-cycle.
 
     Each factor is a matrix-valued form with valence (d, u, form-slots...);
     the trace closes over the matrix slots, the form slots are skewed.  The
-    per-factor antisymmetry halves the permutation count per 2-form.
+    per-factor antisymmetry halves the permutation count per 2-form.  Each
+    piece of the cycle's plan gathers the factors at their distinct index
+    groups, makes one contraction per middle factor and one closing the
+    trace, and sums the assignments of each key and sign in one more.
     """
     mats = [factors[a] for a in cycle]
-    degs = [f.rank - 2 for f in mats]
-    total = sum(degs)
-    m2 = sum(1 for d in degs if d == 2)
-    weight = Fraction(2 ** m2, math.factorial(total))
-    letters = "ABCDEFGH"
-    subs = ",".join(letters[q] + letters[(q + 1) % len(mats)]
-                    for q in range(len(mats))) + "->"
-    comps = {}
-    import itertools as it
-    for key in it.combinations(range(dim), total):
+    degs = tuple(f.rank - 2 for f in mats)
+    weight = Fraction(2 ** degs.count(2), math.factorial(sum(degs)))
+    keys, pieces = _cycle_plan(dim, degs)
+    mat = (slice(None), slice(None))
+    sums = {}
+    for k0, k1, first, steps, last, parts in pieces:
+        closing = mats[-1].data[mat + last]
+        if len(mats) == 1:
+            out = einsum("aaS->S", closing)
+        else:
+            chain = mats[0].data[mat + first]
+            for j, (xi, idx) in enumerate(steps, 1):
+                chain = einsum("abX,bcX->acX", chain[mat + (xi,)],
+                               mats[j].data[mat + idx])
+            out = einsum("abX,baS->XS", chain, closing)
         acc = None
-        for groups, sign in _assignments(key, degs):
-            slices = [m.data[(slice(None), slice(None)) + g]
-                      for m, g in zip(mats, groups)]
-            val = einsum(subs, *slices)[()]
-            term = val if sign > 0 else -val
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            val = weight * acc
-            nonzero = (not val.is_zero()) if hasattr(val, "is_zero") \
-                else bool(val)
-            if nonzero:
-                comps[key] = val
-    return AltForm(dim, total, comps)
+        for sign, read in parts:
+            val = einsum("KA->K", out[read])
+            val = val if sign > 0 else -val
+            acc = val if acc is None else acc + val
+        for i, key in enumerate(keys[k0:k1]):
+            x = acc[i]
+            sums[key] = sums[key] + x if key in sums else x
+    comps = {}
+    for key, x in sums.items():
+        x = weight * x
+        if x:
+            comps[key] = x
+    return AltForm(dim, sum(degs), comps)
 
 
 def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
@@ -453,7 +542,7 @@ def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
         for cyc in _cycles(sigma):
             key = _canonical_cycle_key(cyc, factors)
             if key not in cache:
-                cache[key] = _cycle_alt_form(factors, cyc, dim, stack.ring)
+                cache[key] = _cycle_alt_form(factors, cyc, dim)
             part = cache[key]
             chain_form = part if chain_form is None else chain_form.alt_mul(part)
         result = result.add(chain_form.scale(c))

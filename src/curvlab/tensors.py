@@ -793,6 +793,23 @@ def is_zero_tensor(t: Tensor) -> bool:
 # -- compressed alternating forms ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _alt_mul_plan(dim: int, p: int, q: int) -> tuple:
+    """(key, splits) for every increasing key of p + q indices: each split
+    (s, t, sign) takes the p indices s and the q indices t of the key, both
+    increasing, with the sign of the permutation that sorts s + t."""
+    splits = []
+    for spos in itertools.combinations(range(p + q), p):
+        tpos = tuple(i for i in range(p + q) if i not in spos)
+        order = spos + tpos
+        splits.append((spos, tpos, perm_sign(tuple(sorted(
+            range(p + q), key=lambda i: order[i])))))
+    return tuple((idx, tuple((tuple(idx[i] for i in s),
+                              tuple(idx[i] for i in t), sign)
+                             for s, t, sign in splits))
+                 for idx in itertools.combinations(range(dim), p + q))
+
+
 class AltForm:
     """Antisymmetric all-down form stored on strictly increasing index tuples."""
 
@@ -845,16 +862,11 @@ class AltForm:
         w = Fraction(math.factorial(p) * math.factorial(q),
                      math.factorial(p + q))
         comps = {}
-        for idx in itertools.combinations(range(self.dim), p + q):
+        for idx, splits in _alt_mul_plan(self.dim, p, q):
             acc = None
-            for spos in itertools.combinations(range(p + q), p):
-                sset = tuple(idx[i] for i in spos)
-                tset = tuple(idx[i] for i in range(p + q) if i not in spos)
+            for sset, tset, sign in splits:
                 if sset not in self.comps or tset not in other.comps:
                     continue
-                rel = sset + tset
-                sign = perm_sign(tuple(sorted(range(len(rel)),
-                                              key=lambda i: rel[i])))
                 term = self.comps[sset] * other.comps[tset]
                 if sign < 0:
                     term = -term

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from curvlab.models import berger_product, random_chart
+from curvlab.models import berger_product, fs_cp2_chart, random_chart
 
 # Property tests draw fresh examples on every run by default.  CI runs with
 # --hypothesis-profile=ci, which derives every example from the test itself,
@@ -31,3 +31,9 @@ def chart4():
 @pytest.fixture(scope="session")
 def chart4_stack(chart4):
     return chart4.stack
+
+
+@pytest.fixture(scope="session")
+def cp2_exact():
+    """The exact-jet Fubini-Study CP^2 chart at jet order 3."""
+    return fs_cp2_chart(jet_order=3, exact=True)

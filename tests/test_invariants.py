@@ -13,8 +13,7 @@ from curvlab.invariants import (InvariantPolynomial, K_star, T_k_W,
                                 phi_w_c_form, rho_phi, star_p_phi_form,
                                 star_rho_general, trace_mixed, xi_k)
 from curvlab.jets import scalar_float
-from curvlab.models import (berger_product, flat_chart, fs_cp2_chart,
-                            killing_field_T, random_chart,
+from curvlab.models import (berger_product, flat_chart, killing_field_T, random_chart,
                             round_sphere_chart)
 from curvlab.polys import Poly
 from curvlab.scalars import RATIONAL
@@ -142,10 +141,9 @@ class TestPPhi:
 
 
 class TestRho:
-    def test_einstein_reduction(self):
+    def test_einstein_reduction(self, cp2_exact):
         """C = 0 forces rho = grad p_Phi(W) / (2k) (FS chart is Einstein)."""
-        ctx = fs_cp2_chart(jet_order=3, exact=True)
-        st = ctx.stack
+        st = cp2_exact.stack
         phi = InvariantPolynomial.pair_swap()
         rho = rho_phi(st, phi)
         p = p_phi_scalar(st, phi, "weyl")
@@ -305,3 +303,23 @@ def test_xi_invariance_beyond_k2():
     u0 = ups.value_at_base(ctx)
     assert residual(xi3h.components.at_point().scale(math.exp(6 * u0)),
                     xi3.components.at_point()) < 1e-10
+
+
+def test_rho_invariance_in_dimension_eight():
+    """e^{8 Ups} rho-hat^Phi = rho^Phi for Phi = (tr w^2)^2 on a random
+    8-dimensional chart, at least 6 decades inside the 1e-8 invariance
+    tolerance.  |rho| is about 1e-5 here, so the residual is taken relative
+    to max|rho|, not to ``residual``'s floor of 1."""
+    from curvlab.conformal import ConformalFactor, rescale
+    from curvlab.models import random_conformal_factor
+    ctx = random_chart(8, seed=81, jet_order=3)
+    ups = ConformalFactor.from_poly(random_conformal_factor(8, seed=81))
+    phi = InvariantPolynomial.trace_power(2)
+    rho = rho_phi(ctx.stack, phi)
+    assert rho.weight == -8
+    rho_h = rho_phi(rescale(ctx, ups).stack, phi)
+    a = rho.components.at_point()
+    b = rho_h.components.at_point().scale(
+        math.exp(8 * ups.value_at_base(ctx)))
+    rel = max_abs(a - b) / max_abs(a)
+    assert math.log10(1e-8 / rel) >= 6

@@ -828,16 +828,25 @@ class TestRationalField:
 
     def test_berger_stack_stays_packed(self):
         """The exact Berger product at t = 4 runs from the metric through
-        the raised Weyl and Cotton tensors without an unpack."""
+        the raised Weyl and Cotton tensors and the Phi-chain without an
+        unpack."""
         from curvlab.geometry import CurvatureStack
+        from curvlab.invariants import (InvariantPolynomial, phi_w_c_form,
+                                        rho_phi)
         from curvlab.models import berger_product
         ctx = berger_product(Fraction(4))
         assert isinstance(ctx.metric_inv.field, RationalField)
         st = CurvatureStack(ctx)
+        phi = InvariantPolynomial.pair_swap()
         with no_rational_unpacking():
             out = [st.gamma, st.rm, st.ric, st.schouten, st.weyl,
                    st.weyl_dduu, st.cotton_ddu, st.rm_dduu, st.schouten_mixed]
             scalar = st.scalar_curv
+            G = phi_w_c_form(st, phi)
+            rho = rho_phi(st, phi).components
+        assert G.comps == {(0, 1, 2): -96}
+        assert isinstance(rho.field, RationalField)
+        assert_canonical(rho.field)
         assert scalar == 0 and type(scalar) is Fraction
         for t in out:
             assert isinstance(t.field, RationalField)
