@@ -13,8 +13,8 @@ from curvlab.invariants import (InvariantPolynomial, K_star, T_k_W,
                                 phi_w_c_form, rho_phi, star_p_phi_form,
                                 star_rho_general, trace_mixed, xi_k)
 from curvlab.jets import scalar_float
-from curvlab.models import (berger_product, flat_chart, killing_field_T, random_chart,
-                            round_sphere_chart)
+from curvlab.models import (berger_product, flat_chart, killing_field_T,
+                            random_chart, round_sphere_chart)
 from curvlab.polys import Poly
 from curvlab.scalars import RATIONAL
 from curvlab.tensors import (Permutation, Tensor, generalized_delta,
@@ -49,8 +49,8 @@ class TestPfaffian:
 
 
 class TestXi:
-    def test_conformally_flat_vanishes(self):
-        st = round_sphere_chart(4, jet_order=3, exact=True).stack
+    def test_conformally_flat_vanishes(self, s4_exact):
+        st = s4_exact.stack
         assert is_zero_tensor(xi_k(st, 2).components)
 
     def test_killing_pairing_on_berger(self, berger4, berger4_stack):
@@ -305,14 +305,14 @@ def test_xi_invariance_beyond_k2():
                     xi3.components.at_point()) < 1e-10
 
 
-def test_rho_invariance_in_dimension_eight():
+def test_rho_invariance_in_dimension_eight(chart8):
     """e^{8 Ups} rho-hat^Phi = rho^Phi for Phi = (tr w^2)^2 on a random
     8-dimensional chart, at least 6 decades inside the 1e-8 invariance
     tolerance.  |rho| is about 1e-5 here, so the residual is taken relative
     to max|rho|, not to ``residual``'s floor of 1."""
     from curvlab.conformal import ConformalFactor, rescale
     from curvlab.models import random_conformal_factor
-    ctx = random_chart(8, seed=81, jet_order=3)
+    ctx = chart8
     ups = ConformalFactor.from_poly(random_conformal_factor(8, seed=81))
     phi = InvariantPolynomial.trace_power(2)
     rho = rho_phi(ctx.stack, phi)

@@ -1,5 +1,6 @@
-"""The batched Phi-cycle contraction against the per-assignment loop it
-replaced, on every scalar kind and cycle shape the Phi-chain meets.
+"""The batched Phi-cycle contraction against the per-assignment loop, kept
+here as the reference, on every scalar kind and cycle shape the Phi-chain
+meets.
 
 ``reference_cycle_alt_form`` is that loop: one contraction per (key,
 assignment) pair on views of the factors.  The batched code sums in its own
@@ -22,8 +23,7 @@ from curvlab.conformal import ConformalFactor, _dual_context
 from curvlab.invariants import (InvariantPolynomial, phi_w_c_form, rho_phi,
                                 star_p_phi_form)
 from curvlab.jets import Dual, Jet, JetAlgebra
-from curvlab.models import (berger_product, random_chart,
-                            random_conformal_factor, round_sphere_chart)
+from curvlab.models import berger_product, random_conformal_factor
 from curvlab.tensors import AltForm, Permutation, Tensor, einsum, perm_sign
 
 FLOAT_TOL = 1e-13
@@ -140,14 +140,13 @@ def test_exact_berger_frames(t, berger4_stack):
     assert list(got.components.a) == list(ref.components.a)
 
 
-def test_exact_jet_charts(cp2_exact):
+def test_exact_jet_charts(s4_exact, cp2_exact):
     """Exact jets run numpy's object einsum: the round S^4 (W = C = 0, as
     the core_identities suite runs it) and the Einstein FS CP^2 chart, whose
     Weyl tensor is not zero."""
     phi = InvariantPolynomial.pair_swap()
-    s4 = round_sphere_chart(4, jet_order=3, exact=True).stack
     for fn in (phi_w_c_form, star_p_phi_form):
-        assert_exact_equal(*batched_and_reference(fn, s4, phi))
+        assert_exact_equal(*batched_and_reference(fn, s4_exact.stack, phi))
     got, ref = batched_and_reference(star_p_phi_form, cp2_exact.stack, phi)
     assert got.comps
     assert_exact_equal(got, ref)
@@ -156,24 +155,23 @@ def test_exact_jet_charts(cp2_exact):
 # -- float kinds ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim, phi", [
-    (4, InvariantPolynomial.pair_swap()),
-    (6, InvariantPolynomial.pair_swap()),
-    (8, InvariantPolynomial.trace_power(2)),     # two 2-cycles and alt_mul
+@pytest.mark.parametrize("chart, phi", [
+    ("chart4", InvariantPolynomial.pair_swap()),
+    ("chart6", InvariantPolynomial.pair_swap()),
+    ("chart8", InvariantPolynomial.trace_power(2)),  # two 2-cycles, alt_mul
 ])
-def test_float_random_charts(dim, phi):
-    st = random_chart(dim, seed=40 + dim, jet_order=3).stack
+def test_float_random_charts(chart, phi, request):
+    st = request.getfixturevalue(chart).stack
     for fn in (phi_w_c_form, star_p_phi_form):
         got, ref = batched_and_reference(fn, st, phi)
         assert got.comps
         assert_float_close(got, ref)
 
 
-def test_dual_context_of_linearize():
+def test_dual_context_of_linearize(chart4):
     """The dual-number stack ``linearize(ctx, "rho_phi", ...)`` runs on."""
-    ctx = random_chart(4, seed=12, jet_order=3)
     ups = ConformalFactor.from_poly(random_conformal_factor(4, seed=12))
-    st = _dual_context(ctx, ups.field(ctx)).stack
+    st = _dual_context(chart4, ups.field(chart4)).stack
     phi = InvariantPolynomial.pair_swap()
     for fn in (phi_w_c_form, star_p_phi_form):
         got, ref = batched_and_reference(fn, st, phi)
