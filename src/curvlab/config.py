@@ -23,6 +23,13 @@ def _fraction(value) -> Fraction:
         raise ConfigError(f"bad rational literal {value!r}") from exc
 
 
+def check_jet_order(order: int) -> int:
+    """order itself, or ConfigError unless it is at least 1."""
+    if order < 1:
+        raise ConfigError(f"jet order must be at least 1, got {order}")
+    return order
+
+
 def _poly(dim: int, data: dict) -> Poly:
     try:
         return Poly(dim, {tuple(int(s) for s in key.split(",")): _fraction(val)
@@ -61,7 +68,8 @@ def _context(cfg: dict) -> GeometryContext:
                 row.append(RationalFunc(num, den))
             entries.append(row)
         return ChartContext.from_polys(
-            entries, base_point=base, jet_order=int(cfg.get("jet_order", 3)),
+            entries, base_point=base,
+            jet_order=check_jet_order(int(cfg.get("jet_order", 3))),
             exact=exact, orientation=orientation,
             name=cfg.get("name", "chart"))
     if kind == "frame":

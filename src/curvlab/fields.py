@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,13 +154,24 @@ class JetField(_Field):
 
     def __getitem__(self, idx) -> "JetField | Jet | Dual":
         """numpy indexing on the component axes; an index that picks one
-        component gives that component as a new ``Jet`` (or ``Dual``)."""
+        component gives that component as a new ``Jet`` (or ``Dual``).  Only
+        the coefficient rows up to the largest picked ``valid`` are
+        gathered; the rows above are zero."""
         idx = idx if isinstance(idx, tuple) else (idx,)
-        parts = [(c[(slice(None),) + idx], v[idx]) for c, v in self._parts()]
-        if np.ndim(parts[0][1]):
-            return self._with(parts)
-        jets = [Jet(self.alg, c.copy(), int(v), False) for c, v in parts]
-        return jets[0] if len(jets) == 1 else Dual(*jets)
+        if np.ndim(self.v[idx]) == 0:
+            jets = [Jet(self.alg, c[(slice(None),) + idx].copy(), int(v[idx]),
+                        False) for c, v in self._parts()]
+            return jets[0] if len(jets) == 1 else Dual(*jets)
+        flat = np.arange(self.v.size).reshape(self.shape)[idx]
+        parts = []
+        for c, v in self._parts():
+            v = v[idx]
+            live = self.alg.upto[v.max()]
+            out = np.empty((self.alg.N,) + v.shape)
+            out[live:] = 0.0
+            out[:live] = np.take(c[:live].reshape(live, -1), flat, axis=1)
+            parts.append((out, v))
+        return self._with(parts)
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -277,7 +289,7 @@ def _field_einsum1(spec: str, f: JetField) -> JetField:
 
 # -- dense float-jet kernel ------------------------------------------------------
 
-_BLOCK_FLOATS = 1 << 15     # operand gathers plus output of one kernel block
+_BLOCK_FLOATS = 1 << 15     # shifted operand plus output of one kernel block
 
 
 def _float_jet_einsum(spec: str, a, b):
@@ -297,42 +309,159 @@ def _float_jet_einsum(spec: str, a, b):
     if fb is None or fb.alg is not fa.alg:
         return None
     alg, (ra, *ima), (rb, *imb) = fa.alg, fa._parts(), fb._parts()
-    pair = next(x for x in _LETTERS if x not in spec)
-    re_c, re_v = _jet_product(alg, spec, pair, ra, rb)
+    re_c, re_v = _jet_product(alg, spec, ra, rb)
     runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
     if not runs:
         return JetField(alg, re_c, re_v)
     im_c, im_v = 0.0, re_v
     for x, y in runs:
-        c, v = _jet_product(alg, spec, pair, x, y)
+        c, v = _jet_product(alg, spec, x, y)
         im_c = im_c + c
         im_v = np.minimum(im_v, v)
     return JetField(alg, re_c, re_v, _zero_above(alg, im_c, im_v), im_v)
 
 
-def _jet_product(alg, spec: str, pair: str, a, b):
+def _jet_product(alg, spec: str, a, b):
     """The contraction ``spec`` of two packed float-jet operands.
 
     a and b are (coefficients, valid) parts of ``JetField``s.  Returns the
     output's (coefficients, valid), coefficient axis leading, zero above
-    each output's ``valid``.  The pair table holds every monomial pair up to
-    the largest output ``valid``, sorted by product monomial; each block of
-    it is one float einsum with the pair axis ``pair`` leading, summed per
-    product monomial by ``np.add.reduceat``.
+    each output's ``valid``.  Truncated series multiply as a lower
+    triangular Toeplitz matrix (Griewank & Walther, Evaluating Derivatives,
+    2008, ch. 13): output monomial m sums F[x] S[m - x] over the monomials
+    x <= m, so the operand S is expanded through the shift table up to the
+    largest output ``valid`` and each block of output monomials is one
+    ``np.matmul`` of the other operand F against it, the summed letters and
+    x together forming the inner axis.
     """
     (ca, va), (cb, vb) = a, b
-    v = _min_valid(spec, va, vb)
+    p = _product_plan(spec, va.shape, vb.shape)
+    lo = va.flat[0]
+    if (va == lo).all() and (vb == vb.flat[0]).all():
+        v = np.full(p.out_shape, min(lo, vb.flat[0]), dtype=va.dtype)
+        uniform = True
+    else:
+        v = _min_valid(spec, va, vb)
+        uniform = False
+    cap = int(v.max())
+    n = alg.upto[cap]
+    ca, cb = ca[:n], cb[:n]
+    if p.pre_a:
+        ca = np.einsum(p.pre_a, ca)
+    if p.pre_b:
+        cb = np.einsum(p.pre_b, cb)
+    if p.swap:
+        ca, cb = cb, ca
+    nb, nf, nk, ns = p.sizes
+    fixed = ca.transpose(p.perm_f).reshape(nb, nf, nk, n)
+    shifted = np.zeros((nb, nk, n + 1, ns))     # row n: the zero row
+    shifted[:, :, :n] = cb.transpose(p.perm_s).reshape(nb, nk, n, ns)
+    c = np.zeros((alg.N,) + p.out_shape)
+    view = c.transpose(p.perm_o)
+    lead = (slice(None),) * len(p.fixed_out_shape)
+    s = _shift_table(alg, cap)
+    for m0, m1 in _shift_blocks(alg, cap, nb * nk * ns, nb * nf * ns):
+        f = fixed[..., :m1].reshape(nb, nf, nk * m1)
+        g = np.take(shifted, s[:m1, m0:m1], axis=2).reshape(
+            nb, nk * m1, (m1 - m0) * ns)
+        view[lead + (slice(m0, m1),)] = np.matmul(f, g).reshape(
+            p.fixed_out_shape + (m1 - m0,) + p.free_s_shape)
+    if not uniform:
+        _zero_above(alg, c, v)
+    return c, v
+
+
+class _ProductPlan(NamedTuple):
+    pre_a: str | None       # one-operand step on a's coefficients, or None
+    pre_b: str | None
+    swap: bool              # a is the shifted operand
+    perm_f: tuple           # fixed coefficients to (batch, free, summed, x)
+    perm_s: tuple           # shifted ones to (batch, summed, x, free)
+    perm_o: tuple           # output coefficients to (batch, free_f, m, free_s)
+    sizes: tuple            # (batch, free_f, summed, free_s) sizes
+    fixed_out_shape: tuple  # the extents of the batch and free_f letters
+    free_s_shape: tuple     # the extents of the free_s letters
+    out_shape: tuple
+
+
+@lru_cache(maxsize=None)
+def _product_plan(spec: str, shape_a: tuple, shape_b: tuple) -> _ProductPlan:
+    """How ``_jet_product`` runs ``spec`` on component shapes a and b.
+
+    A letter repeated in one operand takes the diagonal, and one found in
+    a single operand and not in the output is summed, by a one-operand step
+    first.  The rest are batch letters (both operands and the output), free
+    letters (one operand and the output) and summed letters (both operands
+    only).  The operand with fewer free components is shifted.
+    """
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    pspec = f"{pair}{sa},{pair}{sb}->{pair}{out}"
-    size = v.size
-    ia, ib, blocks = _pair_blocks(alg, int(v.max()),
-                                  va.size + vb.size + size)
-    c = np.zeros((alg.N, size))
-    for p0, p1, starts, m0, m1 in blocks:
-        t = np.einsum(pspec, ca[ia[p0:p1]], cb[ib[p0:p1]])
-        c[m0:m1] = np.add.reduceat(t, starts, axis=0).reshape(m1 - m0, size)
-    return _zero_above(alg, c.reshape((alg.N,) + v.shape), v), v
+    extent = dict(zip(sa + sb, shape_a + shape_b))
+    coef = next(x for x in _LETTERS if x not in spec)
+
+    def kept(sub, other):
+        return "".join(x for x in dict.fromkeys(sub) if x in out or x in other)
+
+    ka, kb = kept(sa, sb), kept(sb, sa)
+    pre_a = None if ka == sa else f"{coef}{sa}->{coef}{ka}"
+    pre_b = None if kb == sb else f"{coef}{sb}->{coef}{kb}"
+    batch = [x for x in out if x in ka and x in kb]
+    summed = [x for x in ka if x in kb and x not in out]
+    free_a = [x for x in out if x not in kb]
+    free_b = [x for x in out if x not in ka]
+
+    def size(letters):
+        return math.prod(extent[x] for x in letters)
+
+    swap = size(free_a) < size(free_b)
+    (kf, free_f), (ks, free_s) = ((kb, free_b), (ka, free_a)) if swap \
+        else ((ka, free_a), (kb, free_b))
+
+    def axes(sub, letters):
+        return [1 + sub.index(x) for x in letters]
+
+    return _ProductPlan(
+        pre_a, pre_b, swap,
+        tuple(axes(kf, batch + free_f + summed) + [0]),
+        tuple(axes(ks, batch + summed) + [0] + axes(ks, free_s)),
+        tuple(axes(out, batch + free_f) + [0] + axes(out, free_s)),
+        (size(batch), size(free_f), size(summed), size(free_s)),
+        tuple(extent[x] for x in batch + free_f),
+        tuple(extent[x] for x in free_s),
+        tuple(extent[x] for x in out))
+
+
+@lru_cache(maxsize=None)
+def _shift_table(alg, cap: int) -> np.ndarray:
+    """s[x, m]: the monomial m - x, or ``alg.upto[cap]`` (a zero row) where
+    m - x is not a monomial; x and m run over the monomials up to degree
+    cap."""
+    ia, ib, io = alg.mul_table(cap)
+    n = alg.upto[cap]
+    s = np.full((n, n), n)
+    s[ia, io] = ib
+    s.flags.writeable = False
+    return s
+
+
+@lru_cache(maxsize=None)
+def _shift_blocks(alg, cap: int, per_entry: int, per_monomial: int) -> tuple:
+    """The output monomials up to degree cap cut into blocks (m0, m1).
+
+    Monomials are sorted by degree, so x <= m gives x < m1 and a block's
+    shifted operand holds m1 * (m1 - m0) * ``per_entry`` floats, its output
+    (m1 - m0) * ``per_monomial``; together at most ``_BLOCK_FLOATS``, or one
+    monomial.
+    """
+    n, blocks, m0 = alg.upto[cap], [], 0
+    while m0 < n:
+        m1 = m0 + 1
+        while m1 < n and (m1 + 1 - m0) * ((m1 + 1) * per_entry
+                                          + per_monomial) <= _BLOCK_FLOATS:
+            m1 += 1
+        blocks.append((m0, m1))
+        m0 = m1
+    return tuple(blocks)
 
 
 def _min_valid(spec: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -356,32 +485,6 @@ def _spread(v: np.ndarray, sub: str, letters: str) -> np.ndarray:
     v = v.transpose([uniq.index(x) for x in ordered])
     shape = [v.shape[ordered.index(x)] if x in uniq else 1 for x in letters]
     return v.reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _pair_blocks(alg, cap: int, per_pair: int):
-    """``alg.mul_table(cap)`` sorted by product monomial, cut into blocks.
-
-    Returns (ia, ib, blocks); each block (p0, p1, starts, m0, m1) takes the
-    pairs p0:p1, which make the product monomials m0:m1, with ``starts`` the
-    block-relative first pair of each.  Blocks end at monomial boundaries
-    and hold at most ``_BLOCK_FLOATS // per_pair`` pairs, or one monomial.
-    """
-    ia, ib, io = alg.mul_table(cap)
-    order = np.argsort(io, kind="stable")
-    ia, ib, io = ia[order], ib[order], io[order]
-    first = np.flatnonzero(np.r_[True, io[1:] != io[:-1]])
-    bounds = np.r_[first, len(io)]          # monomial m takes bounds[m:m+2]
-    most = max(1, _BLOCK_FLOATS // per_pair)
-    blocks, m0 = [], 0
-    while m0 < len(first):
-        m1 = m0 + 1
-        while m1 < len(first) and bounds[m1 + 1] - bounds[m0] <= most:
-            m1 += 1
-        p0, p1 = bounds[m0], bounds[m1]
-        blocks.append((p0, p1, first[m0:m1] - p0, m0, m1))
-        m0 = m1
-    return ia, ib, tuple(blocks)
 
 
 # -- packed exact rationals -------------------------------------------------

@@ -15,6 +15,7 @@ from .conformal import (ConformalFactor, _hess_j, _w_check_sq, _wp,
                         clone_context, invariance_residual, linearize,
                         linearize_fd, naturality_rank_test, rescale,
                         verify_ac_identities, verify_pfaffian_identity)
+from .config import check_jet_order
 from .errors import ConfigError, ExactnessError
 from .geometry import GeometryContext
 from .invariants import (InvariantPolynomial, conformal_killing_K,
@@ -785,6 +786,13 @@ SUITES = {
 
 
 def run_suite(name: str, **options) -> list[VerificationReport]:
+    trials, tol = options.get("trials"), options.get("tol")
+    if trials is not None and trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if options.get("jet_order") is not None:
+        check_jet_order(options["jet_order"])
     if name == "all":
         return [SUITES[s](**options) for s in sorted(SUITES)]
     if name not in SUITES:

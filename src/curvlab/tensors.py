@@ -42,14 +42,16 @@ Each step dispatches on its operands' scalars alone:
   over them, run a dense kernel on packed fields (an object-array operand
   is packed for the call, and the result unpacked unless an operand came
   packed).  Each output's ``valid`` is the min over the components that
-  feed it (what the chain of ``Jet.__mul__``/``__add__`` calls gives), and
-  the jet multiplication table up to the largest output
-  ``valid`` is taken sorted by product monomial.  Each block of that table
-  is one float ``np.einsum`` with a leading pair axis, summed per monomial
-  by ``np.add.reduceat``.  A block ends at a monomial boundary and holds at
-  most ``_BLOCK_FLOATS`` floats of operand gathers plus output.  The
-  coefficients above each output's ``valid`` are zeroed.  A Dual product is
-  the runs re.re and re.im + im.re.
+  feed it (what the chain of ``Jet.__mul__``/``__add__`` calls gives).
+  Diagonals and letters of one operand that the output drops are summed
+  first; the operand with fewer free components is then expanded through
+  the jet algebra's shift table (s[x, m] = m - x up to the largest output
+  ``valid``, a zero row where m - x is no monomial), and each block of
+  output monomials is one ``np.matmul`` against the other operand, with x
+  and the summed letters as the inner axis.  A block's expanded operand
+  plus its output hold at most ``_BLOCK_FLOATS`` floats.  The coefficients
+  above each output's ``valid`` are zeroed.  A Dual product is the runs
+  re.re and re.im + im.re.
 - One packed float-jet operand sums (or transposes) its coefficients, each
   output's ``valid`` the min over the components summed into it.
 - One or two ``RationalField`` operands, or two object arrays of Fractions

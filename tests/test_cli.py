@@ -60,6 +60,22 @@ class TestExitCodes:
                      "--model", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--trials", "-3"], "trials must be at least 1"),
+        (["--tol", "nan"], "tol must be finite and positive"),
+        (["--tol", "inf"], "tol must be finite and positive"),
+        (["--tol", "-1"], "tol must be finite and positive"),
+        (["--tol", "0"], "tol must be finite and positive"),
+        (["--jet-order", "-1"], "jet order must be at least 1"),
+        (["--jet-order", "0"], "jet order must be at least 1"),
+    ])
+    def test_meaningless_arguments_exit_two(self, args, message, capsys):
+        """Arguments under which a verification would prove nothing are
+        configuration errors, not passes or failed verifications."""
+        assert main(["verify", "--suite", "thm_invariance"] + args) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc", [RuntimeError, KeyError])
     def test_internal_error_exits_three(self, exc, monkeypatch, capsys):
         def crash(*args, **kwargs):
@@ -122,6 +138,17 @@ class TestModelConfigPath:
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--suite", "thm_invariance",
                      "--model", str(path), "--trials", "1"]) == 0
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_config_jet_order_below_one_exits_two(self, order, tmp_path,
+                                                  capsys):
+        cfg = json.loads((CONFIGS / "round_s4_chart.json").read_text())
+        cfg["jet_order"] = order
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_invariance",
+                     "--model", str(path), "--trials", "1"]) == 2
+        assert "jet order must be at least 1" in capsys.readouterr().err
 
     def test_broken_config_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -21,6 +21,7 @@ from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              max_abs, perm_sign, raise_lower, raise_slot,
                              residual, signed_permutations, symmetrize,
                              tensors_equal, zeros)
+from curvlab import fields
 from curvlab.fields import JetField, RationalField, _rational_einsum
 
 
@@ -308,12 +309,13 @@ class TestEinsumKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(two_operand_specs(), st.sampled_from([2, 3]),
-           st.sampled_from([3, 5]), st.sampled_from(["jet", "dual"]),
+           st.sampled_from([1, 2, 4]), st.sampled_from([3, 5]),
+           st.sampled_from(["jet", "dual"]),
            st.sampled_from(["jet", "dual"]), st.integers(0, 10 ** 6))
-    def test_float_jets_match_object_einsum(self, spec, dim, order, ka, kb,
-                                            seed):
+    def test_float_jets_match_object_einsum(self, spec, dim, nvars, order,
+                                            ka, kb, seed):
         rng = np.random.default_rng(seed)
-        alg = JetAlgebra.get(2, order)
+        alg = JetAlgebra.get(nvars, order)
         a, b = (random_jets(alg, shape, rng, kind) for shape, kind
                 in zip(operand_shapes(spec, dim), (ka, kb)))
         got = einsum(spec, a, b)
@@ -321,6 +323,56 @@ class TestEinsumKernel:
         assert isinstance(got, np.ndarray) and got.shape == ref.shape
         for x, y in zip(got.flat, ref.flat):
             assert_jets_close(x, y)
+
+    @pytest.mark.parametrize("spec", [
+        "abcd,ce->abed",        # b shifted: 4 free components against 64
+        "ce,abcd->abed",        # a shifted
+        "cae,ebd->abcd",        # a tie: b shifted
+        "ik,jl->ijkl",          # no summed letter
+        "abc,abd->cad",         # a batch letter
+        "ab,ab->ab",            # batch letters only
+        "abcd,->abcd",          # rank-0 operand
+        ",->",                  # rank-0 operands and output
+        "cdab,abcd->",          # rank-0 output
+        "abb,cdcd->a",          # diagonals and traces taken first
+    ])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_order5_four_variables(self, spec, uniform):
+        """Four jet variables at order 5 (126 coefficients), as the chart
+        workloads run them, with every operand's ``valid`` the order or
+        drawn per component."""
+        rng = np.random.default_rng(len(spec) + uniform)
+        alg = JetAlgebra.get(4, 5)
+        low = alg.order if uniform else 0
+        a, b = (random_jets(alg, shape, rng, "jet", low) for shape
+                in operand_shapes(spec, 3))
+        got = einsum(spec, a, b)
+        assert_arrays_close(got, np.einsum(spec, a, b, optimize=False))
+
+    @pytest.mark.parametrize("spec", ["abcd,ce->abed", "ce,abcd->abed",
+                                      "abc,abd->cad", "cdab,abcd->", ",->"])
+    @pytest.mark.parametrize("kinds", [("jet", "jet"), ("dual", "jet"),
+                                       ("dual", "dual")])
+    def test_blocks_match_one_block(self, spec, kinds):
+        """Cutting the output monomials into many blocks gives the one-block
+        result to 1e-15 relative, and the same ``valid``s."""
+        rng = np.random.default_rng(len(spec))
+        alg = JetAlgebra.get(4, 5)
+        ops = [JetField.pack(random_jets(alg, shape, rng, kind))
+               for shape, kind in zip(operand_shapes(spec, 3), kinds)]
+        runs = []
+        for budget in (1 << 40, fields._BLOCK_FLOATS, 64):
+            fields._shift_blocks.cache_clear()
+            with mock.patch.object(fields, "_BLOCK_FLOATS", budget):
+                blocks = fields._shift_blocks(alg, alg.order, 1, 1)
+                runs.append((len(blocks), einsum(spec, *ops)))
+        fields._shift_blocks.cache_clear()
+        (one, ref), *rest = runs
+        assert one == 1 and rest[-1][0] > 1
+        for _, got in rest:
+            for (c, v), (rc, rv) in zip(got._parts(), ref._parts()):
+                assert np.array_equal(v, rv)
+                assert np.abs(c - rc).max() <= 1e-15 * np.abs(rc).max()
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(["abcd,ce,fa->fbed", "ab,bc,ca->",
