@@ -166,7 +166,7 @@ class JetField(_Field):
         parts = []
         for c, v in self._parts():
             v = v[idx]
-            live = self.alg.upto[v.max()]
+            live = self.alg.upto[v.max(initial=0)]   # 0 for an empty pick
             out = np.empty((self.alg.N,) + v.shape)
             out[live:] = 0.0
             out[:live] = np.take(c[:live].reshape(live, -1), flat, axis=1)

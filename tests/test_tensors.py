@@ -361,12 +361,14 @@ class TestEinsumKernel:
         ops = [JetField.pack(random_jets(alg, shape, rng, kind))
                for shape, kind in zip(operand_shapes(spec, 3), kinds)]
         runs = []
-        for budget in (1 << 40, fields._BLOCK_FLOATS, 64):
+        try:
+            for budget in (1 << 40, fields._BLOCK_FLOATS, 64):
+                fields._shift_blocks.cache_clear()     # blocks are cached
+                with mock.patch.object(fields, "_BLOCK_FLOATS", budget):
+                    blocks = fields._shift_blocks(alg, alg.order, 1, 1)
+                    runs.append((len(blocks), einsum(spec, *ops)))
+        finally:
             fields._shift_blocks.cache_clear()
-            with mock.patch.object(fields, "_BLOCK_FLOATS", budget):
-                blocks = fields._shift_blocks(alg, alg.order, 1, 1)
-                runs.append((len(blocks), einsum(spec, *ops)))
-        fields._shift_blocks.cache_clear()
         (one, ref), *rest = runs
         assert one == 1 and rest[-1][0] > 1
         for _, got in rest:
