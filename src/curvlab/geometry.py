@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import (DegenerateMetricError, DimensionError, ExactnessError,
                      JetOrderError, ScalarKindError)
-from .jets import Dual, Jet, JetAlgebra, field_partial, field_value, scalar_float
+from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
+                   newton_caps, scalar_float)
 from .polys import Poly, RationalFunc
 from .scalars import FLOAT, RATIONAL, QuadExt, Ring, exact_sqrt
-from .fields import _LETTERS, RationalField
+from .fields import _LETTERS, JetField, RationalField
 from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
                       raise_slot)
 
@@ -51,11 +52,8 @@ def dual_ring(base: Ring) -> Ring:
 
 
 def _invert_with_det(mat: np.ndarray, ring: Ring):
-    """Gauss-Jordan inverse and determinant of an object matrix.
-
-    Pivots are chosen by largest base-point magnitude so jet entries always
-    divide by units.
-    """
+    """Gauss-Jordan inverse and determinant of an object matrix of constants
+    (a metric's base-point values), pivoting on the largest magnitude."""
     n = mat.shape[0]
     aug = np.empty((n, 2 * n), dtype=object)
     aug[:, :n] = mat
@@ -87,6 +85,76 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
     if sign < 0:
         det = -det
     return aug[:, n:], det
+
+
+def _newton_inverse(g, x0: np.ndarray, alg: JetAlgebra, exact: bool):
+    """g^-1 for a matrix g of jets (a ``JetField`` of float jets or of Duals
+    over them, or an object array of jets) from x0 = g(p)^-1, by Newton
+    steps X <- 2X - X(GX), stored as g is.
+
+    The error I - GX squares at each step (Griewank & Walther, Evaluating
+    Derivatives, 2008, ch. 13), so the steps run on the schedule of
+    ``newton_caps``; a contraction's ``valid`` is the min over its
+    operands', so X's cap bounds every degree a step computes.
+    """
+    x = _with_valid(x0, 0, g, alg, exact)
+    for cap in newton_caps(alg.order):
+        x = _with_valid(x, cap, g, alg, exact)
+        x = x * 2 - einsum("ab,bc->ac", x, einsum("ab,bc->ac", g, x))
+    return x
+
+
+def _with_valid(x, cap: int, g, alg: JetAlgebra, exact: bool):
+    """x, a matrix of base-point constants or of jets valid below cap, as
+    jets stored like g with every ``valid`` raised to cap: the coefficients
+    above a jet's old ``valid`` are zero, so only the label changes."""
+    if isinstance(g, JetField):
+        if isinstance(x, JetField):
+            coeffs = [c for c, _ in x._parts()]
+        else:
+            flat = x.ravel().tolist()
+            coeffs = []
+            for vals in [flat] if g.ic is None else \
+                    [[s.re for s in flat], [s.im for s in flat]]:
+                c = np.zeros((alg.N,) + g.shape)
+                c[0] = np.reshape(vals, g.shape)
+                coeffs.append(c)
+        v = np.full(g.shape, cap)
+        return JetField(alg, coeffs[0], v,
+                        *((coeffs[1], v) if len(coeffs) > 1 else ()))
+
+    def lift(s):
+        if isinstance(s, Dual):
+            return Dual(lift(s.re), lift(s.im))
+        c = s.c if isinstance(s, Jet) else Jet.const(alg, s, exact).c
+        return Jet(alg, c, cap, exact)
+    return np.frompyfunc(lift, 1, 1)(x)
+
+
+@lru_cache(maxsize=None)
+def _euler_weights(alg: JetAlgebra, exact: bool, inverse: bool) -> np.ndarray:
+    """Per monomial its degree: the Euler operator E multiplies each
+    coefficient by it.  With ``inverse``, 1/degree and 0 for the constant
+    term: E^-1 on the series without one."""
+    w = [Fraction(1, d) if d else 0 for d in alg.deg.tolist()] if inverse \
+        else alg.deg.tolist()
+    return np.array(w, dtype=object if exact else float)
+
+
+def _euler(x, alg: JetAlgebra, inverse: bool = False):
+    """E (or E^-1) on a jet, a Dual of jets, a ``JetField`` or an object
+    array of them."""
+    if isinstance(x, JetField):
+        w = _euler_weights(alg, False, inverse).reshape(
+            (-1,) + (1,) * len(x.shape))
+        im = () if x.ic is None else (x.ic * w, x.iv)
+        return JetField(alg, x.c * w, x.v, *im)
+    if isinstance(x, Dual):
+        return Dual(_euler(x.re, alg, inverse), _euler(x.im, alg, inverse))
+    if isinstance(x, Jet):
+        return Jet(alg, x.c * _euler_weights(alg, x.exact, inverse), x.valid,
+                   x.exact)
+    return np.frompyfunc(lambda s: _euler(s, alg, inverse), 1, 1)(x)
 
 
 class GeometryContext:
@@ -127,19 +195,36 @@ class GeometryContext:
         return s.alg if isinstance(s, Jet) else None
 
     @cached_property
-    def _inv_det(self):
-        inv, det = _invert_with_det(self.metric.a, self.ring)
+    def _point_inverse(self):
+        """(g(p)^-1, det g(p)): Gauss-Jordan on the base-point values."""
+        g = self.metric if self.jet_algebra is None else self.metric.at_point()
+        ring = Ring(self.ring.name, field_value(self.ring.zero()),
+                    field_value(self.ring.one()), self.ring.exact)
+        inv, det = _invert_with_det(g.a, ring)
         if scalar_float(det) == 0.0:
             raise DegenerateMetricError("metric is singular at the base point")
         return inv, det
 
     @cached_property
     def metric_inv(self) -> Tensor:
-        return Tensor(self.dim, ("u", "u"), self._inv_det[0]).pack()
+        """g^-1; on jets the Newton lift of g(p)^-1."""
+        inv, alg = self._point_inverse[0], self.jet_algebra
+        if alg is not None:
+            inv = _newton_inverse(self.metric.data, inv, alg,
+                                  self.ring.exact)
+        return Tensor(self.dim, ("u", "u"), inv).pack()
 
     @cached_property
     def det_metric(self):
-        return self._inv_det[1]
+        """det g; on jets det g(p) exp(L) with L = log(det g / det g(p)),
+        which Jacobi's formula in Euler form, E log det g = tr(g^-1 E g),
+        gives as L = E^-1 tr(g^-1 E g), a series without constant term."""
+        det, alg = self._point_inverse[1], self.jet_algebra
+        if alg is None:
+            return det
+        tr = einsum("ab,ba->", self.metric_inv.data,
+                    _euler(self.metric.data, alg))[()]
+        return _euler(tr, alg, inverse=True).exp() * det
 
     @cached_property
     def volume(self):

@@ -48,6 +48,7 @@ class JetAlgebra:
         self.upto = [sum(1 for m in mons if sum(m) <= d)
                      for d in range(order + 1)]
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._product_rows: dict[int, list] = {}
         self._above: dict[int, np.ndarray] = {}
         self._diff_tables = []
         for v in range(nvars):
@@ -93,6 +94,36 @@ class JetAlgebra:
                         io.append(self.index[tuple(x + y for x, y in zip(a, b))])
             self._mul_tables[cap] = (np.array(ia), np.array(ib), np.array(io))
         return self._mul_tables[cap]
+
+    def product_rows(self, cap: int) -> list:
+        """rows[i][j]: the index of monomial i times monomial j, or -1 where
+        their degree passes cap; i and j run over the monomials up to cap."""
+        cap = min(cap, self.order)
+        rows = self._product_rows.get(cap)
+        if rows is None:
+            ia, ib, io = self.mul_table(cap)
+            n = self.upto[cap]
+            t = np.full((n, n), -1)
+            t[ia, ib] = io
+            rows = self._product_rows[cap] = t.tolist()
+        return rows
+
+
+def newton_caps(valid: int):
+    """The precision-doubling schedule of a Newton lift to ``valid``.
+
+    A Newton step on truncated series takes an iterate correct through
+    degree d - 1 to one correct through 2d - 1 (Griewank & Walther,
+    Evaluating Derivatives, 2008, ch. 13), so from a base-point value step k
+    needs its operands only up to degree min(2^(k+1) - 1, valid): yields
+    that cap for each step, none when valid is 0.  A step raises the
+    iterate's ``valid`` to the cap (its coefficients above the old one are
+    zero) and runs the iteration there.
+    """
+    cap = 0
+    while cap < valid:
+        cap = min(2 * cap + 1, valid)
+        yield cap
 
 
 def _as_coeff(x, exact: bool):
@@ -198,17 +229,22 @@ class Jet:
         if o is None:
             return NotImplemented
         v = min(self.valid, o.valid)
-        ia, ib, io = self.alg.mul_table(v)
         if self.exact:
+            # the nonzero coefficient pairs only, in the mul_table order
+            n, rows = self.alg.upto[v], self.alg.product_rows(v)
+            nonzero_b = [(j, y) for j, y in enumerate(o.c[:n].tolist()) if y]
             out = [self._zero_coeff()] * self.alg.N
-            ca, cb = self.c, o.c
-            for i in range(len(ia)):
-                x, y = ca[ia[i]], cb[ib[i]]
-                if x and y:
-                    out[io[i]] += x * y
+            for i, x in enumerate(self.c[:n].tolist()):
+                if x:
+                    row = rows[i]
+                    for j, y in nonzero_b:
+                        k = row[j]
+                        if k >= 0:
+                            out[k] += x * y
             c = np.empty(self.alg.N, dtype=object)
             c[:] = out
         else:
+            ia, ib, io = self.alg.mul_table(v)
             c = np.bincount(io, weights=self.c[ia] * o.c[ib],
                             minlength=self.alg.N)
         return Jet(self.alg, c, v, self.exact)
@@ -249,11 +285,11 @@ class Jet:
             raise ZeroDivisionError("jet with zero constant term has no inverse")
         inv0 = (Fraction(1) / a0 if isinstance(a0, (int, Fraction))
                 else (a0.inverse() if isinstance(a0, QuadExt) else 1.0 / a0))
-        x = Jet.const(self.alg, inv0, self.exact)
-        x = Jet(self.alg, x.c, self.valid, self.exact)
-        steps = max(1, math.ceil(math.log2(self.valid + 1))) if self.valid else 1
+        x = Jet(self.alg, Jet.const(self.alg, inv0, self.exact).c, 0,
+                self.exact)
         two = Fraction(2) if self.exact else 2.0
-        for _ in range(steps):
+        for cap in newton_caps(self.valid):
+            x = Jet(self.alg, x.c, cap, self.exact)
             x = x * (two - self * x)
         return x
 
@@ -270,7 +306,7 @@ class Jet:
         term = Jet(self.alg, term.c, self.valid, self.exact)
         acc = term
         for m in range(1, self.valid + 1):
-            term = term * nil / m
+            term = term * nil * Fraction(1, m)
             acc = acc + term
         return acc
 
@@ -308,11 +344,11 @@ class Jet:
             if a0 <= 0:
                 raise ValueError("jet sqrt needs positive constant term")
             s0 = math.sqrt(a0)
-        x = Jet.const(self.alg, s0, self.exact)
-        x = Jet(self.alg, x.c, self.valid, self.exact)
+        x = Jet(self.alg, Jet.const(self.alg, s0, self.exact).c, 0,
+                self.exact)
         half = Fraction(1, 2) if self.exact else 0.5
-        steps = max(1, math.ceil(math.log2(self.valid + 1))) if self.valid else 1
-        for _ in range(steps):
+        for cap in newton_caps(self.valid):
+            x = Jet(self.alg, x.c, cap, self.exact)
             x = (x + self / x) * half
         return x
 

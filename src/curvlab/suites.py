@@ -6,6 +6,7 @@ returns a VerificationReport.  Suites are deterministic given (seed, flags).
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -120,8 +121,8 @@ def _delta_trace_kernel(p: int, n: int):
     return gkd_contract(n, lower, upper, [idm] * p, RATIONAL).item()
 
 
-def suite_core_identities(seed: int = 0, jet_order: int = 3,
-                          **_ignored) -> VerificationReport:
+def suite_core_identities(seed: int = 0,
+                          jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("core_identities", "builtin", seed)
     rng = np.random.default_rng(seed)
     # generalized delta self-traces, n!/(n-p)!
@@ -266,7 +267,7 @@ def _berger_displays(t: Fraction):
 
 def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
                  sweep_ts=(Fraction(1), Fraction(4), Fraction(9),
-                           Fraction(1, 4)), **_ignored) -> VerificationReport:
+                           Fraction(1, 4))) -> VerificationReport:
     t = Fraction(t)
     rep = VerificationReport("berger", f"berger_product_t={t}", seed)
     # this suite asserts exact equalities, so it always runs in rationals
@@ -375,7 +376,7 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
 
 def suite_thm_invariance(model: str = "random4", trials: int = 20,
                          seed: int = 7, tol: float = 1e-8,
-                         jet_order: int = 3, **_ignored) -> VerificationReport:
+                         jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("thm_invariance", model, seed)
     build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
                            dim=4, charts_only=True)
@@ -415,8 +416,8 @@ def _to_float_ctx(ctx):
 
 
 def suite_thm_pfaffian(model: str = "random4", trials: int = 20,
-                       seed: int = 11, tol: float = 1e-8, jet_order: int = 3,
-                       **_ignored) -> VerificationReport:
+                       seed: int = 11, tol: float = 1e-8,
+                       jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("thm_pfaffian", model, seed)
     build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
                            dim=4, charts_only=True)
@@ -442,7 +443,7 @@ def suite_thm_pfaffian(model: str = "random4", trials: int = 20,
 
 def suite_ac_identities(model: str = "random6", trials: int = 10,
                         seed: int = 13, tol: float = 1e-7, jet_order: int = 3,
-                        k: int = 2, **_ignored) -> VerificationReport:
+                        k: int = 2) -> VerificationReport:
     rep = VerificationReport("ac_identities", model, seed)
     build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
                            dim=2 * k + 2, charts_only=True)
@@ -558,8 +559,8 @@ def _lemma_checks(ctx, ups: ConformalFactor, tol: float,
 
 
 def suite_lemmas(trials: int = 10, seed: int = 5, tol: float = 1e-7,
-                 jet_order: int = 3, model: str = "random4",
-                 **_ignored) -> VerificationReport:
+                 jet_order: int = 3,
+                 model: str = "random4") -> VerificationReport:
     rep = VerificationReport("lemmas", model, seed)
     build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
                            dim=4, charts_only=True)
@@ -591,8 +592,8 @@ def suite_lemmas(trials: int = 10, seed: int = 5, tol: float = 1e-7,
 
 
 def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
-                     trials: int = 6, model: str = "random4",
-                     **_ignored) -> VerificationReport:
+                     trials: int = 6,
+                     model: str = "random4") -> VerificationReport:
     rep = VerificationReport("naturality", model, seed)
     build = _ctx_for_model(model, seed=seed * 31, jet_order=jet_order,
                            dim=4, charts_only=True)
@@ -716,8 +717,8 @@ def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
 
 
 def suite_product_factorization(t=Fraction(4), tol: float = 1e-6,
-                                jet_order: int = 3, seed: int = 0,
-                                **_ignored) -> VerificationReport:
+                                jet_order: int = 3,
+                                seed: int = 0) -> VerificationReport:
     t = Fraction(t)
     if t == 1:
         raise ConfigError("the factorization statement needs t != 1 "
@@ -794,8 +795,21 @@ def run_suite(name: str, **options) -> list[VerificationReport]:
     if options.get("jet_order") is not None:
         check_jet_order(options["jet_order"])
     if name == "all":
-        return [SUITES[s](**options) for s in sorted(SUITES)]
+        return [_call_suite(s, options, strict=False) for s in sorted(SUITES)]
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; known: "
                           f"{sorted(SUITES) + ['all']}")
-    return [SUITES[name](**options)]
+    return [_call_suite(name, options, strict=True)]
+
+
+def _call_suite(name: str, options: dict, *, strict: bool):
+    """The suite run with the options its signature takes; with ``strict``,
+    an option it does not take is a ConfigError rather than ignored."""
+    suite = SUITES[name]
+    params = inspect.signature(suite).parameters
+    unknown = [k for k in options if k not in params]
+    if strict and unknown:
+        flags = ", ".join("--exact/--float" if k == "exact"
+                          else "--" + k.replace("_", "-") for k in unknown)
+        raise ConfigError(f"suite {name!r} does not take {flags}")
+    return suite(**{k: v for k, v in options.items() if k in params})

@@ -1,10 +1,11 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from curvlab import cli
+from curvlab import cli, suites
 from curvlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,6 +175,62 @@ class TestModelConfigPath:
         assert main(["verify", "--suite", "thm_pfaffian",
                      "--model", str(path)]) == 2
         assert "KeyError: 'dim'" in capsys.readouterr().err
+
+
+class TestSingularMetric:
+    @staticmethod
+    def _singular_chart(tmp_path, exact):
+        """A chart whose g_33 = x_0^2 vanishes at the base point."""
+        cfg = {"kind": "chart", "dim": 4, "jet_order": 3, "exact": exact,
+               "base_point": ["0"] * 4,
+               "metric": [[{"num": {"2,0,0,0": "1"} if i == j == 3
+                            else {"0,0,0,0": "1"} if i == j else {}}
+                           for j in range(4)] for i in range(4)]}
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_singular_chart_exits_two(self, exact, tmp_path, capsys):
+        path = self._singular_chart(tmp_path, exact)
+        assert main(["verify", "--suite", "thm_invariance", "--model", path,
+                     "--trials", "1"]) == 2
+        assert "metric is singular at the base point" in \
+            capsys.readouterr().err
+
+
+class TestSuiteOptions:
+    def test_option_a_suite_does_not_take_exits_two(self, tmp_path, capsys):
+        """core_identities verifies builtin models only, so --model is an
+        error, not silently ignored."""
+        path = TestSingularMetric._singular_chart(tmp_path, False)
+        assert main(["verify", "--suite", "core_identities",
+                     "--model", path]) == 2
+        assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--t", "4"], "--t"), (["--trials", "2"], "--trials"),
+        (["--tol", "1e-3"], "--tol"), (["--float"], "--exact/--float")])
+    def test_each_untaken_option_is_named(self, args, flag, capsys):
+        assert main(["verify", "--suite", "core_identities"] + args) == 2
+        assert f"does not take {flag}" in capsys.readouterr().err
+
+    def test_all_gives_each_suite_only_its_options(self, monkeypatch):
+        seen = {}
+
+        def with_model(model="m", seed=0):
+            seen["with_model"] = (model, seed)
+            return VerificationReport("with_model", model, seed)
+
+        def without_model(seed=0, t=1):
+            seen["without_model"] = (seed, t)
+            return VerificationReport("without_model", "builtin", seed)
+        monkeypatch.setattr(suites, "SUITES", {"with_model": with_model,
+                                               "without_model": without_model})
+        assert main(["verify", "--suite", "all", "--model", "x",
+                     "--seed", "4", "--t", "2"]) == 0
+        assert seen == {"with_model": ("x", 4),
+                        "without_model": (4, Fraction(2))}
 
 
 class TestReportObject:

@@ -3,14 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvlab import geometry
 from curvlab.config import context_from_config
-from curvlab.errors import (ConfigError, DimensionError, JetOrderError,
-                            ScalarKindError)
-from curvlab.geometry import (ChartContext, FrameContext, build_stack,
-                              covariant_derivative, cotton, bach,
+from curvlab.conformal import ConformalFactor, _dual_context
+from curvlab.errors import (ConfigError, DegenerateMetricError,
+                            DimensionError, JetOrderError, ScalarKindError)
+from curvlab.fields import JetField
+from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
+                              build_stack, covariant_derivative, cotton, bach,
                               kulkarni_nomizu_pg, product)
+from curvlab.jets import Dual
 from curvlab.models import (berger_frame, berger_product, circle_frame,
-                            flat_chart, fs_cp2_chart, random_chart,
+                            flat_chart, fs_cp2_chart, product_8d,
+                            random_chart, random_conformal_factor,
                             round_sphere_chart)
 from curvlab.polys import Poly
 from curvlab.scalars import FLOAT, RATIONAL
@@ -301,3 +306,119 @@ class TestShippedConfigs:
         from curvlab.config import load_phi_file
         phi = load_phi_file(str(self.configs / "phi_pair_swap.json"))
         assert phi.degree == 2
+
+
+# -- the Newton-lifted metric inverse ------------------------------------------
+
+
+def _jet_parts(s):
+    return (s.re, s.im) if isinstance(s, Dual) else (s,)
+
+
+def _assert_same_jet(got, want, rtol=1e-12):
+    """Equal ``valid`` orders; exact jets equal coefficient for coefficient,
+    float jets to rtol of the largest coefficient."""
+    for x, y in zip(_jet_parts(got), _jet_parts(want)):
+        assert x.valid == y.valid
+        if y.exact:
+            assert list(x.c) == list(y.c)
+        else:
+            np.testing.assert_allclose(
+                x.c, y.c, rtol=0, atol=rtol * max(1.0, np.abs(y.c).max()))
+
+
+def _assert_matches_gauss_jordan(ctx, rtol=1e-12):
+    """metric_inv, det_metric and volume against Gauss-Jordan run on the
+    unpacked object matrix of jets."""
+    inv, det = _invert_with_det(ctx.metric.a, ctx.ring)
+    got = ctx.metric_inv.a
+    for idx in np.ndindex(inv.shape):
+        _assert_same_jet(got[idx], inv[idx], rtol)
+    _assert_same_jet(ctx.det_metric, det, rtol)
+    base = _jet_parts(det)[0].c[0]
+    sign = -1 if base < 0 else 1
+    root = (det * sign).sqrt()
+    o = ctx.orientation
+    for g, w in zip(ctx.volume, (root * o, root.inverse() * (o * sign))):
+        _assert_same_jet(g, w, rtol)
+
+
+def _lorentzian_entries(dim=4):
+    """diag(-1, 1, ..., 1) plus small rational polynomials."""
+    rng = np.random.default_rng(5)
+    entries = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            coeffs = {}
+            for v in range(dim):
+                e = [0] * dim
+                e[v] = 1
+                coeffs[tuple(e)] = Fraction(int(rng.integers(-9, 10)), 100)
+            e = [0] * dim
+            e[i] += 1
+            e[j] += 1
+            coeffs[tuple(e)] = Fraction(int(rng.integers(-9, 10)), 100)
+            coeffs[(0,) * dim] = Fraction(-1 if i == j == 0 else int(i == j))
+            entries[i][j] = entries[j][i] = Poly(dim, coeffs)
+    return entries
+
+
+class TestNewtonInverse:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_float_jets(self, order):
+        ctx = random_chart(4, seed=10 + order, jet_order=order)
+        assert isinstance(ctx.metric.field, JetField)
+        _assert_matches_gauss_jordan(ctx)
+
+    def test_dual_context(self, chart4):
+        ups = ConformalFactor.from_poly(random_conformal_factor(4, 3))
+        dual = _dual_context(chart4, ups.field(chart4))
+        assert dual.metric.field.ic is not None
+        _assert_matches_gauss_jordan(dual)
+
+    def test_exact_jets(self, cp2_exact, s4_exact):
+        for ctx in (cp2_exact, s4_exact):
+            _assert_matches_gauss_jordan(ctx, rtol=0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_lorentzian_chart(self, exact):
+        ctx = ChartContext.from_polys(_lorentzian_entries(),
+                                      (Fraction(0),) * 4, jet_order=3,
+                                      exact=exact)
+        assert _jet_parts(ctx.det_metric)[0].c[0] < 0
+        _assert_matches_gauss_jordan(ctx, rtol=0 if exact else 1e-12)
+
+    def test_prod8(self):
+        _assert_matches_gauss_jordan(product_8d())
+
+    @pytest.mark.parametrize("order, caps", [
+        (1, [1, 1]), (3, [1, 1, 3, 3]), (5, [1, 1, 3, 3, 5, 5])])
+    def test_precision_doubling_schedule(self, order, caps, monkeypatch):
+        """Each step's two contractions stop at degree 2^(k+1) - 1: the
+        first step's iterate is not lifted at full order."""
+        seen = []
+        real = geometry.einsum
+
+        def spy(spec, *ops):
+            out = real(spec, *ops)
+            seen.append(int(out.v.max()))
+            return out
+        monkeypatch.setattr(geometry, "einsum", spy)
+        random_chart(4, seed=1, jet_order=order).metric_inv
+        assert seen == caps
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_singular_at_base_point(self, exact):
+        entries = [[Poly(4, {(2, 0, 0, 0): Fraction(1)}) if i == j == 3
+                    else Fraction(int(i == j)) for j in range(4)]
+                   for i in range(4)]
+        ctx = ChartContext.from_polys(entries, (Fraction(0),) * 4,
+                                      jet_order=3, exact=exact)
+        for attr in ("metric_inv", "det_metric"):
+            with pytest.raises(DegenerateMetricError, match="singular"):
+                getattr(ctx, attr)
+
+    def test_frames_keep_the_constant_solve(self, berger4):
+        inv, det = _invert_with_det(berger4.metric.a, berger4.ring)
+        assert berger4.metric_inv.a.tolist() == inv.tolist()
+        assert berger4.det_metric == det

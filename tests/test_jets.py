@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.errors import ExactnessError, JetOrderError, ScalarKindError
-from curvlab.jets import Dual, Jet, JetAlgebra, jet_derivative
+from curvlab.jets import Dual, Jet, JetAlgebra, jet_derivative, newton_caps
 from curvlab.polys import Poly
 
 
@@ -103,6 +103,51 @@ def test_inverse_and_sqrt_roundtrip():
     assert np.allclose((sf * sf).c, jf.c, atol=1e-12)
     lf = jf.log()
     assert np.allclose(lf.exp().c, jf.c, atol=1e-12)
+
+
+@pytest.mark.parametrize("valid, caps", [
+    (0, []), (1, [1]), (2, [1, 2]), (3, [1, 3]), (5, [1, 3, 5]),
+    (7, [1, 3, 7]), (8, [1, 3, 7, 8])])
+def test_newton_caps_double_the_order(valid, caps):
+    assert list(newton_caps(valid)) == caps
+
+
+def _full_order_newton(j, x0, step):
+    """The Newton iteration run at j's full ``valid`` from the start,
+    ceil(log2(valid + 1)) steps: the schedule ``newton_caps`` replaced."""
+    x = Jet(j.alg, Jet.const(j.alg, x0, j.exact).c, j.valid, j.exact)
+    for _ in range(max(1, math.ceil(math.log2(j.valid + 1)))):
+        x = step(x)
+    return x
+
+
+@pytest.mark.parametrize("valid", [0, 1, 2, 3, 4, 5])
+def test_inverse_and_sqrt_match_the_full_order_iteration(valid):
+    """On the doubling schedule exact results are equal and float results
+    agree to rounding, with the same ``valid``."""
+    alg = JetAlgebra.get(2, 5)
+    base = (Fraction(0), Fraction(0))
+    p = Poly(2, {(0, 0): Fraction(9, 4), (1, 0): Fraction(2, 3),
+                 (1, 1): Fraction(1, 2), (2, 0): Fraction(-1, 3),
+                 (0, 3): Fraction(1, 5)})
+    for exact in (True, False):
+        j = p.jet(alg, base, exact)
+        j = Jet(alg, j._mask(j.c.copy(), valid), valid, exact)
+        a0 = j.c[0]
+        two, half = (Fraction(2), Fraction(1, 2)) if exact else (2.0, 0.5)
+        pairs = [
+            (j.inverse(), _full_order_newton(
+                j, 1 / a0, lambda x: x * (two - j * x))),
+            (j.sqrt(), _full_order_newton(
+                j, Fraction(3, 2) if exact else math.sqrt(a0),
+                lambda x: (x + j / x) * half)),
+        ]
+        for got, want in pairs:
+            assert got.valid == want.valid == valid
+            if exact:
+                assert list(got.c) == list(want.c)
+            else:
+                np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-14)
 
 
 def test_irrational_exact_sqrt_rejected():
