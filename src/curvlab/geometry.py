@@ -53,7 +53,8 @@ def dual_ring(base: Ring) -> Ring:
 
 def _invert_with_det(mat: np.ndarray, ring: Ring):
     """Gauss-Jordan inverse and determinant of an object matrix of constants
-    (a metric's base-point values), pivoting on the largest magnitude."""
+    (a metric's base-point values), pivoting on the largest magnitude; for
+    Duals, of the real part, as a + eps b is a unit exactly when a is."""
     n = mat.shape[0]
     aug = np.empty((n, 2 * n), dtype=object)
     aug[:, :n] = mat
@@ -65,7 +66,8 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
     for col in range(n):
         piv, best = None, 0.0
         for r in range(col, n):
-            m = abs(scalar_float(aug[r, col]))
+            x = aug[r, col]
+            m = abs(scalar_float(x.re if isinstance(x, Dual) else x))
             if m > best:
                 piv, best = r, m
         if piv is None:

@@ -5,14 +5,14 @@ import pytest
 
 from curvlab import geometry
 from curvlab.config import context_from_config
-from curvlab.conformal import ConformalFactor, _dual_context
+from curvlab.conformal import ConformalFactor, _dual_context, clone_context
 from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
 from curvlab.fields import JetField
 from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
                               build_stack, covariant_derivative, cotton, bach,
-                              kulkarni_nomizu_pg, product)
-from curvlab.jets import Dual
+                              dual_ring, kulkarni_nomizu_pg, product)
+from curvlab.jets import Dual, Jet
 from curvlab.models import (berger_frame, berger_product, circle_frame,
                             flat_chart, fs_cp2_chart, product_8d,
                             random_chart, random_conformal_factor,
@@ -315,32 +315,32 @@ def _jet_parts(s):
     return (s.re, s.im) if isinstance(s, Dual) else (s,)
 
 
-def _assert_same_jet(got, want, rtol=1e-12):
+def _assert_same_jet(got, want):
     """Equal ``valid`` orders; exact jets equal coefficient for coefficient,
-    float jets to rtol of the largest coefficient."""
+    float jets to 1e-12 of the largest coefficient."""
     for x, y in zip(_jet_parts(got), _jet_parts(want)):
         assert x.valid == y.valid
         if y.exact:
             assert list(x.c) == list(y.c)
         else:
             np.testing.assert_allclose(
-                x.c, y.c, rtol=0, atol=rtol * max(1.0, np.abs(y.c).max()))
+                x.c, y.c, rtol=0, atol=1e-12 * max(1.0, np.abs(y.c).max()))
 
 
-def _assert_matches_gauss_jordan(ctx, rtol=1e-12):
+def _assert_matches_gauss_jordan(ctx):
     """metric_inv, det_metric and volume against Gauss-Jordan run on the
     unpacked object matrix of jets."""
     inv, det = _invert_with_det(ctx.metric.a, ctx.ring)
     got = ctx.metric_inv.a
     for idx in np.ndindex(inv.shape):
-        _assert_same_jet(got[idx], inv[idx], rtol)
-    _assert_same_jet(ctx.det_metric, det, rtol)
+        _assert_same_jet(got[idx], inv[idx])
+    _assert_same_jet(ctx.det_metric, det)
     base = _jet_parts(det)[0].c[0]
     sign = -1 if base < 0 else 1
     root = (det * sign).sqrt()
     o = ctx.orientation
     for g, w in zip(ctx.volume, (root * o, root.inverse() * (o * sign))):
-        _assert_same_jet(g, w, rtol)
+        _assert_same_jet(g, w)
 
 
 def _lorentzian_entries(dim=4):
@@ -376,9 +376,23 @@ class TestNewtonInverse:
         assert dual.metric.field.ic is not None
         _assert_matches_gauss_jordan(dual)
 
+    def test_dual_pivots_on_the_real_part(self):
+        """g + eps B with g = I and B_01 = B_10 = 10: the entry (1, 0) is
+        the larger in magnitude but no unit, and must not be the pivot."""
+        flat = flat_chart(4, jet_order=2, exact=False)
+        b = np.zeros((4, 4))
+        b[0, 1] = b[1, 0] = 10.0
+        eps = Tensor.from_function(4, "dd", lambda i, j: Jet.const(
+            flat.jet_algebra, b[i, j], False)).pack()
+        dual = clone_context(flat, Tensor.dual(flat.metric, eps),
+                             ring=dual_ring(flat.ring))
+        _assert_matches_gauss_jordan(dual)
+        inv = dual.metric_inv.at_point().a
+        assert inv[0, 1].im == inv[1, 0].im == -10.0
+
     def test_exact_jets(self, cp2_exact, s4_exact):
         for ctx in (cp2_exact, s4_exact):
-            _assert_matches_gauss_jordan(ctx, rtol=0)
+            _assert_matches_gauss_jordan(ctx)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_lorentzian_chart(self, exact):
@@ -386,7 +400,7 @@ class TestNewtonInverse:
                                       (Fraction(0),) * 4, jet_order=3,
                                       exact=exact)
         assert _jet_parts(ctx.det_metric)[0].c[0] < 0
-        _assert_matches_gauss_jordan(ctx, rtol=0 if exact else 1e-12)
+        _assert_matches_gauss_jordan(ctx)
 
     def test_prod8(self):
         _assert_matches_gauss_jordan(product_8d())
