@@ -332,7 +332,11 @@ def _jet_product(alg, spec: str, a, b):
     x <= m, so the operand S is expanded through the shift table up to the
     largest output ``valid`` and each block of output monomials is one
     ``np.matmul`` of the other operand F against it, the summed letters and
-    x together forming the inner axis.
+    x together forming the inner axis.  When F has fewer free components
+    than there are summed ones (a full contraction, say), expanding S
+    would gather more than the product computes: the summed letters are
+    then contracted first, in one GEMM giving F[x] S[y] for every pair of
+    monomials, and output monomial m sums the pairs with x y = m.
     """
     (ca, va), (cb, vb) = a, b
     p = _product_plan(spec, va.shape, vb.shape)
@@ -354,18 +358,30 @@ def _jet_product(alg, spec: str, a, b):
         ca, cb = cb, ca
     nb, nf, nk, ns = p.sizes
     fixed = ca.transpose(p.perm_f).reshape(nb, nf, nk, n)
-    shifted = np.zeros((nb, nk, n + 1, ns))     # row n: the zero row
-    shifted[:, :, :n] = cb.transpose(p.perm_s).reshape(nb, nk, n, ns)
     c = np.zeros((alg.N,) + p.out_shape)
     view = c.transpose(p.perm_o)
     lead = (slice(None),) * len(p.fixed_out_shape)
-    s = _shift_table(alg, cap)
-    for m0, m1 in _shift_blocks(alg, cap, nb * nk * ns, nb * nf * ns):
-        f = fixed[..., :m1].reshape(nb, nf, nk * m1)
-        g = np.take(shifted, s[:m1, m0:m1], axis=2).reshape(
-            nb, nk * m1, (m1 - m0) * ns)
-        view[lead + (slice(m0, m1),)] = np.matmul(f, g).reshape(
-            p.fixed_out_shape + (m1 - m0,) + p.free_s_shape)
+    if nf < nk:
+        # contract first: P[x, y] = sum over the summed letters of
+        # F[x] S[y] in one GEMM, then output monomial m sums P[x, m - x]
+        pairs = np.matmul(
+            fixed.transpose(0, 1, 3, 2).reshape(nb, nf * n, nk),
+            cb.transpose(p.perm_s).reshape(nb, nk, n * ns))
+        flat, starts = _pair_sums(alg, cap)
+        view[lead + (slice(0, n),)] = np.add.reduceat(
+            np.take(pairs.reshape(nb, nf, n * n, ns), flat, axis=2),
+            starts, axis=2).reshape(p.fixed_out_shape + (n,)
+                                    + p.free_s_shape)
+    else:
+        shifted = np.zeros((nb, nk, n + 1, ns))     # row n: the zero row
+        shifted[:, :, :n] = cb.transpose(p.perm_s).reshape(nb, nk, n, ns)
+        s = _shift_table(alg, cap)
+        for m0, m1 in _shift_blocks(alg, cap, nb * nk * ns, nb * nf * ns):
+            f = fixed[..., :m1].reshape(nb, nf, nk * m1)
+            g = np.take(shifted, s[:m1, m0:m1], axis=2).reshape(
+                nb, nk * m1, (m1 - m0) * ns)
+            view[lead + (slice(m0, m1),)] = np.matmul(f, g).reshape(
+                p.fixed_out_shape + (m1 - m0,) + p.free_s_shape)
     if not uniform:
         _zero_above(alg, c, v)
     return c, v
@@ -442,6 +458,22 @@ def _shift_table(alg, cap: int) -> np.ndarray:
     s[ia, io] = ib
     s.flags.writeable = False
     return s
+
+
+@lru_cache(maxsize=None)
+def _pair_sums(alg, cap: int) -> tuple:
+    """(flat, starts): the pairs (x, y) of monomials up to degree cap whose
+    product x y has degree <= cap, as flat indices x n + y (n =
+    ``alg.upto[cap]``) grouped by product monomial m in order, and the
+    offset of each group, for ``np.add.reduceat``.  Every m has a group,
+    as m = m 1."""
+    ia, ib, io = alg.mul_table(cap)
+    n = alg.upto[cap]
+    order = np.argsort(io, kind="stable")
+    flat = ia[order] * n + ib[order]
+    starts = np.searchsorted(io[order], np.arange(n))
+    flat.flags.writeable = starts.flags.writeable = False
+    return flat, starts
 
 
 @lru_cache(maxsize=None)

@@ -28,11 +28,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateMetricError, DimensionError, ExactnessError,
-                     JetOrderError, ScalarKindError)
+from .errors import (ConfigError, DegenerateMetricError, DimensionError,
+                     ExactnessError, JetOrderError, ScalarKindError)
 from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
                    newton_caps, scalar_float)
-from .polys import Poly, RationalFunc
+from .polys import Poly, RationalFunc, taylor_jet
 from .scalars import FLOAT, RATIONAL, QuadExt, Ring, exact_sqrt
 from .fields import _LETTERS, JetField, RationalField
 from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
@@ -327,24 +327,95 @@ class ChartContext(GeometryContext):
     @classmethod
     def from_polys(cls, entries, base_point, jet_order=5, *, exact=False,
                    orientation=1, name="chart"):
-        """entries: dim x dim nested list of Poly / RationalFunc / Fraction."""
+        """entries: dim x dim nested list of Poly / RationalFunc / Fraction.
+
+        Each entry is expanded by ``Poly.taylor`` at base_point.  Float
+        coefficients are rounded once each into one packed ``JetField``,
+        and each distinct denominator is inverted once and multiplied into
+        the entries over it, as ``RationalFunc.jet`` would, so every
+        coefficient is the one the per-entry jets give.  ConfigError names
+        an entry whose denominator vanishes at base_point.
+        """
         dim = len(entries)
         alg = JetAlgebra.get(dim, jet_order)
-        g = np.empty((dim, dim), dtype=object)
+        nums = np.empty((dim, dim), dtype=object)
+        over = {}       # denominator -> (its Poly, the entries over it)
         for i in range(dim):
             for j in range(dim):
                 e = entries[i][j]
                 if isinstance(e, (int, Fraction)):
                     e = Poly.const(dim, e)
-                g[i, j] = e.jet(alg, base_point, exact)
-        for i in range(dim):
-            for j in range(dim):
-                if not g[i, j] == g[j, i]:
-                    raise ValueError("chart metric not symmetric")
-        t = Tensor(dim, ("d", "d"), g)
-        return cls(dim, t, ring=jet_ring(alg, exact), base_point=base_point,
+                if isinstance(e, RationalFunc):
+                    e, den = e.num, e.den
+                    if den is not None:
+                        key = (den.nvars, frozenset(den.coeffs.items()))
+                        over.setdefault(key, (den, []))[1].append((i, j))
+                nums[i, j] = e.taylor(alg, base_point)
+        build = _exact_metric if exact else _float_metric
+        g = build(alg, nums, [(den.jet(alg, base_point, exact), ij)
+                              for den, ij in over.values()])
+        return cls(dim, Tensor(dim, ("d", "d"), g),
+                   ring=jet_ring(alg, exact), base_point=base_point,
                    jet_order=jet_order, orientation=orientation, name=name,
                    metric_polys=entries)
+
+
+def _inverse_of_denominator(den: Jet, ij: list) -> Jet:
+    """1/den, or ConfigError naming the first entry (i, j) over den when
+    den vanishes at the base point."""
+    if not den.c[0]:
+        i, j = ij[0]
+        raise ConfigError(f"the denominator of metric entry ({i}, {j}) "
+                          "vanishes at the base point")
+    return den.inverse()
+
+
+def _float_metric(alg: JetAlgebra, nums: np.ndarray, dens: list) -> JetField:
+    """The packed float metric from the numerators' Taylor coefficients
+    and (denominator jet, entries over it) pairs.
+
+    The entries over one denominator are multiplied by its inverse in one
+    ``np.bincount`` over the product table, each entry's weights in the
+    order ``Jet.__mul__`` sums them, so the bits are the same."""
+    dim = nums.shape[0]
+    rows, cols, vals = [], [], []
+    for col, coeffs in enumerate(nums.ravel().tolist()):
+        rows += coeffs
+        cols += [col] * len(coeffs)
+        # float(x)'s own rounding, without its int() calls
+        vals += [x.numerator / x.denominator for x in coeffs.values()]
+    c = np.zeros((alg.N, dim * dim))
+    c[rows, cols] = vals
+    c = c.reshape(alg.N, dim, dim)
+    ia, ib, io = alg.mul_table(alg.order)
+    for den, ij in dens:
+        inv = _inverse_of_denominator(den, ij)
+        ii, jj = np.array(ij).T
+        w = c[:, ii, jj][ia].T * inv.c[ib]          # (entries, products)
+        bins = io + alg.N * np.arange(len(ij))[:, None]
+        c[:, ii, jj] = np.bincount(bins.ravel(), weights=w.ravel(),
+                                   minlength=alg.N * len(ij)) \
+            .reshape(len(ij), alg.N).T
+    if not np.array_equal(c, c.transpose(0, 2, 1)):
+        raise ValueError("chart metric not symmetric")
+    return JetField(alg, c, np.full((dim, dim), alg.order))
+
+
+def _exact_metric(alg: JetAlgebra, nums: np.ndarray, dens: list) -> np.ndarray:
+    """The exact metric as an object array of jets: each numerator's jet
+    times the inverse of its denominator."""
+    g = np.empty(nums.shape, dtype=object)
+    for (i, j), coeffs in np.ndenumerate(nums):
+        g[i, j] = taylor_jet(alg, coeffs, True)
+    for den, ij in dens:
+        inv = _inverse_of_denominator(den, ij)
+        for i, j in ij:
+            g[i, j] = g[i, j] * inv
+    for i in range(g.shape[0]):
+        for j in range(i):
+            if not g[i, j] == g[j, i]:
+                raise ValueError("chart metric not symmetric")
+    return g
 
 
 class ProductContext(GeometryContext):
@@ -550,10 +621,11 @@ class CurvatureStack:
         gam = self.gamma
         dgam = self._dirderiv(gam).data         # [a][c][b][d] = D_a G^c_bd
         ga = gam.data
+        # G^c_be G^e_ad is G^c_ae G^e_bd with a and b swapped
+        gg = einsum("cae,ebd->abcd", ga, ga)
         r = einsum("acbd->abcd", dgam) \
             - einsum("bcad->abcd", dgam) \
-            + einsum("cae,ebd->abcd", ga, ga) \
-            - einsum("cbe,ead->abcd", ga, ga)
+            + gg - gg.transpose(1, 0, 2, 3)
         if ctx.structure is not None:
             r = r - einsum("eab,ced->abcd", ctx.structure, ga)
         return Tensor(ctx.dim, ("d", "d", "u", "d"), r)

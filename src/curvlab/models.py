@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -171,19 +172,19 @@ def product_8d(t=Fraction(4), jet_order: int = 3,
 
 def _random_poly(dim: int, rng, scale: float, degree: int = 3,
                  zero_constant: bool = False) -> Poly:
-    """Polynomial with grid-uniform coefficients in [-scale, scale]."""
-    coeffs = {}
-    from itertools import combinations_with_replacement
+    """Polynomial with grid-uniform coefficients in [-scale, scale]: one
+    draw per monomial, in order of degree."""
+    exps = []
     for deg in range(0 if not zero_constant else 1, degree + 1):
         for comb in combinations_with_replacement(range(dim), deg):
             e = [0] * dim
             for v in comb:
                 e[v] += 1
-            num = int(rng.integers(-10 ** 6, 10 ** 6 + 1))
-            # grid-uniform exact rationals inside [-scale, scale]
-            coeffs[tuple(e)] = Fraction(num, 10 ** 6) * \
-                Fraction(scale).limit_denominator(10 ** 6)
-    return Poly(dim, coeffs)
+            exps.append(tuple(e))
+    # grid-uniform exact rationals inside [-scale, scale]
+    step = Fraction(scale).limit_denominator(10 ** 6) / 10 ** 6
+    nums = rng.integers(-10 ** 6, 10 ** 6 + 1, size=len(exps)).tolist()
+    return Poly(dim, {e: k * step for e, k in zip(exps, nums)})
 
 
 def random_chart(dim: int = 4, seed: int = 0, jet_order: int = 3,

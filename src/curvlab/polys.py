@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -21,17 +22,24 @@ class Poly:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: dict | None = None):
+        """coeffs maps exponents (n non-negative ints) to coefficients
+        (Fractions, or anything ``Fraction`` takes); exponents that normalize
+        alike are summed and zero coefficients dropped.  A table of int
+        tuples and Fractions, the common case, is taken in one pass."""
         self.nvars = nvars
-        self.coeffs = {}
-        for exp, c in (coeffs or {}).items():
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has wrong arity")
-            c = Fraction(c)
-            if c:
-                old = self.coeffs.get(exp)
-                self.coeffs[exp] = c if old is None else old + c
-        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+        coeffs = coeffs or {}
+        if not _plain_exponents(nvars, coeffs.keys()):
+            merged = {}
+            for exp, c in coeffs.items():
+                exp = _exponent(nvars, exp)
+                c = c if type(c) is Fraction else Fraction(c)
+                merged[exp] = merged[exp] + c if exp in merged else c
+            coeffs = merged
+        elif set(map(type, coeffs.values())) - {Fraction}:
+            coeffs = {e: c if type(c) is Fraction else Fraction(c)
+                      for e, c in coeffs.items()}
+        self.coeffs = dict(coeffs) if all(coeffs.values()) else \
+            {e: c for e, c in coeffs.items() if c}
 
     @classmethod
     def const(cls, nvars, value) -> "Poly":
@@ -84,51 +92,73 @@ class Poly:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def __call__(self, point):
+        """The value at point, a Fraction; terms that a zero coordinate
+        kills are skipped."""
+        point = [Fraction(x) for x in point]
         total = Fraction(0)
         for e, c in self.coeffs.items():
             term = c
             for x, k in zip(point, e):
-                term *= Fraction(x) ** k
-            total += term
+                if k:
+                    if not x:
+                        break
+                    term *= x ** k
+            else:
+                total += term
         return total
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.coeffs)
 
-    def jet(self, alg: JetAlgebra, base_point, exact: bool) -> Jet:
-        """Expand around base_point b as a truncated jet.
+    def taylor(self, alg: JetAlgebra, base_point) -> dict:
+        """The Taylor coefficients at base point b up to ``alg.order``,
+        {monomial index: Fraction}, zeros left out.
 
         The coefficient of x^m is sum over e >= m of
-        c_e prod_v binom(e_v, m_v) b_v^(e_v - m_v), for |m| <= order; it is
-        summed in Fractions and, for a float jet, rounded once.
+        c_e prod_v binom(e_v, m_v) b_v^(e_v - m_v).  At the origin that is
+        c_m itself; elsewhere the sum runs in integers over one common
+        denominator, lcm(denominators of c) * prod_v q_v^(max_e e_v) for
+        b_v = p_v / q_v, and each coefficient is reduced once.
         """
-        b = [Fraction(base_point[v]) for v in range(self.nvars)]
         pad = (0,) * (alg.nvars - self.nvars)
+        b = [x if type(x) is Fraction else Fraction(x)
+             for x in base_point[:self.nvars]]
+        index, order = alg.index, alg.order
+        if not any(b):      # index holds the monomials up to the order
+            exps = self.coeffs if not pad else (e + pad for e in self.coeffs)
+            return {i: c for i, c in zip(map(index.get, exps),
+                                         self.coeffs.values())
+                    if i is not None}
+        top = [max((e[v] for e in self.coeffs), default=0)
+               for v in range(self.nvars)]
+        lcd = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        den = lcd * math.prod(x.denominator ** k for x, k in zip(b, top))
         acc: dict = {}
-        at_origin = not any(b)
         for e, c in self.coeffs.items():
-            if at_origin:           # only m = e: the coefficient itself
-                if sum(e) <= alg.order:
-                    acc[alg.index[e + pad]] = c
-                continue
-            lowered = (range(k + 1) if bv else (k,) for k, bv in zip(e, b))
-            for m in itertools.product(*lowered):
-                if sum(m) > alg.order:
+            # per variable, (m_v, binom(e_v, m_v) p_v^(e_v - m_v)
+            # q_v^(top_v - e_v + m_v)) for each m_v <= e_v; b_v = 0 (q_v = 1)
+            # leaves m_v = e_v alone
+            choices = []
+            for k, x, t in zip(e, b, top):
+                p, q = x.numerator, x.denominator
+                choices.append([(m, math.comb(k, m) * p ** (k - m)
+                                 * q ** (t - k + m)) for m in range(k + 1)]
+                               if p else [(k, 1)])
+            scaled = c.numerator * (lcd // c.denominator)
+            for picks in itertools.product(*choices):
+                m = tuple(mv for mv, _ in picks)
+                if sum(m) > order:
                     continue
-                term = c
-                for ev, mv, bv in zip(e, m, b):
-                    if ev > mv:
-                        term *= math.comb(ev, mv) * bv ** (ev - mv)
-                i = alg.index[m + pad]
+                term = scaled
+                for _, f in picks:
+                    term *= f
+                i = index[m + pad]
                 acc[i] = acc[i] + term if i in acc else term
-        if exact:
-            c = np.empty(alg.N, dtype=object)
-            c[:] = [Fraction(0)] * alg.N
-        else:
-            c = np.zeros(alg.N)
-        for i, x in acc.items():
-            c[i] = x if exact else float(x)
-        return Jet(alg, c, alg.order, exact)
+        return {i: Fraction(n, den) for i, n in acc.items() if n}
+
+    def jet(self, alg: JetAlgebra, base_point, exact: bool) -> Jet:
+        """The truncated jet at base_point."""
+        return taylor_jet(alg, self.taylor(alg, base_point), exact)
 
     def to_config(self) -> dict:
         return {",".join(map(str, e)): str(c) for e, c in self.coeffs.items()}
@@ -140,6 +170,45 @@ class Poly:
             exp = tuple(int(s) for s in key.split(","))
             coeffs[exp] = Fraction(val)
         return cls(nvars, coeffs)
+
+
+def taylor_jet(alg: JetAlgebra, coeffs: dict, exact: bool) -> Jet:
+    """The jet with the ``Poly.taylor`` coefficients coeffs, each rounded
+    once for a float jet, ``valid`` the order."""
+    if exact:
+        c = np.empty(alg.N, dtype=object)
+        c[:] = [Fraction(0)] * alg.N
+    else:
+        c = np.zeros(alg.N)
+    for i, x in coeffs.items():
+        c[i] = x if exact else float(x)
+    return Jet(alg, c, alg.order, exact)
+
+
+def _plain_exponents(nvars: int, exps) -> bool:
+    """Whether every exponent is already a tuple of nvars ints in
+    [0, 255], checked over the whole table at once (``bytes`` takes
+    integers in that range only)."""
+    if not exps:
+        return True
+    if set(map(type, exps)) != {tuple} or set(map(len, exps)) != {nvars}:
+        return False
+    try:
+        bytes(itertools.chain.from_iterable(exps))
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _exponent(nvars: int, exp) -> tuple:
+    """exp as a tuple of nvars non-negative ints; ValueError for a wrong
+    arity or a negative entry, TypeError for a non-integer one."""
+    exp = tuple(map(operator.index, exp))
+    if len(exp) != nvars:
+        raise ValueError(f"exponent {exp} has wrong arity")
+    if any(k < 0 for k in exp):
+        raise ValueError(f"exponent {exp} has a negative entry")
+    return exp
 
 
 class RationalFunc:

@@ -199,6 +199,51 @@ class TestSingularMetric:
             capsys.readouterr().err
 
 
+class TestBadChartEntries:
+    @staticmethod
+    def _chart(tmp_path, exact, entry, mirror=True):
+        """The flat 4-chart with entry (1, 2) replaced, and (2, 1) too
+        when mirror is set."""
+        metric = [[{"num": {"0,0,0,0": "1"} if i == j else {}}
+                   for j in range(4)] for i in range(4)]
+        metric[1][2] = entry
+        if mirror:
+            metric[2][1] = entry
+        cfg = {"kind": "chart", "dim": 4, "jet_order": 4, "exact": exact,
+               "base_point": ["0"] * 4, "metric": metric}
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("suite", ["thm_invariance", "naturality"])
+    def test_pole_at_the_base_point_exits_two(self, suite, exact, tmp_path,
+                                              capsys):
+        """den = x0 vanishes at the origin: a configuration error naming
+        the entry, not an internal error."""
+        path = self._chart(tmp_path, exact,
+                           {"num": {"0,0,0,0": "1/10"},
+                            "den": {"1,0,0,0": "1"}})
+        assert main(["verify", "--suite", suite, "--model", path,
+                     "--trials", "1"]) == 2
+        assert "denominator of metric entry (1, 2) vanishes at the base " \
+            "point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_asymmetric_chart_exits_two(self, exact, tmp_path, capsys):
+        path = self._chart(tmp_path, exact, {"num": {"0,0,1,0": "1/10"}},
+                           mirror=False)
+        assert main(["verify", "--suite", "thm_invariance", "--model", path,
+                     "--trials", "1"]) == 2
+        assert "chart metric not symmetric" in capsys.readouterr().err
+
+    def test_negative_exponent_exits_two(self, tmp_path, capsys):
+        path = self._chart(tmp_path, False, {"num": {"-1,0,0,0": "1/10"}})
+        assert main(["verify", "--suite", "thm_invariance", "--model", path,
+                     "--trials", "1"]) == 2
+        assert "negative entry" in capsys.readouterr().err
+
+
 class TestSuiteOptions:
     def test_option_a_suite_does_not_take_exits_two(self, tmp_path, capsys):
         """core_identities verifies builtin models only, so --model is an

@@ -268,6 +268,24 @@ class TestStackInvariantChecker:
             assert res <= 1e-10, (name, res)
 
 
+@pytest.mark.parametrize("model", ["s4_exact", "cp2_exact", "berger4"])
+def test_riemann_matches_the_four_term_formula(model, request):
+    """R_ab^c_d computed with one Gamma-Gamma product equals the formula
+    with both products, exactly."""
+    from curvlab.tensors import einsum
+    ctx = request.getfixturevalue(model)
+    st = build_stack(ctx)
+    ga = st.gamma.a
+    dgam = st._dirderiv(st.gamma).a
+    ref = np.einsum("acbd->abcd", dgam) - np.einsum("bcad->abcd", dgam) \
+        + einsum("cae,ebd->abcd", ga, ga) - einsum("cbe,ead->abcd", ga, ga)
+    if ctx.structure is not None:
+        ref = ref - einsum("eab,ced->abcd", ctx.structure, ga)
+    ref = Tensor(ctx.dim, ("d", "d", "u", "d"), ref)
+    assert st.rm_mixed.valence == ref.valence
+    assert st.rm_mixed.a.tolist() == ref.a.tolist()
+
+
 def test_insufficient_jet_order_signals_rebuild():
     ctx = random_chart(4, seed=0, jet_order=1)
     with pytest.raises(JetOrderError):

@@ -349,6 +349,45 @@ class TestEinsumKernel:
         got = einsum(spec, a, b)
         assert_arrays_close(got, np.einsum(spec, a, b, optimize=False))
 
+    @pytest.mark.parametrize("spec, contracted_first", [
+        ("cdab,abcd->", True), ("acab,bdcd->", True), ("ab,ba->", True),
+        ("abX,baS->XS", True), ("abcd,ce->abed", False),
+        ("ab,ab->ab", False)])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5])
+    def test_contract_first_matches_objects(self, spec, contracted_first,
+                                            cap):
+        """Steps with fewer free components in the fixed operand than
+        summed ones contract the summed letters first; with every ``valid``
+        at the cap, or drawn up to it, they give the object path's jets at
+        each cap up to the order."""
+        alg = JetAlgebra.get(4, 5)
+        for uniform in (True, False):
+            rng = np.random.default_rng(10 * cap + uniform)
+            a, b = (random_jets(alg, shape, rng, "jet")
+                    for shape in operand_shapes(spec, 3))
+            for x in itertools.chain(a.flat, b.flat):
+                x.valid = cap if uniform else min(x.valid, cap)
+                x.c[alg.deg > x.valid] = 0.0
+            with mock.patch.object(fields, "_pair_sums",
+                                   wraps=fields._pair_sums) as spy:
+                got = einsum(spec, a, b)
+            assert spy.called == contracted_first
+            assert_arrays_close(got, np.einsum(spec, a, b, optimize=False))
+
+    def test_pair_sums_group_products_by_monomial(self):
+        alg = JetAlgebra.get(3, 4)
+        for cap in range(5):
+            flat, starts = fields._pair_sums(alg, cap)
+            n = alg.upto[cap]
+            assert len(starts) == n and starts[0] == 0
+            groups = np.split(flat, starts[1:])
+            for m, group in enumerate(groups):
+                pairs = {(int(k) // n, int(k) % n) for k in group}
+                assert pairs == {
+                    (x, y) for x in range(n) for y in range(n)
+                    if tuple(p + q for p, q in zip(alg.mons[x], alg.mons[y]))
+                    == alg.mons[m]}
+
     @pytest.mark.parametrize("spec", ["abcd,ce->abed", "ce,abcd->abed",
                                       "abc,abd->cad", "cdab,abcd->", ",->"])
     @pytest.mark.parametrize("kinds", [("jet", "jet"), ("dual", "jet"),
