@@ -41,12 +41,15 @@ def _poly(dim: int, data: dict) -> Poly:
 def context_from_config(cfg: dict) -> GeometryContext:
     try:
         return _context(cfg)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(
             f"bad model config: {type(exc).__name__}: {exc}") from exc
 
 
 def _context(cfg: dict) -> GeometryContext:
+    if not isinstance(cfg, dict):
+        raise ConfigError("a model config must be a JSON object, got "
+                          f"{type(cfg).__name__}")
     kind = cfg.get("kind")
     orientation = int(cfg.get("orientation", 1))
     if orientation not in (1, -1):
@@ -79,6 +82,9 @@ def _context(cfg: dict) -> GeometryContext:
         for item in cfg.get("structure", []):
             v = _fraction(item["c"])
             e, a, b = int(item["e"]), int(item["a"]), int(item["b"])
+            if not all(0 <= x < dim for x in (e, a, b)):
+                raise ConfigError(f"structure index ({e}, {a}, {b}) is out "
+                                  f"of range for dim {dim}")
             sc[(e, a, b)] = v if exact else float(v)
             sc[(e, b, a)] = -v if exact else -float(v)
         g = [[_fraction(x) if exact else float(_fraction(x)) for x in row]

@@ -269,23 +269,6 @@ def invariance_residual(ctx: GeometryContext, form: str,
     return tensor_residual(f1.scale(math.exp(-w * u0)), f0)
 
 
-def verify_invariance(make_trial, form: str, *, trials: int, tol: float,
-                      suite: str = "thm_invariance", model: str = "random4",
-                      seed: int | None = None, phi=None) -> VerificationReport:
-    """Max invariance residual over seeded trials.
-
-    make_trial(i) must return a (context, ConformalFactor) pair.
-    """
-    rep = VerificationReport(suite, model, seed)
-    worst = 0.0
-    for i in range(trials):
-        ctx, ups = make_trial(i)
-        worst = max(worst, invariance_residual(ctx, form, ups, phi=phi))
-    rep.add(check_residual(f"invariance[{form}] over {trials} trials",
-                           worst, tol))
-    return rep
-
-
 def verify_pfaffian_identity(ctx: GeometryContext, tol: float = 1e-8,
                              exact: bool | None = None) -> VerificationReport:
     """Check 2k xi = div(tf Omega) + grad Pf(Rm)/(2k) and its trace companion
@@ -293,7 +276,7 @@ def verify_pfaffian_identity(ctx: GeometryContext, tol: float = 1e-8,
     from .invariants import (cotton_weyl_divergence_rhs, mixed_to_down, omega_k,
                              trace_mixed)
     from .jets import scalar_float
-    from .tensors import is_zero_tensor, tensors_equal
+    from .tensors import tensors_equal
     if ctx.dim != 4:
         raise DimensionError("the Pfaffian identity check runs in dimension 4")
     if exact is None:

@@ -10,11 +10,11 @@ class SlotError(CurvLabError):
 
 
 class ScalarKindError(CurvLabError):
-    """Operands of different scalar kinds were combined without promotion."""
+    """Operands of different scalar kinds (exact and float) were combined."""
 
 
 class ExactnessError(CurvLabError):
-    """A value (e.g. sqrt(det g)) is not representable in the exact scalar field."""
+    """A value (e.g. sqrt(det g)) is not rational, so exact arithmetic cannot hold it."""
 
 
 class JetOrderError(CurvLabError):

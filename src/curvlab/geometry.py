@@ -29,11 +29,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (ConfigError, DegenerateMetricError, DimensionError,
-                     ExactnessError, JetOrderError, ScalarKindError)
+                     JetOrderError, ScalarKindError)
 from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
                    newton_caps, scalar_float)
 from .polys import Poly, RationalFunc, taylor_jet
-from .scalars import FLOAT, RATIONAL, QuadExt, Ring, exact_sqrt
+from .scalars import FLOAT, RATIONAL, Ring, exact_sqrt
 from .fields import _LETTERS, JetField, RationalField
 from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
                       raise_slot)
@@ -246,10 +246,6 @@ class GeometryContext:
             root = math.sqrt(det)
         else:
             root = exact_sqrt(det)
-            if isinstance(root, QuadExt) and "quadext" not in self.ring.name:
-                raise ExactnessError(
-                    f"sqrt|det g| = sqrt({det}) is not rational; switch the "
-                    "context to a QuadExt or float scalar kind")
         inv = root.inverse() if hasattr(root, "inverse") else 1 / root
         return root * o, inv * (o * sign)
 
@@ -776,21 +772,6 @@ def kulkarni_nomizu_pg(p: Tensor, g: Tensor) -> Tensor:
     a = x - x.transpose(0, 1, 3, 2) + x.transpose(1, 0, 3, 2) \
         - x.transpose(1, 0, 2, 3)
     return Tensor(p.dim, ("d",) * 4, a)
-
-
-def build_stack(ctx: GeometryContext) -> CurvatureStack:
-    """Assemble the curvature stack; core fields are computed eagerly."""
-    st = ctx.stack
-    st.gamma, st.rm_mixed, st.ric  # noqa: B018  - force evaluation
-    if ctx.dim >= 3:
-        st.schouten
-    if ctx.dim >= 4:
-        st.weyl
-    return st
-
-
-def covariant_derivative(ctx: GeometryContext, t: Tensor) -> Tensor:
-    return ctx.stack.nabla(t)
 
 
 def cotton(ctx: GeometryContext) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, SlotError
 from .tensors import (AltForm, Permutation, Tensor, contract, einsum,
                       gkd_contract, lower_slot, perm_sign, raise_slot,
-                      signed_permutations, zeros)
+                      signed_permutations)
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,8 @@ class InvariantPolynomial:
             total = term if total is None else total + term
         return total
 
-    def index_tensor(self, dim: int, ring) -> Tensor:
-        """Materialized Phi_{s_1..s_k}^{t_1..t_k} (tests only)."""
-        k = self.degree
-        t = zeros(dim, ("d",) * k + ("u",) * k, ring)
-        one = ring.one()
-        for c, sigma in self.terms:
-            for s_idx in np.ndindex((dim,) * k):
-                t_idx = tuple(s_idx[_sigma_inv(sigma)[b]] for b in range(k))
-                t.a[s_idx + t_idx] = t.a[s_idx + t_idx] + c * one
-        return t
-
     def __repr__(self):
         return f"InvariantPolynomial(deg={self.degree}, {len(self.terms)} terms)"
-
-
-def _sigma_inv(sigma: Permutation):
-    return sigma.inverse().images
 
 
 def _cycles(sigma: Permutation):

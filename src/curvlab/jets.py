@@ -2,11 +2,11 @@
 
 A ``Jet`` stores the Taylor coefficients of a function of ``nvars`` variables
 at a base point, up to total degree ``order``.  Coefficients are either a
-float64 vector (fast path, vectorized multiply) or an object vector of exact
-scalars (Fraction / QuadExt).  Each jet carries ``valid``: the largest total
-degree whose stored coefficients are trustworthy.  Differentiation lowers
-``valid`` by one; arithmetic takes the minimum.  Coefficients above ``valid``
-are kept at exact zero so equality tests stay meaningful.
+float64 vector (fast path, vectorized multiply) or an object vector of
+``Fraction``s.  Each jet carries ``valid``: the largest total degree whose
+stored coefficients are trustworthy.  Differentiation lowers ``valid`` by
+one; arithmetic takes the minimum.  Coefficients above ``valid`` are kept at
+exact zero so equality tests stay meaningful.
 
 ``Dual`` is a nilpotent extension a + eps*b with eps^2 = 0 used for conformal
 linearization; its components may themselves be jets.
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExactnessError, JetOrderError, ScalarKindError
-from .scalars import QuadExt, exact_sqrt
+from .scalars import exact_sqrt
 
 
 class JetAlgebra:
@@ -148,7 +148,7 @@ class Jet:
     def const(cls, alg: JetAlgebra, value, exact: bool) -> "Jet":
         if exact:
             c = np.zeros(alg.N, dtype=object)
-            c[:] = [_zero_like(value)] * alg.N
+            c[:] = [Fraction(0)] * alg.N
             c[0] = value
         else:
             c = np.zeros(alg.N)
@@ -183,7 +183,7 @@ class Jet:
             if other.exact != self.exact:
                 raise ScalarKindError("mixing exact and float jets")
             return other
-        if isinstance(other, (int, Fraction, QuadExt, float)):
+        if isinstance(other, (int, Fraction, float)):
             return Jet.const(self.alg, _as_coeff(other, self.exact), self.exact)
         return None
 
@@ -283,8 +283,7 @@ class Jet:
         a0 = self.c[0]
         if (self.exact and not a0) or (not self.exact and a0 == 0.0):
             raise ZeroDivisionError("jet with zero constant term has no inverse")
-        inv0 = (Fraction(1) / a0 if isinstance(a0, (int, Fraction))
-                else (a0.inverse() if isinstance(a0, QuadExt) else 1.0 / a0))
+        inv0 = Fraction(1) / a0 if self.exact else 1.0 / a0
         x = Jet(self.alg, Jet.const(self.alg, inv0, self.exact).c, 0,
                 self.exact)
         two = Fraction(2) if self.exact else 2.0
@@ -337,9 +336,6 @@ class Jet:
         a0 = self.c[0]
         if self.exact:
             s0 = exact_sqrt(a0)
-            if isinstance(s0, QuadExt) and not isinstance(a0, QuadExt):
-                raise ExactnessError(
-                    f"sqrt({a0}) is irrational; promote the context to QuadExt or float")
         else:
             if a0 <= 0:
                 raise ValueError("jet sqrt needs positive constant term")
@@ -399,14 +395,6 @@ class Jet:
                    self.valid, False)
 
 
-def _zero_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    if isinstance(x, QuadExt):
-        return QuadExt(0)
-    return 0.0
-
-
 def jet_derivative(j: Jet, multi_index) -> object:
     """Partial-derivative value at the base point for the given multi-index."""
     multi = tuple(multi_index)
@@ -432,7 +420,7 @@ class Dual:
     def _coerce(self, other):
         if isinstance(other, Dual):
             return other
-        if isinstance(other, (int, float, Fraction, QuadExt, Jet)):
+        if isinstance(other, (int, float, Fraction, Jet)):
             return Dual(other, self.im * 0)
         return None
 
@@ -457,7 +445,7 @@ class Dual:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction, QuadExt, Jet)):
+        if isinstance(other, (int, float, Fraction, Jet)):
             # x = x + eps 0: the im part is im x, capped at re's ``valid``
             # as the full product caps it
             cap = getattr(self.re, "valid", None)
@@ -470,8 +458,7 @@ class Dual:
     __rmul__ = __mul__
 
     def inverse(self) -> "Dual":
-        inv = (self.re.inverse() if isinstance(self.re, (Jet, QuadExt))
-               else 1 / self.re)
+        inv = self.re.inverse() if isinstance(self.re, Jet) else 1 / self.re
         return Dual(inv, -(inv * inv) * self.im)
 
     def __truediv__(self, other):
@@ -532,6 +519,4 @@ def scalar_float(s) -> float:
     s = field_value(s)
     if isinstance(s, Dual):
         return float(max(abs(scalar_float(s.re)), abs(scalar_float(s.im))))
-    if isinstance(s, QuadExt):
-        return float(s)
     return float(s)

@@ -4,7 +4,6 @@ Fubini-Study CP^2, their products, and the seeded random-metric ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,15 +14,6 @@ from .geometry import ChartContext, FrameContext, GeometryContext, product
 from .polys import Poly, RationalFunc
 from .scalars import FLOAT, rational_sqrt
 from .tensors import Tensor
-
-
-@dataclass
-class ModelSpec:
-    """Named model plus parameters (t, radius, point, jet order, seed)."""
-
-    name: str
-    kind: str = "frame"                # chart | frame | product
-    params: dict = field(default_factory=dict)
 
 
 def flat_chart(dim: int = 4, jet_order: int = 3, exact: bool = True,
@@ -220,22 +210,6 @@ def random_conformal_factor(dim: int, seed: int, scale: float = 0.5) -> Poly:
 
 
 # -- registry ------------------------------------------------------------------
-
-
-def build_model(spec: ModelSpec) -> GeometryContext:
-    """Instantiate a named model; see MODEL_BUILDERS for the vocabulary."""
-    name = spec.name
-    if name not in MODEL_BUILDERS:
-        raise ConfigError(f"unknown model {name!r}; known: "
-                          f"{sorted(MODEL_BUILDERS)}")
-    return MODEL_BUILDERS[name](**spec.params)
-
-
-def sweep(name: str, grid: dict) -> list[GeometryContext]:
-    """Build one context per value of the single-parameter grid."""
-    (key, values), = grid.items()
-    return [build_model(ModelSpec(name, params={key: v})) for v in values]
-
 
 MODEL_BUILDERS = {
     "flat2": lambda jet_order=3, exact=True, seed=0, t=None:

@@ -160,17 +160,6 @@ class Poly:
         """The truncated jet at base_point."""
         return taylor_jet(alg, self.taylor(alg, base_point), exact)
 
-    def to_config(self) -> dict:
-        return {",".join(map(str, e)): str(c) for e, c in self.coeffs.items()}
-
-    @classmethod
-    def from_config(cls, nvars: int, data: dict) -> "Poly":
-        coeffs = {}
-        for key, val in data.items():
-            exp = tuple(int(s) for s in key.split(","))
-            coeffs[exp] = Fraction(val)
-        return cls(nvars, coeffs)
-
 
 def taylor_jet(alg: JetAlgebra, coeffs: dict, exact: bool) -> Jet:
     """The jet with the ``Poly.taylor`` coefficients coeffs, each rounded

@@ -1,10 +1,9 @@
-"""Scalar tower: exact rationals, quadratic extensions a + b*sqrt(d), floats.
+"""Scalar kinds: exact rationals and floats.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  ``QuadExt`` adjoins a single square root of a squarefree
-nonnegative integer.  Promotion between kinds is explicit only:
-Rational -> QuadExt -> float.  Truncated Taylor jets live in
-:mod:`curvlab.jets` and sit on top of either exact or float coefficients.
+denominator).  An exact square root stays rational or is refused.
+Truncated Taylor jets live in :mod:`curvlab.jets` and sit on top of either
+exact or float coefficients.
 """
 
 from __future__ import annotations
@@ -12,129 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ExactnessError, ScalarKindError
-
-
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s^2 * d and d squarefree."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    s, d, f = 1, 1, 2
-    while f * f <= n:
-        while n % (f * f) == 0:
-            n //= f * f
-            s *= f
-        if n % f == 0:
-            n //= f
-            d *= f
-        f += 1
-    return s, d * n
-
-
-class QuadExt:
-    """Element a + b*sqrt(d) of a real quadratic extension of the rationals.
-
-    d is a squarefree nonnegative integer; b == 0 forces d == 1 so that the
-    representation is canonical.  Arithmetic between elements with different
-    nontrivial d raises ScalarKindError.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=1):
-        a, b = Fraction(a), Fraction(b)
-        if d < 0:
-            raise ValueError("radicand must be nonnegative")
-        if b != 0:
-            s, d0 = _squarefree_split(int(d))
-            b, d = b * s, d0
-            if d == 1:
-                a, b = a + b, Fraction(0)
-        if b == 0:
-            d = 1
-        self.a, self.b, self.d = a, b, d
-
-    def _join(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return NotImplemented
-
-    def _check(self, other: "QuadExt") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0 or other.d == self.d:
-            return self.d
-        raise ScalarKindError(
-            f"cannot mix sqrt({self.d}) with sqrt({other.d})"
-        )
-
-    def __add__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._check(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._check(o)
-        return QuadExt(self.a * o.a + self.b * o.b * d,
-                       self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        nrm = self.a * self.a - self.b * self.b * self.d
-        if nrm == 0:
-            raise ZeroDivisionError("QuadExt division by zero")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.d)
-
-    def __truediv__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        o = self._join(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b and (self.b == 0 or self.d == o.d)
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
+from .errors import ExactnessError
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -149,52 +26,14 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def exact_sqrt(x):
-    """Square root inside the exact tower: Fraction when possible, else QuadExt.
-
-    Raises ExactnessError for a QuadExt input with irrational part (one square
-    root is the most the tower supports).
-    """
-    if isinstance(x, QuadExt):
-        if x.b != 0:
-            raise ExactnessError("nested square roots are not supported")
-        x = x.a
-    x = Fraction(x)
-    r = rational_sqrt(x)
-    if r is not None:
-        return r
-    s, d = _squarefree_split(x.numerator * x.denominator)
-    return QuadExt(0, Fraction(s, x.denominator), d)
-
-
-def to_float(x) -> float:
-    """Collapse any plain scalar (not a jet) to a float."""
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return float(x)
-    if isinstance(x, QuadExt):
-        return float(x)
-    return float(x)
-
-
-def promote(x, kind: str):
-    """Explicit promotion of a plain scalar: 'rational' -> 'quadext' -> 'float'."""
-    if kind == "float":
-        return to_float(x)
-    if kind == "quadext":
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadExt(x)
-        raise ScalarKindError(f"cannot promote {type(x).__name__} to QuadExt")
-    if kind == "rational":
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, QuadExt) and x.b == 0:
-            return x.a
-        raise ScalarKindError(f"cannot demote {type(x).__name__} to Fraction")
-    raise ScalarKindError(f"unknown scalar kind {kind!r}")
+def exact_sqrt(x) -> Fraction:
+    """Square root of a nonnegative rational, which must be rational;
+    ExactnessError otherwise (float arithmetic is the way out)."""
+    r = rational_sqrt(Fraction(x))
+    if r is None:
+        raise ExactnessError(
+            f"sqrt({x}) is not rational; use a float scalar kind")
+    return r
 
 
 class Ring:
@@ -218,6 +57,3 @@ class Ring:
 RATIONAL = Ring("rational", Fraction(0), Fraction(1), True)
 FLOAT = Ring("float", 0.0, 1.0, False)
 
-
-def quadext_ring(d: int) -> Ring:
-    return Ring(f"quadext({d})", QuadExt(0, 0, 1), QuadExt(1, 0, 1), True)

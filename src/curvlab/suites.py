@@ -270,6 +270,8 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
                            Fraction(1, 4))) -> VerificationReport:
     t = Fraction(t)
     rep = VerificationReport("berger", f"berger_product_t={t}", seed)
+    if t <= 0:
+        raise ConfigError("Berger parameter t must be positive")
     # this suite asserts exact equalities, so it always runs in rationals
     if rational_sqrt(t) is None:
         raise ExactnessError(
@@ -790,6 +792,9 @@ def run_suite(name: str, **options) -> list[VerificationReport]:
     trials, tol = options.get("trials"), options.get("tol")
     if trials is not None and trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    seed = options.get("seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     if options.get("jet_order") is not None:

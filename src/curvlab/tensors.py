@@ -1,7 +1,7 @@
 """Dense tensor arithmetic with abstract-index semantics.
 
-Components are over one scalar kind (Fraction, QuadExt, float, Jet, or
-Dual).  Slot order is storage order; valence is a tuple of 'u'/'d' flags.
+Components are over one scalar kind (Fraction, float, Jet, or Dual).
+Slot order is storage order; valence is a tuple of 'u'/'d' flags.
 
 Storage.  A ``Tensor`` holds its components as a numpy object array or
 packed in a field (``curvlab.fields``):
@@ -27,8 +27,8 @@ them reads ``Tensor.a``: that object array, for every reader that wants
 scalar objects, is unpacked on first read and kept, read-only, so a write
 can never leave the packed data stale (``Tensor.copy``, ``zeros``,
 ``Tensor.filled`` and ``Tensor.from_function`` give writable ones).
-``Tensor.data`` is whichever storage the tensor has; exact jets, QuadExt,
-plain floats and mixed arrays always stay object arrays.
+``Tensor.data`` is whichever storage the tensor has; exact jets, plain
+floats and mixed arrays always stay object arrays.
 
 Every contraction goes through ``einsum(spec, *operands)``, which returns
 a field when a packed operand went through a packed step and an object
@@ -62,8 +62,8 @@ Each step dispatches on its operands' scalars alone:
   Python ints, is below 2**63, which bounds every partial sum, and on
   Python ints otherwise; sums, differences and scalings prove their bound
   the same way.  Either way the result is exact and reduced once.
-- Any other step (exact jets, QuadExt, plain floats, arrays that mix kinds
-  or mix int with Fraction, one object operand) is
+- Any other step (exact jets, plain floats, arrays that mix kinds or mix
+  int with Fraction, one object operand) is
   ``np.einsum(..., optimize=True)`` on the objects, so exact results are
   unchanged bit for bit.
 
@@ -87,7 +87,7 @@ from .fields import (_LETTERS, JetField, RationalField, _Field, _field_einsum1,
                      _float_jet_einsum, _object_array, _pack, _rational_einsum,
                      _widened)
 from .jets import Dual, Jet, field_value, scalar_float
-from .scalars import QuadExt
+
 
 def kind_of(x) -> str:
     if isinstance(x, Jet):
@@ -98,8 +98,6 @@ def kind_of(x) -> str:
         raise ScalarKindError("bool is not a scalar")
     if isinstance(x, (int, Fraction)):
         return "rational"
-    if isinstance(x, QuadExt):
-        return "quadext"
     if isinstance(x, float):
         return "float"
     raise ScalarKindError(f"unsupported scalar type {type(x).__name__}")
@@ -107,12 +105,8 @@ def kind_of(x) -> str:
 
 def _check_same_kind(a: "Tensor", b: "Tensor"):
     ka, kb = a.kind(), b.kind()
-    if ka == kb:
-        return
-    if {ka, kb} == {"rational", "quadext"}:
-        return              # the rationals sit inside the extension
-    raise ScalarKindError(f"mixed scalar kinds {ka} and {kb}; "
-                          "promote explicitly first")
+    if ka != kb:
+        raise ScalarKindError(f"mixed scalar kinds {ka} and {kb}")
 
 
 class Tensor:
@@ -692,14 +686,6 @@ def _move_slot(t: Tensor, slot: int, g: Tensor, to: str) -> Tensor:
         letters[:slot] + fresh + letters[slot + 1:]
     valence = t.valence[:slot] + (to,) + t.valence[slot + 1:]
     return Tensor(t.dim, valence, einsum(spec, t.data, g.data))
-
-
-def raise_lower(ctx, t: Tensor, slot: int, direction: str) -> Tensor:
-    if direction == "raise":
-        return raise_slot(ctx, t, slot)
-    if direction == "lower":
-        return lower_slot(ctx, t, slot)
-    raise SlotError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
 def epsilon_form(ctx) -> Tensor:

@@ -7,9 +7,11 @@ import pytest
 
 from curvlab import cli, suites
 from curvlab.cli import main
+from curvlab.models import MODEL_BUILDERS
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
+IDENTITY4 = [[str(int(i == j)) for j in range(4)] for i in range(4)]
 from curvlab.report import Check, VerificationReport
 
 
@@ -30,6 +32,11 @@ class TestExitCodes:
     def test_unknown_suite_exits_two(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
 
+    def test_model_help_lists_every_model(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in MODEL_BUILDERS)
+
     def test_unknown_model_exits_two(self):
         assert main(["verify", "--suite", "thm_invariance",
                      "--model", "mystery"]) == 2
@@ -41,6 +48,19 @@ class TestExitCodes:
 
     def test_bad_rational_exits_two(self):
         assert main(["verify", "--suite", "berger", "--t", "4/0"]) == 2
+
+    @pytest.mark.parametrize("t_args", [["--t", "-1"], ["--t=-1/4"],
+                                        ["--t", "0"]])
+    def test_nonpositive_berger_t_exits_two(self, t_args, capsys):
+        assert main(["verify", "--suite", "berger"] + t_args) == 2
+        assert "Berger parameter t must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["thm_invariance", "lemmas",
+                                       "naturality", "core_identities",
+                                       "berger"])
+    def test_negative_seed_exits_two(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("dim, structure, message", [
@@ -166,6 +186,28 @@ class TestModelConfigPath:
         assert main(["verify", "--suite", "thm_pfaffian",
                      "--model", str(path)]) == 2
         assert "orientation must be 1 or -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"kind": "frame", "dim": 4, "metric": IDENTITY4,
+          "structure": [{"e": 5, "a": 0, "b": 1, "c": "1"}]},
+         "structure index (5, 0, 1) is out of range"),
+        # numpy would wrap a negative index onto the last row
+        ({"kind": "frame", "dim": 4, "metric": IDENTITY4,
+          "structure": [{"e": -1, "a": 0, "b": 1, "c": "1"}]},
+         "structure index (-1, 0, 1) is out of range"),
+        ({"kind": "frame", "dim": 4, "metric": IDENTITY4[:3]}, "IndexError"),
+        ({"kind": "chart", "dim": 4, "base_point": ["0"] * 4,
+          "metric": [[{"num": {"0,0,0,0": x}} for x in row]
+                     for row in IDENTITY4[:3]]}, "IndexError"),
+        ([{"kind": "frame", "dim": 4, "metric": IDENTITY4}],
+         "a model config must be a JSON object, got list"),
+    ])
+    def test_malformed_config_exits_two(self, cfg, message, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_pfaffian",
+                     "--model", str(path), "--trials", "1"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_frame_config_without_dim_exits_two(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "berger_frame.json").read_text())

@@ -7,8 +7,7 @@ import pytest
 from curvlab.conformal import (ConformalFactor, clone_context,
                                invariance_residual, linearize, linearize_fd,
                                naturality_rank_test, rescale,
-                               verify_ac_identities, verify_invariance,
-                               verify_pfaffian_identity)
+                               verify_ac_identities, verify_pfaffian_identity)
 from curvlab.errors import DimensionError, ExactnessError
 from curvlab.invariants import InvariantPolynomial
 from curvlab.models import (berger_product, flat_chart, random_chart,
@@ -115,12 +114,12 @@ class TestInvarianceOps:
         ups = ups_for(ctx, 5)
         assert invariance_residual(ctx, "star_rho_general", ups) < 1e-7
 
-    def test_verify_invariance_wrapper(self):
-        def make_trial(i):
+    def test_invariance_over_seeded_trials(self):
+        worst = 0.0
+        for i in range(2):
             ctx = random_chart(4, seed=100 + i, jet_order=3)
-            return ctx, ups_for(ctx, i)
-        rep = verify_invariance(make_trial, "xi_k", trials=2, tol=1e-8)
-        assert rep.passed
+            worst = max(worst, invariance_residual(ctx, "xi_k", ups_for(ctx, i)))
+        assert worst < 1e-8
 
     def test_unknown_form_rejected(self, chart4):
         with pytest.raises(KeyError):

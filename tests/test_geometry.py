@@ -10,8 +10,8 @@ from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
 from curvlab.fields import JetField
 from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
-                              build_stack, covariant_derivative, cotton, bach,
-                              dual_ring, kulkarni_nomizu_pg, product)
+                              cotton, bach, dual_ring, kulkarni_nomizu_pg,
+                              product)
 from curvlab.jets import Dual, Jet
 from curvlab.models import (berger_frame, berger_product, circle_frame,
                             flat_chart, fs_cp2_chart, product_8d,
@@ -25,7 +25,7 @@ from curvlab.tensors import (Tensor, antisymmetrize, is_zero_tensor, max_abs,
 
 class TestFlatAndSphere:
     def test_flat_stack_vanishes(self):
-        st = build_stack(flat_chart(4, jet_order=2, exact=True))
+        st = flat_chart(4, jet_order=2, exact=True).stack
         assert is_zero_tensor(st.rm)
         assert is_zero_tensor(st.ric)
         assert st.scalar_curv == 0
@@ -207,8 +207,9 @@ class TestCovariantDerivative:
         assert residual(lhs.at_point(), rhs.at_point()) < 1e-8
 
     def test_op_wrapper(self, chart4):
-        ng = covariant_derivative(chart4, chart4.metric)
+        ng = chart4.stack.nabla(chart4.metric)
         assert ng.valence == ("d", "d", "d")
+        assert max_abs(ng.at_point()) < 1e-12
 
 
 class TestConfig:
@@ -257,6 +258,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             context_from_config(bad_frame)
 
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_structure_index_out_of_range_raises(self, index):
+        """A negative index is refused too: numpy would wrap it onto the
+        last row."""
+        cfg = {"kind": "frame", "dim": 3,
+               "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "structure": [{"e": index, "a": 0, "b": 1, "c": "1"}]}
+        with pytest.raises(ConfigError, match="out of range for dim 3"):
+            context_from_config(cfg)
+
 
 class TestStackInvariantChecker:
     def test_exact_on_frame(self, berger4_stack):
@@ -274,7 +285,7 @@ def test_riemann_matches_the_four_term_formula(model, request):
     with both products, exactly."""
     from curvlab.tensors import einsum
     ctx = request.getfixturevalue(model)
-    st = build_stack(ctx)
+    st = ctx.stack
     ga = st.gamma.a
     dgam = st._dirderiv(st.gamma).a
     ref = np.einsum("acbd->abcd", dgam) - np.einsum("bcad->abcd", dgam) \
@@ -288,8 +299,9 @@ def test_riemann_matches_the_four_term_formula(model, request):
 
 def test_insufficient_jet_order_signals_rebuild():
     ctx = random_chart(4, seed=0, jet_order=1)
+    assert ctx.stack.gamma is not None
     with pytest.raises(JetOrderError):
-        build_stack(ctx)
+        ctx.stack.rm_mixed
 
 
 def test_lorentzian_signature_smoke():

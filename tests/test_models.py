@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from curvlab.errors import ConfigError, ExactnessError
-from curvlab.models import (ModelSpec, berger_product, build_model,
-                            fs_cp2_chart, killing_field_T, random_chart,
-                            random_conformal_factor, sweep)
+from curvlab.models import (MODEL_BUILDERS, berger_product, fs_cp2_chart,
+                            killing_field_T, random_chart,
+                            random_conformal_factor)
+from curvlab.suites import run_suite
 from curvlab.tensors import is_zero_tensor, max_abs, residual
 
 
 class TestRegistry:
     def test_build_flat(self):
-        ctx = build_model(ModelSpec("flat4", params={"jet_order": 2}))
+        ctx = MODEL_BUILDERS["flat4"](jet_order=2)
         assert ctx.dim == 4 and is_zero_tensor(ctx.stack.rm)
 
     def test_unknown_model(self):
-        with pytest.raises(ConfigError):
-            build_model(ModelSpec("klein_bottle"))
+        with pytest.raises(ConfigError, match="unknown model 'klein_bottle'"):
+            run_suite("thm_invariance", model="klein_bottle", trials=1)
 
     def test_sweep(self):
-        ctxs = sweep("berger_product", {"t": [Fraction(1), Fraction(4)]})
-        assert len(ctxs) == 2
+        ctxs = [MODEL_BUILDERS["berger_product"](t=t)
+                for t in (Fraction(1), Fraction(4))]
         assert is_zero_tensor(ctxs[0].stack.weyl)        # t = 1 is round
         assert not is_zero_tensor(ctxs[1].stack.weyl)
 
@@ -87,8 +88,10 @@ class TestRandomEnsemble:
 
 
 def test_flat_alias_resolves():
-    ctx = build_model(ModelSpec("flat"))
+    ctx = MODEL_BUILDERS["flat"]()
     assert ctx.dim == 4
+    rep, = run_suite("thm_pfaffian", model="flat", trials=1)
+    assert rep.passed and rep.model == "flat"
 
 
 def test_product_factorization_at_second_parameter():

@@ -3,50 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from curvlab.errors import ScalarKindError
-from curvlab.scalars import QuadExt, exact_sqrt, promote, rational_sqrt
+from curvlab.errors import ExactnessError
+from curvlab.scalars import exact_sqrt, rational_sqrt
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-
-
-def quadexts(d):
-    return st.builds(lambda a, b: QuadExt(a, b, d), rationals, rationals)
-
-
-class TestQuadExt:
-    def test_canonical_form(self):
-        x = QuadExt(1, 2, 8)          # 1 + 2*sqrt(8) = 1 + 4*sqrt(2)
-        assert (x.a, x.b, x.d) == (Fraction(1), Fraction(4), 2)
-        y = QuadExt(3, 2, 9)          # sqrt(9) folds into the rational part
-        assert (y.a, y.b, y.d) == (Fraction(9), Fraction(0), 1)
-
-    def test_zero_b_forgets_radicand(self):
-        assert QuadExt(5, 0, 7) == QuadExt(5, 0, 3) == Fraction(5)
-
-    @given(quadexts(2), quadexts(2), quadexts(2))
-    def test_ring_axioms(self, x, y, z):
-        assert (x + y) * z == x * z + y * z
-        assert x * y == y * x
-        assert (x + y) + z == x + (y + z)
-
-    @given(quadexts(3))
-    def test_division_inverts(self, x):
-        if x:
-            assert (x / x) == QuadExt(1)
-            assert x * x.inverse() == QuadExt(1)
-
-    def test_mixing_radicands_raises(self):
-        with pytest.raises(ScalarKindError):
-            QuadExt(0, 1, 2) * QuadExt(0, 1, 3)
-
-    def test_rational_operand_embeds(self):
-        x = QuadExt(1, 1, 5)
-        assert x + Fraction(1, 2) == QuadExt(Fraction(3, 2), 1, 5)
-        assert 2 * x == QuadExt(2, 2, 5)
-
-    def test_float_conversion(self):
-        assert float(QuadExt(0, 1, 4)) == 2.0
-        assert abs(float(QuadExt(1, 1, 2)) - 2.414213562) < 1e-8
 
 
 class TestSqrt:
@@ -58,22 +18,9 @@ class TestSqrt:
         assert rational_sqrt(Fraction(2)) is None
         assert rational_sqrt(Fraction(1, 3)) is None
 
-    def test_exact_sqrt_escalates(self):
+    def test_exact_sqrt_rejects_irrational(self):
         assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        r = exact_sqrt(Fraction(8))
-        assert isinstance(r, QuadExt) and r == QuadExt(0, 2, 2)
-        assert exact_sqrt(Fraction(1, 2)) == QuadExt(0, Fraction(1, 2), 2)
-
-
-class TestPromotion:
-    def test_rational_to_quadext_to_float(self):
-        q = Fraction(3, 7)
-        x = promote(q, "quadext")
-        assert isinstance(x, QuadExt) and x == q
-        assert promote(x, "float") == pytest.approx(3 / 7)
-
-    def test_no_silent_demotion(self):
-        with pytest.raises(ScalarKindError):
-            promote(QuadExt(0, 1, 2), "rational")
-        with pytest.raises(ScalarKindError):
-            promote(0.5, "quadext")
+        assert exact_sqrt(4) == Fraction(2)
+        for q in (Fraction(8), Fraction(1, 2)):
+            with pytest.raises(ExactnessError, match="float"):
+                exact_sqrt(q)

@@ -13,12 +13,12 @@ from curvlab.errors import (DegenerateMetricError, ExactnessError,
                             ScalarKindError, SlotError)
 from curvlab.geometry import GeometryContext
 from curvlab.jets import Dual, Jet, JetAlgebra
-from curvlab.scalars import RATIONAL, QuadExt
+from curvlab.scalars import RATIONAL
 from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              contract, contract_with, einsum, epsilon_form,
                              generalized_delta, gkd_contract, hodge_star,
                              is_antisymmetric, is_zero_tensor, lower_slot,
-                             max_abs, perm_sign, raise_lower, raise_slot,
+                             max_abs, perm_sign, raise_slot,
                              residual, signed_permutations, symmetrize,
                              tensors_equal, zeros)
 from curvlab import fields
@@ -251,7 +251,7 @@ def random_jets(alg, shape, rng, kind, low=0):
 
 
 def random_scalars(shape, rng, kind):
-    """Array of rationals, QuadExts in Q(sqrt 2), plain floats or exact jets."""
+    """Array of rationals, plain floats or exact jets."""
     alg = JetAlgebra.get(2, 3)
 
     def rational():
@@ -260,8 +260,6 @@ def random_scalars(shape, rng, kind):
     def scalar():
         if kind == "rational":
             return rational()
-        if kind == "quadext":
-            return QuadExt(rational(), rational(), 2)
         if kind == "float":
             return float(rng.standard_normal())
         valid = int(rng.integers(0, alg.order + 1))
@@ -504,7 +502,7 @@ class TestEinsumKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(two_operand_specs(),
-           st.sampled_from(["quadext", "float", "exact-jet"]),
+           st.sampled_from(["float", "exact-jet"]),
            st.integers(0, 10 ** 6))
     def test_other_scalars_keep_numpy_path(self, spec, kind, seed):
         rng = np.random.default_rng(seed)
@@ -969,13 +967,6 @@ class TestEpsilonHodge:
         with pytest.raises(ExactnessError):
             epsilon_form(ctx)
 
-    def test_quadext_context_carries_irrational_volume(self):
-        from curvlab.scalars import QuadExt, quadext_ring
-        ctx = diag_ctx(3, [2, 1, 1])
-        ctx.ring = quadext_ring(2)
-        eps = epsilon_form(ctx)
-        assert eps.a[0, 1, 2] == QuadExt(0, 1, 2)
-
     def test_star_of_one_is_epsilon(self):
         ctx = diag_ctx(4, [1] * 4)
         one = Tensor.scalar(4, Fraction(1))
@@ -1064,10 +1055,13 @@ class TestRaiseLower:
     def test_raise_lower_dispatch(self):
         ctx = diag_ctx(2, [1, 1])
         t = zeros(2, ("d",), RATIONAL)
-        up = raise_lower(ctx, t, 0, "raise")
+        up = raise_slot(ctx, t, 0)
         assert up.valence == ("u",)
+        assert lower_slot(ctx, up, 0).valence == ("d",)
         with pytest.raises(SlotError):
-            raise_lower(ctx, t, 0, "sideways")
+            raise_slot(ctx, up, 0)
+        with pytest.raises(SlotError):
+            lower_slot(ctx, t, 0)
 
 
 @settings(max_examples=20, deadline=None)
