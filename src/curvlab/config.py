@@ -38,6 +38,18 @@ def _poly(dim: int, data: dict) -> Poly:
         raise ConfigError(f"bad polynomial table: {exc}") from exc
 
 
+def _metric_rows(cfg: dict, dim: int) -> list:
+    """The metric table of a chart or frame config; IndexError (a
+    ConfigError from ``context_from_config``) unless it has dim rows of dim
+    entries each."""
+    rows = cfg["metric"]
+    sizes = [len(row) for row in rows]
+    if sizes != [dim] * dim:
+        raise IndexError(f"the metric table has rows of sizes {sizes}, "
+                         f"not {dim} rows of {dim} for dim {dim}")
+    return rows
+
+
 def context_from_config(cfg: dict) -> GeometryContext:
     try:
         return _context(cfg)
@@ -60,7 +72,7 @@ def _context(cfg: dict) -> GeometryContext:
         base = tuple(_fraction(x) for x in cfg["base_point"])
         if len(base) != dim:
             raise ConfigError("base_point arity does not match dim")
-        rows = cfg["metric"]
+        rows = _metric_rows(cfg, dim)
         entries = []
         for i in range(dim):
             row = []
@@ -88,7 +100,7 @@ def _context(cfg: dict) -> GeometryContext:
             sc[(e, a, b)] = v if exact else float(v)
             sc[(e, b, a)] = -v if exact else -float(v)
         g = [[_fraction(x) if exact else float(_fraction(x)) for x in row]
-             for row in cfg["metric"]]
+             for row in _metric_rows(cfg, dim)]
         kwargs = {} if exact else {"ring": FLOAT}
         return FrameContext(dim, sc, g, orientation=orientation,
                             name=cfg.get("name", "frame"), **kwargs)

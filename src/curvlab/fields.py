@@ -173,6 +173,18 @@ class JetField(_Field):
             parts.append((out, v))
         return self._with(parts)
 
+    def truncated(self, k: int) -> "JetField":
+        """The field with every ``valid`` lowered to at most k and the
+        coefficients above degree k dropped."""
+        n, parts = self.alg.upto[k], []
+        for c, v in self._parts():
+            if v.max() > k:
+                c, c0 = np.zeros_like(c), c
+                c[:n] = c0[:n]
+                v = np.minimum(v, k)
+            parts.append((c, v))
+        return self._with(parts)
+
     # -- elementwise arithmetic ----------------------------------------------
 
     def transpose(self, *axes) -> "JetField":
@@ -292,7 +304,8 @@ def _field_einsum1(spec: str, f: JetField) -> JetField:
 _BLOCK_FLOATS = 1 << 15     # shifted operand plus output of one kernel block
 
 
-def _float_jet_einsum(spec: str, a, b):
+def _float_jet_einsum(spec: str, a, b, lo: int = 0, band_a=None,
+                      band_b=None):
     """A two-operand ``einsum`` step on float jets, or None for other scalars.
 
     Each operand is a ``JetField`` or an object array that packs into one
@@ -300,7 +313,8 @@ def _float_jet_einsum(spec: str, a, b):
     and re.im + im.re; a Jet operand contributes no im run.  Each output's
     ``valid`` is the min over the components that feed it, as the chain of
     ``Jet.__mul__``/``__add__`` calls gives; a Dual's im part is also capped
-    at its re part's ``valid``, as ``Dual.__mul__`` does.
+    at its re part's ``valid``, as ``Dual.__mul__`` does.  ``lo`` and the
+    bands go to every run as ``_jet_product`` takes them.
     """
     fa = JetField.of(a)
     if fa is None:
@@ -309,46 +323,68 @@ def _float_jet_einsum(spec: str, a, b):
     if fb is None or fb.alg is not fa.alg:
         return None
     alg, (ra, *ima), (rb, *imb) = fa.alg, fa._parts(), fb._parts()
-    re_c, re_v = _jet_product(alg, spec, ra, rb)
+    kept = (lo, band_a, band_b)
+    re_c, re_v = _jet_product(alg, spec, ra, rb, *kept)
     runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
     if not runs:
         return JetField(alg, re_c, re_v)
     im_c, im_v = 0.0, re_v
     for x, y in runs:
-        c, v = _jet_product(alg, spec, x, y)
+        c, v = _jet_product(alg, spec, x, y, *kept)
         im_c = im_c + c
         im_v = np.minimum(im_v, v)
     return JetField(alg, re_c, re_v, _zero_above(alg, im_c, im_v), im_v)
 
 
-def _jet_product(alg, spec: str, a, b):
-    """The contraction ``spec`` of two packed float-jet operands.
+def _jet_product(alg, spec: str, a, b, lo: int = 0, band_a=None,
+                 band_b=None):
+    """The contraction ``spec`` of two packed float-jet operands, from
+    output degree ``lo`` up.
 
-    a and b are (coefficients, valid) parts of ``JetField``s.  Returns the
-    output's (coefficients, valid), coefficient axis leading, zero above
-    each output's ``valid``.  Truncated series multiply as a lower
-    triangular Toeplitz matrix (Griewank & Walther, Evaluating Derivatives,
-    2008, ch. 13): output monomial m sums F[x] S[m - x] over the monomials
-    x <= m, so the operand S is expanded through the shift table up to the
-    largest output ``valid`` and each block of output monomials is one
-    ``np.matmul`` of the other operand F against it, the summed letters and
-    x together forming the inner axis.  When F has fewer free components
-    than there are summed ones (a full contraction, say), expanding S
-    would gather more than the product computes: the summed letters are
-    then contracted first, in one GEMM giving F[x] S[y] for every pair of
-    monomials, and output monomial m sums the pairs with x y = m.
+    a and b are (coefficients, valid) parts of ``JetField``s, and band_a
+    and band_b the degrees (d0, d1) in which each can be nonzero (None: all
+    of them); an operand's coefficients outside its band are taken as zero.
+    Returns the output's (coefficients, valid), coefficient axis leading,
+    zero above each output's ``valid`` and below degree ``lo``; the
+    ``valid`` is the min over the operands', whatever the bands.
+
+    Truncated series multiply as a lower triangular Toeplitz matrix
+    (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13): output
+    monomial m sums F[x] S[m - x] over the monomials x <= m, so the operand
+    S is expanded through the shift table up to the largest output
+    ``valid`` and each block of output monomials is one ``np.matmul`` of
+    the other operand F against it, the summed letters and x together
+    forming the inner axis.  The blocks start at the first monomial of
+    degree ``lo``, and within a block x runs only over the degrees that
+    can meet both bands: deg x in F's band and deg m - deg x in S's, a
+    truncated product when only low output degrees are kept and a middle
+    product when only high ones are (Hanrot, Quercia & Zimmermann, AAECC 14,
+    2004).  With full bands and ``lo`` 0 this is the plain product.  When F
+    has fewer free components than there are summed ones (a full
+    contraction, say), expanding S would gather more than the product
+    computes: the summed letters are then contracted first, in one GEMM
+    giving F[x] S[y] for every pair of monomials in the bands, and output
+    monomial m sums the pairs with x y = m.
     """
     (ca, va), (cb, vb) = a, b
     p = _product_plan(spec, va.shape, vb.shape)
-    lo = va.flat[0]
-    if (va == lo).all() and (vb == vb.flat[0]).all():
-        v = np.full(p.out_shape, min(lo, vb.flat[0]), dtype=va.dtype)
+    va0, vb0 = va.flat[0], vb.flat[0]
+    if (va == va0).all() and (vb == vb0).all():
+        v = np.full(p.out_shape, min(va0, vb0), dtype=va.dtype)
         uniform = True
     else:
         v = _min_valid(spec, va, vb)
         uniform = False
     cap = int(v.max())
     n = alg.upto[cap]
+    c = np.zeros((alg.N,) + p.out_shape)
+    if p.swap:
+        band_a, band_b = band_b, band_a
+    (f0, f1), (s0, s1) = (
+        (0, cap) if band is None else (band[0], min(band[1], cap))
+        for band in (band_a, band_b))
+    if f0 > f1 or s0 > s1 or lo > min(cap, f1 + s1):
+        return c, v         # no kept degree can be nonzero
     ca, cb = ca[:n], cb[:n]
     if p.pre_a:
         ca = np.einsum(p.pre_a, ca)
@@ -358,33 +394,54 @@ def _jet_product(alg, spec: str, a, b):
         ca, cb = cb, ca
     nb, nf, nk, ns = p.sizes
     fixed = ca.transpose(p.perm_f).reshape(nb, nf, nk, n)
-    c = np.zeros((alg.N,) + p.out_shape)
     view = c.transpose(p.perm_o)
     lead = (slice(None),) * len(p.fixed_out_shape)
+    start = _rows(alg, lo, cap)[0]
+    y0, y1 = _rows(alg, s0, s1)
+    band_s = cb[y0:y1].transpose(p.perm_s).reshape(nb, nk, y1 - y0, ns)
     if nf < nk:
         # contract first: P[x, y] = sum over the summed letters of
         # F[x] S[y] in one GEMM, then output monomial m sums P[x, m - x]
+        x0, x1 = _rows(alg, f0, f1)
         pairs = np.matmul(
-            fixed.transpose(0, 1, 3, 2).reshape(nb, nf * n, nk),
-            cb.transpose(p.perm_s).reshape(nb, nk, n * ns))
+            fixed[..., x0:x1].transpose(0, 1, 3, 2).reshape(
+                nb, nf * (x1 - x0), nk),
+            band_s.reshape(nb, nk, (y1 - y0) * ns)).reshape(
+                nb, nf, x1 - x0, y1 - y0, ns)
+        if (x1 - x0, y1 - y0) != (n, n):
+            pairs = np.pad(pairs, ((0, 0), (0, 0), (x0, n - x1),
+                                   (y0, n - y1), (0, 0)))
         flat, starts = _pair_sums(alg, cap)
-        view[lead + (slice(0, n),)] = np.add.reduceat(
+        view[lead + (slice(start, n),)] = np.add.reduceat(
             np.take(pairs.reshape(nb, nf, n * n, ns), flat, axis=2),
-            starts, axis=2).reshape(p.fixed_out_shape + (n,)
-                                    + p.free_s_shape)
+            starts, axis=2)[:, :, start:].reshape(
+                p.fixed_out_shape + (n - start,) + p.free_s_shape)
     else:
         shifted = np.zeros((nb, nk, n + 1, ns))     # row n: the zero row
-        shifted[:, :, :n] = cb.transpose(p.perm_s).reshape(nb, nk, n, ns)
-        s = _shift_table(alg, cap)
-        for m0, m1 in _shift_blocks(alg, cap, nb * nk * ns, nb * nf * ns):
-            f = fixed[..., :m1].reshape(nb, nf, nk * m1)
-            g = np.take(shifted, s[:m1, m0:m1], axis=2).reshape(
-                nb, nk * m1, (m1 - m0) * ns)
+        shifted[:, :, y0:y1] = band_s
+        s, deg = _shift_table(alg, cap), alg.deg
+        for m0, m1 in _shift_blocks(alg, cap, nb * nk * ns, nb * nf * ns,
+                                    start):
+            x0, x1 = _rows(alg, max(f0, deg[m0] - s1),
+                           min(f1, deg[m1 - 1] - s0))
+            x1 = min(x1, m1)        # x <= m < m1
+            if x0 >= x1:
+                continue
+            f = fixed[..., x0:x1].reshape(nb, nf, nk * (x1 - x0))
+            g = np.take(shifted, s[x0:x1, m0:m1], axis=2).reshape(
+                nb, nk * (x1 - x0), (m1 - m0) * ns)
             view[lead + (slice(m0, m1),)] = np.matmul(f, g).reshape(
                 p.fixed_out_shape + (m1 - m0,) + p.free_s_shape)
     if not uniform:
         _zero_above(alg, c, v)
     return c, v
+
+
+def _rows(alg, d0: int, d1: int) -> tuple:
+    """[r0, r1): the monomials of degree d0 to d1 (0 <= d0 <= order + 1),
+    empty when d1 < d0; monomials are sorted by degree."""
+    r0 = alg.upto[d0 - 1] if d0 > 0 else 0
+    return r0, max(r0, alg.upto[d1]) if d1 >= 0 else r0
 
 
 class _ProductPlan(NamedTuple):
@@ -477,15 +534,17 @@ def _pair_sums(alg, cap: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _shift_blocks(alg, cap: int, per_entry: int, per_monomial: int) -> tuple:
-    """The output monomials up to degree cap cut into blocks (m0, m1).
+def _shift_blocks(alg, cap: int, per_entry: int, per_monomial: int,
+                  start: int = 0) -> tuple:
+    """The output monomials from ``start`` up to degree cap cut into blocks
+    (m0, m1).
 
     Monomials are sorted by degree, so x <= m gives x < m1 and a block's
-    shifted operand holds m1 * (m1 - m0) * ``per_entry`` floats, its output
-    (m1 - m0) * ``per_monomial``; together at most ``_BLOCK_FLOATS``, or one
-    monomial.
+    shifted operand holds at most m1 * (m1 - m0) * ``per_entry`` floats,
+    its output (m1 - m0) * ``per_monomial``; together at most
+    ``_BLOCK_FLOATS``, or one monomial.
     """
-    n, blocks, m0 = alg.upto[cap], [], 0
+    n, blocks, m0 = alg.upto[cap], [], start
     while m0 < n:
         m1 = m0 + 1
         while m1 < n and (m1 + 1 - m0) * ((m1 + 1) * per_entry

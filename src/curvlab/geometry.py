@@ -34,7 +34,7 @@ from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
                    newton_caps, scalar_float)
 from .polys import Poly, RationalFunc, taylor_jet
 from .scalars import FLOAT, RATIONAL, Ring, exact_sqrt
-from .fields import _LETTERS, JetField, RationalField
+from .fields import _LETTERS, JetField, RationalField, _float_jet_einsum
 from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
                       raise_slot)
 
@@ -92,17 +92,31 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
 def _newton_inverse(g, x0: np.ndarray, alg: JetAlgebra, exact: bool):
     """g^-1 for a matrix g of jets (a ``JetField`` of float jets or of Duals
     over them, or an object array of jets) from x0 = g(p)^-1, by Newton
-    steps X <- 2X - X(GX), stored as g is.
+    steps X <- X + XE with E = I - GX, stored as g is.
 
-    The error I - GX squares at each step (Griewank & Walther, Evaluating
+    The error E squares at each step (Griewank & Walther, Evaluating
     Derivatives, 2008, ch. 13), so the steps run on the schedule of
-    ``newton_caps``; a contraction's ``valid`` is the min over its
-    operands', so X's cap bounds every degree a step computes.
+    ``newton_caps``: a step to cap enters with X valid through prev, the
+    previous cap, and E zero through degree prev.  On packed float jets E
+    is formed only at its degrees (prev, cap], from X's band [0, prev], and
+    XE only there too, from X's degrees up to cap - prev - 1: a middle
+    product (Hanrot, Quercia & Zimmermann, AAECC 14, 2004).  Other jets run
+    the formula through ``einsum``; over exact jets it is 2X - X(GX)
+    exactly.
     """
-    x = _with_valid(x0, 0, g, alg, exact)
+    x, prev = _with_valid(x0, 0, g, alg, exact), 0
     for cap in newton_caps(alg.order):
         x = _with_valid(x, cap, g, alg, exact)
-        x = x * 2 - einsum("ab,bc->ac", x, einsum("ab,bc->ac", g, x))
+        if isinstance(g, JetField):
+            # -E = GX at degrees prev + 1 to cap, X - X(GX) = X + XE there;
+            # the kernel runs its inner axis over the first operand's band
+            ge = _float_jet_einsum("bc,ab->ac", x, g, prev + 1, (0, prev))
+            x = x - _float_jet_einsum("ab,bc->ac", x, ge, prev + 1,
+                                      (0, cap - prev - 1), (prev + 1, cap))
+        else:
+            e = np.identity(len(x), dtype=object) - einsum("ab,bc->ac", g, x)
+            x = x + einsum("ab,bc->ac", x, e)
+        prev = cap
     return x
 
 
@@ -560,7 +574,9 @@ class CurvatureStack:
         out = self._dirderiv(t)
         if t.rank == 0:
             return out
-        gam = self.gamma.data
+        # each correction is summed with D t, valid one degree lower
+        gam, data = (_truncated_to(x, out.data)
+                     for x in (self.gamma.data, t.data))
         letters = _LETTERS[:t.rank]
         der, dum = "Y", "Z"
         for s in range(t.rank):
@@ -570,7 +586,7 @@ class CurvatureStack:
                 sub = dum + der + letters[s]       # Gamma^{e}_{Y j_s}
             src = letters[:s] + dum + letters[s + 1:]
             spec = f"{sub},{src}->{der}{letters}"
-            corr = einsum(spec, gam, t.data)
+            corr = einsum(spec, gam, data)
             out = Tensor(out.dim, out.valence,
                          out.data + corr if t.valence[s] == "u"
                          else out.data - corr)
@@ -617,8 +633,10 @@ class CurvatureStack:
         gam = self.gamma
         dgam = self._dirderiv(gam).data         # [a][c][b][d] = D_a G^c_bd
         ga = gam.data
-        # G^c_be G^e_ad is G^c_ae G^e_bd with a and b swapped
-        gg = einsum("cae,ebd->abcd", ga, ga)
+        # G^c_be G^e_ad is G^c_ae G^e_bd with a and b swapped, summed with
+        # D Gamma, valid one degree lower
+        gt = _truncated_to(ga, dgam)
+        gg = einsum("cae,ebd->abcd", gt, gt)
         r = einsum("acbd->abcd", dgam) \
             - einsum("bcad->abcd", dgam) \
             + gg - gg.transpose(1, 0, 2, 3)
@@ -691,8 +709,10 @@ class CurvatureStack:
         if n < 3:
             raise DimensionError("Bach tensor needs dim >= 3")
         divC = self.div(self.cotton, 0)
-        p_uu = raise_slot(self.ctx, self.schouten_mixed, 0)
-        wp = einsum("isjt,st->ij", self.weyl.data, p_uu.data)
+        # W P is summed with div C, valid one degree below C
+        w, p = (Tensor(n, t.valence, _truncated_to(t.data, divC.data))
+                for t in (self.weyl, self.schouten_mixed))
+        wp = einsum("isjt,st->ij", w.data, raise_slot(self.ctx, p, 0).data)
         return Tensor(n, ("d", "d"), divC.data + wp)
 
     # -- small conveniences -----------------------------------------------------
@@ -764,6 +784,16 @@ class CurvatureStack:
                       self.at_point(self.cotton.scale(n - 3)), scale)),
             ]
         return out
+
+
+def _truncated_to(x, term):
+    """x, when it and ``term`` are float-jet fields, truncated to the
+    largest ``valid`` in ``term``: a product of such operands, summed with
+    term, then keeps no degree the sum drops, and as the largest, not the
+    smallest, it changes no component's ``valid`` in the sum."""
+    if isinstance(x, JetField) and isinstance(term, JetField):
+        return x.truncated(max(int(v.max()) for _, v in term._parts()))
+    return x
 
 
 def kulkarni_nomizu_pg(p: Tensor, g: Tensor) -> Tensor:

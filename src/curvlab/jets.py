@@ -79,21 +79,31 @@ class JetAlgebra:
         return sel
 
     def mul_table(self, cap: int):
-        """Index triples (ia, ib, io) for all products of total degree <= cap."""
+        """Index triples (ia, ib, io) for all products of total degree <= cap,
+        ia-major and ib-minor: the table at ``order``, built once, with the
+        pairs above cap dropped."""
         cap = min(cap, self.order)
-        if cap not in self._mul_tables:
-            ia, ib, io = [], [], []
-            for i, a in enumerate(self.mons):
-                da = sum(a)
-                if da > cap:
-                    continue
-                for j, b in enumerate(self.mons):
-                    if da + sum(b) <= cap:
-                        ia.append(i)
-                        ib.append(j)
-                        io.append(self.index[tuple(x + y for x, y in zip(a, b))])
-            self._mul_tables[cap] = (np.array(ia), np.array(ib), np.array(io))
-        return self._mul_tables[cap]
+        table = self._mul_tables.get(cap)
+        if table is None:
+            if self.order not in self._mul_tables:
+                self._mul_tables[self.order] = self._full_mul_table()
+            ia, ib, io = self._mul_tables[self.order]
+            keep = self.deg[ia] + self.deg[ib] <= cap
+            table = self._mul_tables[cap] = (ia[keep], ib[keep], io[keep])
+        return table
+
+    def _full_mul_table(self) -> tuple:
+        """(ia, ib, io) up to ``order``: each exponent vector is keyed by its
+        digits in base order + 1, and a product's key is looked up among
+        the monomials' keys."""
+        exps = np.array(self.mons, dtype=np.int64).reshape(self.N, self.nvars)
+        ia, ib = np.nonzero(self.deg[:, None] + self.deg <= self.order)
+        digits = (self.order + 1) ** np.arange(self.nvars, dtype=np.int64)
+        keys = exps @ digits
+        sorter = np.argsort(keys)
+        io = sorter[np.searchsorted(keys, (exps[ia] + exps[ib]) @ digits,
+                                    sorter=sorter)]
+        return ia, ib, io
 
     def product_rows(self, cap: int) -> list:
         """rows[i][j]: the index of monomial i times monomial j, or -1 where
@@ -118,7 +128,11 @@ def newton_caps(valid: int):
     needs its operands only up to degree min(2^(k+1) - 1, valid): yields
     that cap for each step, none when valid is 0.  A step raises the
     iterate's ``valid`` to the cap (its coefficients above the old one are
-    zero) and runs the iteration there.
+    zero) and runs the iteration there.  The iterate's degrees up to the
+    previous cap are final, so the step's correction is zero there: the
+    metric inverse (``geometry._newton_inverse``) computes it only at the
+    degrees above the previous cap, where ``Jet.inverse`` and ``Jet.sqrt``
+    recompute every degree up to the cap.
     """
     cap = 0
     while cap < valid:
@@ -190,17 +204,27 @@ class Jet:
     # -- ring operations ----------------------------------------------------
 
     # Coefficients above ``valid`` are zero, so a sum or difference of two
-    # jets with the same ``valid`` needs no mask.
+    # float jets with the same ``valid`` needs no mask; exact jets combine
+    # only the coefficients up to the lower ``valid``.
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = self.c + o.c
-        if self.valid == o.valid:
-            return Jet(self.alg, c, self.valid, self.exact)
         v = min(self.valid, o.valid)
-        return Jet(self.alg, self._mask(c, v), v, self.exact)
+        n = self.alg.upto[v]
+        if self.exact and n < self.alg.N:
+            c = np.empty(self.alg.N, dtype=object)
+            c[:n] = op(self.c[:n], o.c[:n])
+            c[n:] = self._zero_coeff()
+            return Jet(self.alg, c, v, True)
+        c = op(self.c, o.c)
+        if self.valid != o.valid:
+            self._mask(c, v)
+        return Jet(self.alg, c, v, self.exact)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
@@ -208,14 +232,7 @@ class Jet:
         return Jet(self.alg, -self.c, self.valid, self.exact)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = self.c - o.c
-        if self.valid == o.valid:
-            return Jet(self.alg, c, self.valid, self.exact)
-        v = min(self.valid, o.valid)
-        return Jet(self.alg, self._mask(c, v), v, self.exact)
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
         return (-self) + other

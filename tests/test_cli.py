@@ -15,6 +15,16 @@ IDENTITY4 = [[str(int(i == j)) for j in range(4)] for i in range(4)]
 from curvlab.report import Check, VerificationReport
 
 
+def _berger_times_line(frame_metric):
+    """A float Berger 3-frame with the given metric table times a flat
+    line chart: a 4-dimensional model that is not homogeneous."""
+    cfg = json.loads((CONFIGS / "berger_frame.json").read_text())
+    frame = dict(cfg["factors"][0], exact=False, metric=frame_metric)
+    line = {"kind": "chart", "dim": 1, "base_point": ["0"],
+            "metric": [[{"num": {"0": "1"}}]]}
+    return {"kind": "product", "factors": [frame, line]}
+
+
 class TestExitCodes:
     def test_passing_suite_exits_zero(self, capsys):
         assert main(["verify", "--suite", "berger", "--t", "4",
@@ -208,6 +218,29 @@ class TestModelConfigPath:
         assert main(["verify", "--suite", "thm_pfaffian",
                      "--model", str(path), "--trials", "1"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, sizes", [
+        ({"kind": "chart", "dim": 4, "base_point": ["0"] * 4,
+          "metric": [[{"num": {"0,0,0,0": str(int(i == j))}}
+                      for j in range(5)] for i in range(5)]},
+         [5] * 5),
+        ({"kind": "chart", "dim": 4, "base_point": ["0"] * 4,
+          "metric": [[{"num": {"0,0,0,0": x}} for x in row + ["0"] * (i == 2)]
+                     for i, row in enumerate(IDENTITY4)]},
+         [4, 4, 5, 4]),
+        (_berger_times_line(IDENTITY4), [4] * 4),
+        (_berger_times_line([["4", "0", "0"], ["0", "1", "0", "0"],
+                             ["0", "0", "1"]]), [3, 4, 3]),
+    ])
+    def test_oversized_metric_exits_two(self, cfg, sizes, tmp_path, capsys):
+        """Rows or entries beyond dim are an error, not dropped: without
+        the check each model runs thm_invariance to exit 0."""
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify", "--suite", "thm_invariance",
+                     "--model", str(path), "--trials", "1"]) == 2
+        assert f"the metric table has rows of sizes {sizes}" in \
+            capsys.readouterr().err
 
     def test_frame_config_without_dim_exits_two(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "berger_frame.json").read_text())

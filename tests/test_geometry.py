@@ -393,6 +393,56 @@ def _lorentzian_entries(dim=4):
     return entries
 
 
+class TestTruncatedProducts:
+    """Products summed with a term of lower ``valid`` (Riemann's Gamma
+    Gamma, the corrections of grad, Bach's W P) stop at that term's largest
+    ``valid``: every result equals the untruncated computation, with the
+    same ``valid`` arrays."""
+
+    @staticmethod
+    def _assert_same(got, ref, scale=None):
+        """Same ``valid``s, coefficients within 1e-13 of the largest in
+        ``scale`` (default: ref)."""
+        for (c, v), (rc, rv), (sc, _) in zip(
+                got._parts(), ref._parts(), (scale or ref)._parts()):
+            assert np.array_equal(v, rv)
+            assert np.abs(c - rc).max() <= 1e-13 * np.abs(sc).max()
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_stack_matches_untruncated(self, dual, monkeypatch):
+        def stack_fields():
+            ctx = random_chart(4, seed=7, jet_order=5)
+            if dual:
+                ups = ConformalFactor.from_poly(random_conformal_factor(4, 3))
+                ctx = _dual_context(ctx, ups.field(ctx))
+            st = ctx.stack
+            b = st.bach
+            return [st.rm_mixed, st.cotton, b, st.div(b, 1)]
+        got = stack_fields()
+        monkeypatch.setattr(JetField, "truncated", lambda self, k: self)
+        ref = stack_fields()
+        bach = ref[2].data          # div B is zero up to rounding: B's scale
+        for g, r, scale in zip(got, ref, [None, None, None, bach]):
+            assert isinstance(g.data, JetField)
+            self._assert_same(g.data, r.data, scale)
+
+    def test_nabla_keeps_every_valid(self, monkeypatch):
+        """On a tensor whose components' ``valid``s differ, so do D t's,
+        and no component's ``valid`` in grad t changes."""
+        ctx = random_chart(4, seed=8, jet_order=5)
+        alg = ctx.jet_algebra
+        rng = np.random.default_rng(8)
+        v = rng.integers(1, alg.order + 1, size=(4, 4))
+        c = rng.standard_normal((alg.N, 4, 4))
+        c[alg.deg[:, None, None] > v] = 0.0
+        t = Tensor(4, "dd", JetField(alg, c, v))
+        got = ctx.stack.nabla(t).data
+        monkeypatch.setattr(JetField, "truncated", lambda self, k: self)
+        ref = ctx.stack.nabla(t).data
+        assert len(np.unique(ref.v)) > 1
+        self._assert_same(got, ref)
+
+
 class TestNewtonInverse:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_float_jets(self, order):
@@ -436,19 +486,26 @@ class TestNewtonInverse:
         _assert_matches_gauss_jordan(product_8d())
 
     @pytest.mark.parametrize("order, caps", [
-        (1, [1, 1]), (3, [1, 1, 3, 3]), (5, [1, 1, 3, 3, 5, 5])])
+        (1, [(1, 1)] * 2), (3, [(1, 1)] * 2 + [(3, 2)] * 2),
+        (5, [(1, 1)] * 2 + [(3, 2)] * 2 + [(5, 4)] * 2)])
     def test_precision_doubling_schedule(self, order, caps, monkeypatch):
-        """Each step's two contractions stop at degree 2^(k+1) - 1: the
-        first step's iterate is not lifted at full order."""
+        """Each step's two contractions stop at degree 2^(k+1) - 1, and
+        keep only the degrees above the previous step's cap: the first
+        step's iterate is not lifted at full order, and no degree the
+        iterate already has is recomputed."""
         seen = []
-        real = geometry.einsum
+        real = geometry._float_jet_einsum
 
-        def spy(spec, *ops):
-            out = real(spec, *ops)
-            seen.append(int(out.v.max()))
+        def spy(spec, a, b, lo=0, *bands):
+            out = real(spec, a, b, lo, *bands)
+            first = alg.upto[lo - 1] if lo else 0
+            assert not out.c[:first].any()
+            seen.append((int(out.v.max()), lo))
             return out
-        monkeypatch.setattr(geometry, "einsum", spy)
-        random_chart(4, seed=1, jet_order=order).metric_inv
+        monkeypatch.setattr(geometry, "_float_jet_einsum", spy)
+        ctx = random_chart(4, seed=1, jet_order=order)
+        alg = ctx.jet_algebra
+        ctx.metric_inv
         assert seen == caps
 
     @pytest.mark.parametrize("exact", [True, False])

@@ -261,6 +261,53 @@ def test_add_sub_keep_zeros_above_valid(va, vb):
         assert not got.c[alg.deg > v].any()
 
 
+def random_exact_jet(alg, valid, rng):
+    c = np.empty(alg.N, dtype=object)
+    c[:] = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+            if d <= valid else Fraction(0) for d in alg.deg.tolist()]
+    return Jet(alg, c, valid, True)
+
+
+@pytest.mark.parametrize("va, vb", [(3, 3), (3, 1), (0, 2), (2, 2)])
+def test_exact_add_sub_stop_at_the_lower_valid(va, vb):
+    """Exact sums and differences add only the coefficients up to the
+    lower ``valid``, and hold Fraction zeros above it."""
+    alg = JetAlgebra.get(2, 3)
+    rng = np.random.default_rng(va * 10 + vb)
+    a, b = random_exact_jet(alg, va, rng), random_exact_jet(alg, vb, rng)
+    v = min(va, vb)
+    for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+        assert got.valid == v and got.exact
+        assert got.c.tolist() == [op(x, y) if d <= v else 0 for x, y, d
+                                  in zip(a.c, b.c, alg.deg.tolist())]
+        assert all(type(x) is Fraction for x in got.c)
+
+
+def _naive_mul_table(alg, cap):
+    """(ia, ib, io) by a loop over every monomial pair, ia-major."""
+    ia, ib, io = [], [], []
+    for i, a in enumerate(alg.mons):
+        for j, b in enumerate(alg.mons):
+            if sum(a) + sum(b) <= cap:
+                ia.append(i)
+                ib.append(j)
+                io.append(alg.index[tuple(x + y for x, y in zip(a, b))])
+    return ia, ib, io
+
+
+@pytest.mark.parametrize("nvars, order", [(n, k) for n in range(1, 5)
+                                          for k in range(6)] + [(6, 3)])
+def test_mul_table_matches_the_pair_loop(nvars, order):
+    """Every cap's table, in the loop's (ia-major, ib-minor) order, which
+    the sums over it follow; caps past the order give the order's."""
+    alg = JetAlgebra(nvars, order)
+    for cap in range(order + 2):
+        got = alg.mul_table(cap)
+        assert [t.tolist() for t in got] == \
+            list(_naive_mul_table(alg, min(cap, order)))
+        assert alg.mul_table(cap) is got
+
+
 @pytest.mark.parametrize("x", [2, -3, Fraction(2, 7), 0.375, 0])
 def test_mul_by_scalar_scales_coefficients(x):
     """The same values as a product with a constant jet (up to the sign of

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab.errors import (DegenerateMetricError, ExactnessError,
                             JetOrderError,
@@ -549,6 +549,81 @@ def assert_arrays_close(got, ref):
     assert got.shape == ref.shape
     for x, y in zip(got.flat, ref.flat):
         assert_jets_close(x, y)
+
+
+_BAND_SPECS = ["ab,bc->ac", "cae,ebd->abcd", "abcd,ce->abed",
+               "ZYa,Zbc->Yabc", "isjt,st->ij", "cdab,abcd->"]
+
+
+def _band_examples(test):
+    """Each spec with both operands' bands and the kept degrees cut, with
+    uniform and drawn ``valid``s."""
+    for spec in _BAND_SPECS:
+        for uniform in (True, False):
+            test = example(spec, 5, uniform, 2, (1, 3), (0, 4), "dual",
+                           "jet", len(spec))(test)
+    return test
+
+
+@st.composite
+def degree_bands(draw):
+    """None (every degree) or degrees (d0, d1), 0 <= d0 <= d1 <= 5."""
+    if draw(st.booleans()):
+        return None
+    d0 = draw(st.integers(0, 5))
+    return d0, draw(st.integers(d0, 5))
+
+
+class TestDegreeBands:
+    """``_jet_product`` from output degree ``lo`` with operand bands, run
+    through ``_float_jet_einsum``, against the full product of the operands
+    zeroed outside their bands, on the stack's steps and a full contraction
+    (which contracts its summed letters first)."""
+
+    @staticmethod
+    def _field(alg, shape, kind, cap, uniform, rng):
+        """Random jets or Duals with every ``valid`` the cap, or drawn up to
+        it, and nonzero coefficients at every degree up to it."""
+        f = JetField.pack(random_jets(alg, shape, rng, kind, alg.order))
+        parts = []
+        for c, _ in f._parts():
+            v = np.full(shape, cap) if uniform else \
+                rng.integers(0, cap + 1, size=shape)
+            parts.append((fields._zero_above(alg, c.copy(), v), v))
+        return f._with(parts)
+
+    @staticmethod
+    def _inside(f, band):
+        if band is None:
+            return f
+        deg = f.alg.deg.reshape((-1,) + (1,) * len(f.shape))
+        outside = (deg < band[0]) | (deg > band[1])
+        return f._with((np.where(outside, 0.0, c), v) for c, v in f._parts())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_BAND_SPECS), st.integers(0, 5), st.booleans(),
+           st.integers(0, 6), degree_bands(), degree_bands(),
+           st.sampled_from(["jet", "dual"]), st.sampled_from(["jet", "dual"]),
+           st.integers(0, 10 ** 6))
+    @_band_examples
+    def test_bands_match_the_full_product(self, spec, cap, uniform, lo,
+                                          band_a, band_b, ka, kb, seed):
+        """Kept degrees (lo up to each output's ``valid``) to 1e-14
+        relative, every other degree exactly zero, the same ``valid``s."""
+        rng = np.random.default_rng(seed)
+        alg = JetAlgebra.get(4, 5)
+        a, b = (self._field(alg, shape, kind, cap, uniform, rng)
+                for shape, kind in zip(operand_shapes(spec, 3), (ka, kb)))
+        got = fields._float_jet_einsum(spec, a, b, lo, band_a, band_b)
+        ref = fields._float_jet_einsum(spec, self._inside(a, band_a),
+                                       self._inside(b, band_b))
+        for (c, v), (rc, rv) in zip(got._parts(), ref._parts()):
+            assert np.array_equal(v, rv)
+            deg = alg.deg.reshape((-1,) + (1,) * v.ndim)
+            kept = (deg >= lo) & (deg <= v)
+            assert not c[~kept].any()
+            err = np.abs(c - rc)[kept].max(initial=0.0)
+            assert err <= 1e-14 * np.abs(rc).max(initial=1.0)
 
 
 class TestJetField:
