@@ -77,11 +77,15 @@ class JetField(_Field):
     """Float jets of one ``JetAlgebra``, or ``Dual``s over them, packed.
 
     ``c`` holds the coefficients with the coefficient axis leading, shape
-    (N, *shape), and ``v`` the ``valid`` order of each component, an int
+    (R, *shape), and ``v`` the ``valid`` order of each component, an int
     array of ``shape``; coefficients above a component's ``valid`` are zero,
-    as in a ``Jet``.  A field of Duals keeps its im parts in ``ic``/``iv``
-    (None for plain jets).  Operations build new fields and never write into
-    an operand's arrays, so fields may share them.  Each operation gives the
+    as in a ``Jet``.  Monomials are sorted by degree, so only the first R
+    coefficient rows are stored, at least those up to the largest ``valid``
+    (``alg.upto[v.max()]``) and at most N; the rows after them are zero,
+    and operations compute only the rows their result keeps.  A field of
+    Duals keeps its im parts in ``ic``/``iv`` (None for plain jets), with
+    rows of their own.  Operations build new fields and never write into an
+    operand's arrays, so fields may share them.  Each operation gives the
     coefficients and ``valid`` orders the same operation on the ``Jet`` or
     ``Dual`` objects gives, up to the order of float summation.
     """
@@ -159,29 +163,25 @@ class JetField(_Field):
         gathered; the rows above are zero."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         if np.ndim(self.v[idx]) == 0:
-            jets = [Jet(self.alg, c[(slice(None),) + idx].copy(), int(v[idx]),
-                        False) for c, v in self._parts()]
+            jets = [Jet(self.alg, _all_rows(self.alg, c[(slice(None),) + idx]),
+                        int(v[idx]), False) for c, v in self._parts()]
             return jets[0] if len(jets) == 1 else Dual(*jets)
         flat = np.arange(self.v.size).reshape(self.shape)[idx]
         parts = []
         for c, v in self._parts():
             v = v[idx]
-            live = self.alg.upto[v.max(initial=0)]   # 0 for an empty pick
-            out = np.empty((self.alg.N,) + v.shape)
-            out[live:] = 0.0
-            out[:live] = np.take(c[:live].reshape(live, -1), flat, axis=1)
-            parts.append((out, v))
+            live = self.alg.upto[v.max(initial=0)]
+            parts.append((np.take(c[:live].reshape(live, -1), flat, axis=1),
+                          v))
         return self._with(parts)
 
     def truncated(self, k: int) -> "JetField":
-        """The field with every ``valid`` lowered to at most k and the
-        coefficients above degree k dropped."""
+        """The field with every ``valid`` lowered to at most k: the
+        coefficient rows above degree k are dropped, with no copy."""
         n, parts = self.alg.upto[k], []
         for c, v in self._parts():
             if v.max() > k:
-                c, c0 = np.zeros_like(c), c
-                c[:n] = c0[:n]
-                v = np.minimum(v, k)
+                c, v = c[:n], np.minimum(v, k)
             parts.append((c, v))
         return self._with(parts)
 
@@ -199,8 +199,9 @@ class JetField(_Field):
 
     def _elementwise(self, other, op, flip: bool):
         """op(self, other), or op(other, self) when flipped: per part, the
-        coefficients combined, ``valid`` the min and zeros above it.  An
-        operand that does not pack alike takes the object path."""
+        coefficients combined up to the largest ``valid`` of the result,
+        ``valid`` the min and zeros above it.  An operand that does not pack
+        alike takes the object path."""
         o = JetField.of(other)
         if o is None or o.alg is not self.alg or o.shape != self.shape \
                 or (o.ic is None) != (self.ic is None):
@@ -208,12 +209,11 @@ class JetField(_Field):
         x, y = (o, self) if flip else (self, o)
         parts = []
         for (cx, vx), (cy, vy) in zip(x._parts(), y._parts()):
-            c = op(cx, cy)
-            if (vx == vy).all():
-                parts.append((c, vx))
-            else:
-                v = np.minimum(vx, vy)
-                parts.append((_zero_above(self.alg, c, v), v))
+            same = (vx == vy).all()
+            v = vx if same else np.minimum(vx, vy)
+            n = self.alg.upto[int(v.max())]
+            c = op(cx[:n], cy[:n])
+            parts.append((c if same else _zero_above(self.alg, c, v), v))
         return self._with(parts)
 
     def __mul__(self, s):
@@ -247,16 +247,20 @@ class JetField(_Field):
                 "jet order exhausted; rebuild the context with a higher order")
         parts = []
         for k, (c, v) in enumerate(self._parts()):
-            dc = np.zeros((alg.N, n) + self.shape)
             dv = np.empty((n,) + self.shape, dtype=v.dtype)
             for a, var in enumerate(variables):
                 if var is None:     # a Dual's im part capped as in s * 0
                     dv[a] = v if k == 0 else np.minimum(self.v, v)
                 else:
-                    src, dst, fac, _ = alg._diff_tables[var]
-                    dc[dst, a] = c[src] * fac.reshape(
-                        (-1,) + (1,) * len(self.shape))
                     dv[a] = v - 1
+            dc = np.zeros((alg.upto[int(dv.max())], n) + self.shape)
+            live = alg.upto[int(v.max())]   # the rows c holds up to valid
+            for a, var in enumerate(variables):
+                if var is not None:
+                    src, dst, fac, _ = alg._diff_tables[var]
+                    m = np.searchsorted(src, live)      # src is ascending
+                    dc[dst[:m], a] = c[src[:m]] * fac[:m].reshape(
+                        (-1,) + (1,) * len(self.shape))
             parts.append((dc, dv))
         return self._with(parts)
 
@@ -269,12 +273,20 @@ def _zero_above(alg, c: np.ndarray, v: np.ndarray) -> np.ndarray:
     if lo == v.max():
         c[alg.upto[lo]:] = 0.0
     else:
-        c[alg.deg.reshape((-1,) + (1,) * v.ndim) > v] = 0.0
+        c[alg.deg[:len(c)].reshape((-1,) + (1,) * v.ndim) > v] = 0.0
     return c
 
 
+def _all_rows(alg, c: np.ndarray) -> np.ndarray:
+    """A new array of c's coefficient rows and zero rows after them, N in
+    all, as a ``Jet`` holds them."""
+    out = np.zeros((alg.N,) + c.shape[1:])
+    out[:len(c)] = c
+    return out
+
+
 def _jets(alg, c: np.ndarray, v: np.ndarray) -> list:
-    rows = c.reshape(alg.N, -1).T.copy()
+    rows = _all_rows(alg, c.reshape(len(c), -1)).T.copy()
     return [Jet(alg, row, k, False)
             for row, k in zip(rows, v.ravel().tolist())]
 
@@ -328,11 +340,12 @@ def _float_jet_einsum(spec: str, a, b, lo: int = 0, band_a=None,
     runs = [(ra, y) for y in imb] + [(x, rb) for x in ima]
     if not runs:
         return JetField(alg, re_c, re_v)
-    im_c, im_v = 0.0, re_v
-    for x, y in runs:
-        c, v = _jet_product(alg, spec, x, y, *kept)
-        im_c = im_c + c
+    im = [_jet_product(alg, spec, x, y, *kept) for x, y in runs]
+    im_v = re_v
+    for _, v in im:
         im_v = np.minimum(im_v, v)
+    n = alg.upto[int(im_v.max())]   # no more rows than any run's
+    im_c = sum(c[:n] for c, _ in im)
     return JetField(alg, re_c, re_v, _zero_above(alg, im_c, im_v), im_v)
 
 
@@ -345,8 +358,9 @@ def _jet_product(alg, spec: str, a, b, lo: int = 0, band_a=None,
     and band_b the degrees (d0, d1) in which each can be nonzero (None: all
     of them); an operand's coefficients outside its band are taken as zero.
     Returns the output's (coefficients, valid), coefficient axis leading,
-    zero above each output's ``valid`` and below degree ``lo``; the
-    ``valid`` is the min over the operands', whatever the bands.
+    the rows up to the largest output ``valid``, zero above each output's
+    ``valid`` and below degree ``lo``; the ``valid`` is the min over the
+    operands', whatever the bands.
 
     Truncated series multiply as a lower triangular Toeplitz matrix
     (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13): output
@@ -377,7 +391,7 @@ def _jet_product(alg, spec: str, a, b, lo: int = 0, band_a=None,
         uniform = False
     cap = int(v.max())
     n = alg.upto[cap]
-    c = np.zeros((alg.N,) + p.out_shape)
+    c = np.zeros((n,) + p.out_shape)
     if p.swap:
         band_a, band_b = band_b, band_a
     (f0, f1), (s0, s1) = (

@@ -125,14 +125,18 @@ def _with_valid(x, cap: int, g, alg: JetAlgebra, exact: bool):
     jets stored like g with every ``valid`` raised to cap: the coefficients
     above a jet's old ``valid`` are zero, so only the label changes."""
     if isinstance(g, JetField):
+        n = alg.upto[cap]       # the rows a field valid through cap holds
         if isinstance(x, JetField):
-            coeffs = [c for c, _ in x._parts()]
+            coeffs = []
+            for c, _ in x._parts():
+                coeffs.append(np.zeros((n,) + g.shape))
+                coeffs[-1][:len(c)] = c
         else:
             flat = x.ravel().tolist()
             coeffs = []
             for vals in [flat] if g.ic is None else \
                     [[s.re for s in flat], [s.im for s in flat]]:
-                c = np.zeros((alg.N,) + g.shape)
+                c = np.zeros((n,) + g.shape)
                 c[0] = np.reshape(vals, g.shape)
                 coeffs.append(c)
         v = np.full(g.shape, cap)
@@ -163,8 +167,7 @@ def _euler(x, alg: JetAlgebra, inverse: bool = False):
     if isinstance(x, JetField):
         w = _euler_weights(alg, False, inverse).reshape(
             (-1,) + (1,) * len(x.shape))
-        im = () if x.ic is None else (x.ic * w, x.iv)
-        return JetField(alg, x.c * w, x.v, *im)
+        return x._with((c * w[:len(c)], v) for c, v in x._parts())
     if isinstance(x, Dual):
         return Dual(_euler(x.re, alg, inverse), _euler(x.im, alg, inverse))
     if isinstance(x, Jet):

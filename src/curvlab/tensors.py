@@ -8,7 +8,8 @@ packed in a field (``curvlab.fields``):
 
 - float jets of one ``JetAlgebra`` and Duals over them in a ``JetField``:
   one float coefficient array with the coefficient axis leading,
-  (N, *shape), an int array of the per-component ``valid`` orders, zero
+  (R, *shape), holding the rows up to the largest ``valid`` (the rest are
+  zero), an int array of the per-component ``valid`` orders, zero
   coefficients above them, and a second coefficient/``valid`` pair for the
   im parts of Duals;
 - Fractions alone (no ints among them) in a ``RationalField``: integer

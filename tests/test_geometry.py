@@ -426,6 +426,16 @@ class TestTruncatedProducts:
             assert isinstance(g.data, JetField)
             self._assert_same(g.data, r.data, scale)
 
+    def test_fields_hold_only_their_live_rows(self):
+        """Each field of the stack stores the coefficient rows up to its
+        largest ``valid``: 126 for the inverse metric at order 5, 35 for
+        Riemann and Weyl, 5 for Bach."""
+        ctx = random_chart(4, seed=7, jet_order=5)
+        st, alg = ctx.stack, ctx.jet_algebra
+        for t in (ctx.metric_inv, st.gamma, st.rm_mixed, st.weyl, st.cotton,
+                  st.bach, st.div(st.bach, 1)):
+            assert len(t.data.c) == alg.upto[int(t.data.v.max())]
+
     def test_nabla_keeps_every_valid(self, monkeypatch):
         """On a tensor whose components' ``valid``s differ, so do D t's,
         and no component's ``valid`` in grad t changes."""

@@ -618,8 +618,8 @@ class TestDegreeBands:
         ref = fields._float_jet_einsum(spec, self._inside(a, band_a),
                                        self._inside(b, band_b))
         for (c, v), (rc, rv) in zip(got._parts(), ref._parts()):
-            assert np.array_equal(v, rv)
-            deg = alg.deg.reshape((-1,) + (1,) * v.ndim)
+            assert np.array_equal(v, rv) and c.shape == rc.shape
+            deg = alg.deg[:len(c)].reshape((-1,) + (1,) * v.ndim)
             kept = (deg >= lo) & (deg <= v)
             assert not c[~kept].any()
             err = np.abs(c - rc)[kept].max(initial=0.0)
@@ -630,6 +630,22 @@ class TestJetField:
     """Packed float-jet tensors against the object path on the same jets:
     identical ``valid`` everywhere and coefficients to 1e-12 relative, with
     no unpacking between packed operations."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_truncated_matches_masked_jets(self, k):
+        """Truncation at k gives each jet with ``valid`` min(valid, k) and
+        no coefficient above it, storing no row above degree k."""
+        alg = JetAlgebra.get(2, 5)
+        f = JetField.pack(random_jets(alg, (3, 3), np.random.default_rng(k),
+                                      "dual"))
+        t = f.truncated(k)
+        for c, v in t._parts():
+            assert len(c) <= alg.upto[k] or v.max() <= k
+        for x, y in zip(t.unpack().flat, f.unpack().flat):
+            for got, jet in ((x.re, y.re), (x.im, y.im)):
+                v = min(jet.valid, k)
+                assert got.valid == v
+                assert np.array_equal(got.c, np.where(alg.deg <= v, jet.c, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([3, 5]), st.sampled_from(["jet", "dual"]),
