@@ -1,4 +1,4 @@
-"""JSON model and polynomial configuration.
+"""JSON model configuration.
 
 Chart metrics are rational-function coefficient tables, frames are
 structure-constant tables, products are factor lists.  Exponent keys are
@@ -118,15 +118,3 @@ def load_model_file(path: str) -> GeometryContext:
         raise ConfigError(f"cannot read model config {path}: {exc}") from exc
     return context_from_config(cfg)
 
-
-def load_phi_file(path: str):
-    from .invariants import load_phi
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read polynomial config {path}: {exc}") from exc
-    try:
-        return load_phi(cfg)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad invariant polynomial config: {exc}") from exc

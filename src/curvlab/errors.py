@@ -30,4 +30,4 @@ class DimensionError(CurvLabError):
 
 
 class ConfigError(CurvLabError):
-    """Malformed model/polynomial configuration or CLI arguments."""
+    """Malformed model configuration or CLI arguments."""

@@ -311,6 +311,48 @@ def _field_einsum1(spec: str, f: JetField) -> JetField:
     return f._with(parts)
 
 
+def _constant_einsum(spec: str, a, b):
+    """A two-operand step of a packed field and a constant, an int ndarray
+    (signs, say), or None for other operands.
+
+    The field's coefficients or numerators are contracted with the
+    constant.  A float-jet output's ``valid`` is the min over the field's
+    components summed into it, with zeros above it, as a chain of
+    ``Jet.__add__`` calls gives, a Dual's im part first capped at its re
+    part's ``valid`` as ``Dual.__mul__`` caps it for an int.  A rational
+    step runs on int64 when the largest |numerator| times the largest
+    |constant| times the number of terms is below 2**63, as
+    ``_rational_einsum`` does.
+    """
+    ins, out = spec.split("->")
+    (sf, sk), (f, k) = ins.split(","), (a, b)
+    if isinstance(f, np.ndarray):
+        (sf, sk), (f, k) = (sk, sf), (k, f)
+    if not isinstance(f, _Field) or not isinstance(k, np.ndarray) \
+            or k.dtype.kind not in "iu":
+        return None
+    if isinstance(f, RationalField):
+        bound = _summed_terms(spec, (a.shape, b.shape)) * max(f.top, 1) \
+            * max(int(np.abs(k).max(initial=0)), 1)
+        num, = _widened(bound, f.num)
+        res = np.asarray(np.einsum(f"{sf},{sk}->{out}", num, k),
+                         dtype=num.dtype)
+        return RationalField.reduced(res, f.den)
+    coef = next(x for x in _LETTERS if x not in spec)
+    letters = out + "".join(x for x in dict.fromkeys(sf) if x not in out)
+    extent = dict(zip(sf + sk, f.shape + k.shape))
+    parts = []
+    for part, (c, v) in enumerate(f._parts()):
+        if part:
+            v = np.minimum(f.v, v)
+        v = _spread(v, sf, letters).min(
+            axis=tuple(range(len(out), len(letters))))
+        v = np.broadcast_to(v, tuple(extent[x] for x in out)).copy()
+        c = np.einsum(f"{coef}{sf},{sk}->{coef}{out}", c, k)
+        parts.append((_zero_above(f.alg, c, v), v))
+    return f._with(parts)
+
+
 # -- dense float-jet kernel ------------------------------------------------------
 
 _BLOCK_FLOATS = 1 << 15     # shifted operand plus output of one kernel block

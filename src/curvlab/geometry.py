@@ -690,8 +690,7 @@ class CurvatureStack:
 
     @cached_property
     def rm_dduu(self) -> Tensor:
-        r = raise_slot(self.ctx, self.rm, 2)
-        return raise_slot(self.ctx, r, 3)
+        return raise_slot(self.ctx, self.rm_mixed, 3)
 
     @cached_property
     def cotton(self) -> Tensor:

@@ -4,8 +4,8 @@ weight -2k, their Pontrjagin-flavoured relatives, the generalized Einstein
 tensors, and the conformal Killing operator pair.
 
 Index conventions follow the curvature stack: W all-down, C_ijk
-antisymmetric in (i, j), and every delta contraction is evaluated as a
-signed permutation sum wired straight into the factors.
+antisymmetric in (i, j), and every delta contraction is a product of
+double forms read off on increasing indices (``tensors.gkd_contract``).
 """
 
 from __future__ import annotations
@@ -105,60 +105,6 @@ def _cycles(sigma: Permutation):
     return cycles
 
 
-def load_phi(config: dict) -> InvariantPolynomial:
-    """Build a polynomial from config: {"degree": k, "terms": [{"coeff": "1/2",
-    "cycles": [[1,2]]}, ...]} with 1-based cycle notation."""
-    k = int(config["degree"])
-    terms = []
-    for term in config["terms"]:
-        sigma = Permutation.from_cycles(k, term.get("cycles", []))
-        terms.append((Fraction(term["coeff"]), sigma))
-    return InvariantPolynomial(k, terms)
-
-
-# -- symmetry generators for delta contractions --------------------------------
-
-
-def _chain_sym(p: int, factor_positions):
-    """Orbit generators for delta contractions against curvature chains.
-
-    factor_positions: list of dicts with keys 'low' (tuple of lower delta
-    positions bound to the factor), 'up' (upper positions), 'pairs' (True if
-    the factor is antisymmetric in each of its binding pairs), 'tag'
-    (factors with equal tags may be exchanged wholesale).
-    """
-    gens = []
-    ident = tuple(range(p))
-
-    def swapped(i, j):
-        s = list(ident)
-        s[i], s[j] = s[j], s[i]
-        return tuple(s)
-
-    for spec in factor_positions:
-        if spec.get("pairs"):
-            lo, up = spec["low"], spec["up"]
-            if len(lo) == 2:
-                gens.append((swapped(*lo), ident))
-            if len(up) == 2:
-                gens.append((ident, swapped(*up)))
-    by_tag: dict = {}
-    for spec in factor_positions:
-        by_tag.setdefault(spec.get("tag"), []).append(spec)
-    for tag, group in by_tag.items():
-        if tag is None:
-            continue
-        for a, b in zip(group, group[1:]):
-            lo = list(ident)
-            for i, j in zip(a["low"], b["low"]):
-                lo[i], lo[j] = lo[j], lo[i]
-            up = list(ident)
-            for i, j in zip(a["up"], b["up"]):
-                up[i], up[j] = up[j], up[i]
-            gens.append((tuple(lo), tuple(up)))
-    return tuple(gens)
-
-
 def _curvature_dduu(stack, which: str) -> Tensor:
     if which == "weyl":
         return stack.weyl_dduu
@@ -178,21 +124,8 @@ def pfaffian_k(A: Tensor, k: int, ring) -> object:
     """
     if A.valence != ("d", "d", "u", "u"):
         raise SlotError("pfaffian expects valence (d,d,u,u)")
-    p = 2 * k
-    lower = [None] * p
-    upper = [None] * p
-    specs = []
-    for m in range(k):
-        lower[2 * m] = (m, 2)
-        lower[2 * m + 1] = (m, 3)
-        upper[2 * m] = (m, 0)
-        upper[2 * m + 1] = (m, 1)
-        specs.append({"low": (2 * m, 2 * m + 1), "up": (2 * m, 2 * m + 1),
-                      "pairs": True, "tag": "W"})
-    out = gkd_contract(A.dim, lower, upper, [A] * k, ring,
-                       coeff=Fraction(1, math.factorial(k)),
-                       sym=_chain_sym(p, specs))
-    return out.item()
+    return gkd_contract([A] * k, ring,
+                        coeff=Fraction(1, math.factorial(k))).item()
 
 
 def pfaffian_of(stack, k: int, which: str = "weyl") -> object:
@@ -204,26 +137,9 @@ def pfaffian_of(stack, k: int, which: str = "weyl") -> object:
 
 def _xi_first_term(stack, k: int) -> Tensor:
     """(1/k!) delta_{i i2..}^{j j2..} C_{j j2}^{i2} W_..^.. ; free lower slot."""
-    n = stack.dim
-    p = 2 * k
-    C = stack.cotton_ddu
-    W = stack.weyl_dduu
-    lower = [None] * p
-    upper = [None] * p
-    lower[1] = (0, 2)
-    upper[0] = (0, 0)
-    upper[1] = (0, 1)
-    specs = [{"low": (1,), "up": (0, 1), "pairs": True, "tag": "C"}]
-    for m in range(k - 1):
-        lower[2 + 2 * m] = (1 + m, 2)
-        lower[3 + 2 * m] = (1 + m, 3)
-        upper[2 + 2 * m] = (1 + m, 0)
-        upper[3 + 2 * m] = (1 + m, 1)
-        specs.append({"low": (2 + 2 * m, 3 + 2 * m),
-                      "up": (2 + 2 * m, 3 + 2 * m), "pairs": True, "tag": "W"})
-    return gkd_contract(n, lower, upper, [C] + [W] * (k - 1), stack.ring,
-                        coeff=Fraction(1, math.factorial(k)),
-                        sym=_chain_sym(p, specs))
+    return gkd_contract([stack.cotton_ddu] + [stack.weyl_dduu] * (k - 1),
+                        stack.ring, free=("d",),
+                        coeff=Fraction(1, math.factorial(k)))
 
 
 def xi_formula(stack, k: int) -> Tensor:
@@ -254,70 +170,21 @@ def cotton_weyl_divergence_rhs(stack, k: int) -> Tensor:
 def _chain_with_free_pair(stack, k: int, ell: int, which: str) -> Tensor:
     """delta^{(1+k_top)} contraction with ell curvature factors and the rest
     Schouten factors; free first lower and upper slots."""
-    n = stack.dim
-    p = 1 + k + ell
-    W = _curvature_dduu(stack, which)
-    P = stack.schouten_mixed
-    lower = [None] * p
-    upper = [None] * p
-    specs = []
-    factors = []
-    for m in range(ell):
-        factors.append(W)
-        lower[1 + 2 * m] = (m, 2)
-        lower[2 + 2 * m] = (m, 3)
-        upper[1 + 2 * m] = (m, 0)
-        upper[2 + 2 * m] = (m, 1)
-        specs.append({"low": (1 + 2 * m, 2 + 2 * m),
-                      "up": (1 + 2 * m, 2 + 2 * m), "pairs": True, "tag": "W"})
-    for q in range(k - ell):
-        factors.append(P)
-        pos = 1 + 2 * ell + q
-        lower[pos] = (ell + q, 1)
-        upper[pos] = (ell + q, 0)
-        specs.append({"low": (pos,), "up": (pos,), "pairs": False, "tag": "P"})
-    return gkd_contract(n, lower, upper, factors, stack.ring,
-                        sym=_chain_sym(p, specs))
+    factors = [_curvature_dduu(stack, which)] * ell \
+        + [stack.schouten_mixed] * (k - ell)
+    return gkd_contract(factors, stack.ring, free=("d", "u"))
 
 
 def T_k_W(stack, k: int) -> Tensor:
     """T^(k)(W)_i^j = (1/k!) delta-contraction of k Weyl factors; valence (d,u)."""
-    p = 1 + 2 * k
-    n = stack.dim
-    W = stack.weyl_dduu
-    lower = [None] * p
-    upper = [None] * p
-    specs = []
-    for m in range(k):
-        lower[1 + 2 * m] = (m, 2)
-        lower[2 + 2 * m] = (m, 3)
-        upper[1 + 2 * m] = (m, 0)
-        upper[2 + 2 * m] = (m, 1)
-        specs.append({"low": (1 + 2 * m, 2 + 2 * m),
-                      "up": (1 + 2 * m, 2 + 2 * m), "pairs": True, "tag": "W"})
-    return gkd_contract(n, lower, upper, [W] * k, stack.ring,
-                        coeff=Fraction(1, math.factorial(k)),
-                        sym=_chain_sym(p, specs))
+    return gkd_contract([stack.weyl_dduu] * k, stack.ring, free=("d", "u"),
+                        coeff=Fraction(1, math.factorial(k)))
 
 
 def lovelock_E(stack, k: int) -> Tensor:
     """Generalized Einstein tensor E^(k)_i^j (Riemann factors); valence (d,u)."""
-    p = 1 + 2 * k
-    n = stack.dim
-    R = stack.rm_dduu
-    lower = [None] * p
-    upper = [None] * p
-    specs = []
-    for m in range(k):
-        lower[1 + 2 * m] = (m, 2)
-        lower[2 + 2 * m] = (m, 3)
-        upper[1 + 2 * m] = (m, 0)
-        upper[2 + 2 * m] = (m, 1)
-        specs.append({"low": (1 + 2 * m, 2 + 2 * m),
-                      "up": (1 + 2 * m, 2 + 2 * m), "pairs": True, "tag": "R"})
-    return gkd_contract(n, lower, upper, [R] * k, stack.ring,
-                        coeff=Fraction(1, math.factorial(k)),
-                        sym=_chain_sym(p, specs))
+    return gkd_contract([stack.rm_dduu] * k, stack.ring, free=("d", "u"),
+                        coeff=Fraction(1, math.factorial(k)))
 
 
 def omega_k(stack, k: int, mode: str = "dim2k") -> Tensor:

@@ -112,13 +112,11 @@ def _diag_ctx(n, diag):
 
 
 def _delta_trace_kernel(p: int, n: int):
-    """Full delta self-trace through the permutation-sum kernel."""
+    """Full delta self-trace through the double-form kernel."""
     idm = zeros(n, ("d", "u"), RATIONAL)
     for i in range(n):
         idm.a[i, i] = Fraction(1)
-    lower = [(a, 1) for a in range(p)]
-    upper = [(a, 0) for a in range(p)]
-    return gkd_contract(n, lower, upper, [idm] * p, RATIONAL).item()
+    return gkd_contract([idm] * p, RATIONAL).item()
 
 
 def suite_core_identities(seed: int = 0,

@@ -63,15 +63,22 @@ Each step dispatches on its operands' scalars alone:
   Python ints, is below 2**63, which bounds every partial sum, and on
   Python ints otherwise; sums, differences and scalings prove their bound
   the same way.  Either way the result is exact and reduced once.
+- A packed operand and an int ndarray, a constant such as a sign vector,
+  contract the coefficients or numerators with the constant
+  (``_constant_einsum``), each output's ``valid`` the min over the
+  components summed into it.
 - Any other step (exact jets, plain floats, arrays that mix kinds or mix
   int with Fraction, one object operand) is
   ``np.einsum(..., optimize=True)`` on the objects, so exact results are
   unchanged bit for bit.
 
-Generalized Kronecker deltas are evaluated as signed permutation sums and are
-never materialized inside a larger contraction: ``gkd_contract`` wires delta
-slots straight into factor tensors, one einsum per permutation, with an
-orbit reduction over declared factor symmetries to cut the factorial count.
+Generalized Kronecker deltas are never materialized inside a larger
+contraction.  ``gkd_contract`` reads each factor as a double form, its
+components at increasing tuples of down and of up indices, multiplies the
+factors by the exterior product on both sides (the split tables of
+``AltForm.alt_mul``) and reads the contraction off the product's entries,
+each step a field gather or an ``einsum``; ``generalized_delta``
+materializes the delta as an oracle.
 """
 
 from __future__ import annotations
@@ -84,9 +91,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ScalarKindError, SlotError
-from .fields import (_LETTERS, JetField, RationalField, _Field, _field_einsum1,
-                     _float_jet_einsum, _object_array, _pack, _rational_einsum,
-                     _widened)
+from .fields import (_LETTERS, JetField, RationalField, _constant_einsum,
+                     _Field, _field_einsum1, _float_jet_einsum, _object_array,
+                     _pack, _rational_einsum, _widened)
 from .jets import Dual, Jet, field_value, scalar_float
 
 
@@ -297,10 +304,11 @@ def einsum(spec: str, *operands):
     The result is a field when an operand is one and the step ran packed,
     else an object ndarray (never a bare scalar).  Three or more operands
     run pairwise along numpy's greedy plan, with every intermediate kept as
-    an array.  A two-operand step with an explicit ``->`` output runs the
-    dense kernel ``_float_jet_einsum`` on float jets (or ``Dual`` numbers
-    over them) and the numerator contraction ``_rational_einsum`` on
-    Fractions; a one-operand step on a field sums its coefficients
+    an array.  A two-operand step with an explicit ``->`` output runs
+    ``_constant_einsum`` on a field and an int ndarray, the dense kernel
+    ``_float_jet_einsum`` on float jets (or ``Dual`` numbers over them) and
+    the numerator contraction ``_rational_einsum`` on Fractions; a
+    one-operand step on a field sums its coefficients
     (``_field_einsum1``) or numerators; any other step is
     ``np.einsum(..., optimize=True)`` on the objects themselves.
     """
@@ -317,7 +325,9 @@ def _einsum_step(spec: str, *ops):
     packed = any(isinstance(x, _Field) for x in ops)
     if "->" in spec and "." not in spec:
         if len(ops) == 2:
-            out = _float_jet_einsum(spec, *ops)
+            out = _constant_einsum(spec, *ops)
+            if out is None:
+                out = _float_jet_einsum(spec, *ops)
             if out is None:
                 out = _rational_einsum(spec, *ops)
             if out is not None:
@@ -388,7 +398,7 @@ def signed_permutations(p: int):
 
 
 class Permutation:
-    """Permutation of {0..p-1} with its sign; supports cycle-notation input."""
+    """Permutation of {0..p-1} with its sign."""
 
     __slots__ = ("images", "sign")
 
@@ -398,18 +408,6 @@ class Permutation:
             raise ValueError(f"not a permutation: {images}")
         self.images = images
         self.sign = perm_sign(images)
-
-    @classmethod
-    def from_cycles(cls, p: int, cycles) -> "Permutation":
-        """Build from 1-based disjoint cycles, e.g. [[1,2],[3,4]]."""
-        images = list(range(p))
-        for cyc in cycles:
-            cyc0 = [c - 1 for c in cyc]
-            if any(not 0 <= c < p for c in cyc0):
-                raise ValueError(f"cycle entry out of range in {cyc}")
-            for i, c in enumerate(cyc0):
-                images[c] = cyc0[(i + 1) % len(cyc0)]
-        return cls(images)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -547,121 +545,171 @@ def generalized_delta(p: int, dim: int, ring) -> Tensor:
     return t
 
 
-def _identity_matrix(dim, ring) -> np.ndarray:
-    a = np.empty((dim, dim), dtype=object)
-    a[...] = ring.zero()
-    for i in range(dim):
-        a[i, i] = ring.one()
-    return a
-
-
-def gkd_contract(dim, lower, upper, factors, ring, *, coeff=Fraction(1),
-                 sym=()) -> Tensor:
-    """Contract delta^(p) against a product of tensors without materializing it.
-
-    lower/upper: length-p wiring lists for the delta's subscript/superscript
-    groups.  Each entry is None (index stays free on the result) or a pair
-    (factor_index, slot) naming the factor slot it contracts with; lower
-    entries must hit 'u' slots, upper entries 'd' slots.  Result slots are the
-    free lower indices (valence 'd') followed by free upper ones ('u'), in
-    wiring order.
-
-    sym: optional generators (perm_lower, perm_upper) of simultaneous index
-    relabelings that leave the factor product invariant (including sign); the
-    permutation sum is then evaluated once per orbit.
-    """
-    p = len(lower)
-    if len(upper) != p:
-        raise SlotError("lower/upper wiring length mismatch")
-    for a, tgt in enumerate(lower):
-        if tgt is not None and factors[tgt[0]].valence[tgt[1]] != "u":
-            raise SlotError(f"lower delta index {a} must bind an up slot")
-    for b, tgt in enumerate(upper):
-        if tgt is not None and factors[tgt[0]].valence[tgt[1]] != "d":
-            raise SlotError(f"upper delta index {b} must bind a down slot")
-    out_valence = tuple("d" for t in lower if t is None) + \
-        tuple("u" for t in upper if t is None)
-    if p > dim:
-        return zeros(dim, out_valence, ring)
-
-    orbits = _orbit_representatives(p, tuple(tuple(s) for s in sym))
-    idm = _identity_matrix(dim, ring)
-    if any(f.field is not None for f in factors):
-        idm = _pack(idm) or idm
-    acc = None
-    for sigma, sign, size in orbits:
-        arrays = [f.data for f in factors]
-        subs = [["?"] * f.rank for f in factors]
-        extra_arrays, extra_subs, out_sub = [], [], []
-        letters = iter(_LETTERS)
-        free_low, free_up = {}, {}
-        chain_letter = {}
-        for a in range(p):
-            chain_letter[a] = next(letters)
-        for a in range(p):
-            lo = lower[a]
-            if lo is not None:
-                subs[lo[0]][lo[1]] = chain_letter[a]
-            else:
-                free_low[a] = chain_letter[a]
-        for a in range(p):
-            b = sigma[a]
-            up = upper[b]
-            if up is not None:
-                subs[up[0]][up[1]] = chain_letter[a]
-            else:
-                free_up[b] = chain_letter[a]
-        # a free lower index tied to a free upper index leaves an explicit
-        # Kronecker factor in the result
-        for b, let in free_up.items():
-            if let in free_low.values():
-                fresh = next(letters)
-                extra_arrays.append(idm)
-                extra_subs.append(let + fresh)
-                free_up[b] = fresh
-        out_sub = [free_low[a] for a in sorted(free_low)] + \
-            [free_up[b] for b in sorted(free_up)]
-        spec = ",".join("".join(s) for s in subs + extra_subs) + \
-            "->" + "".join(out_sub)
-        term = einsum(spec, *(arrays + extra_arrays))
-        if sign * size != 1:
-            term = term * (sign * size)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return zeros(dim, out_valence, ring)
-    return Tensor(dim, out_valence, _object_array(acc * coeff))
+# -- double forms and the generalized Kronecker delta ----------------------------
 
 
 @lru_cache(maxsize=None)
-def _orbit_representatives(p: int, sym):
-    """Group S_p permutations into orbits under the symmetry generators."""
-    perms = signed_permutations(p)
-    if not sym:
-        return tuple((s, sign, 1) for s, sign in perms)
-    gens = []
-    for pi_l, pi_u in sym:
-        inv_l = [0] * p
-        for i, j in enumerate(pi_l):
-            inv_l[j] = i
-        gens.append((tuple(inv_l), tuple(pi_u)))
-    sign_of = dict(perms)
-    seen = set()
-    reps = []
-    for s, sign in perms:
-        if s in seen:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            cur = frontier.pop()
-            for inv_l, pi_u in gens:
-                nxt = tuple(pi_u[cur[inv_l[i]]] for i in range(p))
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        reps.append((s, sign, len(orbit)))
-    return tuple(reps)
+def _keys(dim: int, p: int) -> np.ndarray:
+    """The increasing p-tuples of range(dim), one row each, in
+    ``itertools.combinations`` order."""
+    return np.array(list(itertools.combinations(range(dim), p)),
+                    dtype=np.intp).reshape(math.comb(dim, p), p)
+
+
+@lru_cache(maxsize=None)
+def _key_rows(dim: int, p: int) -> dict:
+    """Each increasing p-tuple of range(dim) to its row in ``_keys``."""
+    return {key: i for i, key in
+            enumerate(itertools.combinations(range(dim), p))}
+
+
+def _double_form(t: Tensor):
+    """A tensor of valence (d,)*a + (u,)*b as a double form of type (a, b):
+    its data at the increasing a-tuples of down slots (rows) and b-tuples
+    of up slots (columns)."""
+    a = t.valence.count("d")
+    down, up = _keys(t.dim, a), _keys(t.dim, t.rank - a)
+    return t.pack().data[tuple(down.T[:, :, None]) + tuple(up.T[:, None, :])]
+
+
+@lru_cache(maxsize=None)
+def _split_index(dim: int, p: int, q: int) -> tuple:
+    """``_alt_mul_plan(dim, p, q)`` as arrays (s, t, sign): split m of the
+    product key K takes the p-key s[K, m] and the q-key t[K, m] (row numbers
+    in ``_keys``), with sign[m]."""
+    plan = _alt_mul_plan(dim, p, q)
+    at_p, at_q = _key_rows(dim, p), _key_rows(dim, q)
+    s = np.array([[at_p[x] for x, _, _ in splits] for _, splits in plan],
+                 dtype=np.intp)
+    t = np.array([[at_q[y] for _, y, _ in splits] for _, splits in plan],
+                 dtype=np.intp)
+    return s, t, np.array([sign for _, _, sign in plan[0][1]])
+
+
+@lru_cache(maxsize=None)
+def _wedge_index(dim: int, tx: tuple, ty: tuple) -> tuple:
+    """(xd, yd, xu, yu, sign) for the product of double forms of types tx
+    and ty: term m of output entry (K, L) is sign[m] x[xd[K, m], xu[L, m]]
+    y[yd[K, m], yu[L, m]], one term per pair of down and up splits."""
+    (sd, td, gd), (su, tu, gu) = (_split_index(dim, tx[i], ty[i])
+                                  for i in (0, 1))
+    md, mu = np.divmod(np.arange(len(gd) * len(gu)), len(gu))
+    return sd[:, md], td[:, md], su[:, mu], tu[:, mu], gd[md] * gu[mu]
+
+
+def _wedge_terms(dim, x, tx, y, ty, rows, cols) -> tuple:
+    """(xs, ys, sign): the terms of the exterior product on both sides of
+    the double forms x and y at the product keys ``rows`` (down) and
+    ``cols`` (up), index arrays of one broadcast shape; term m of an entry
+    is sign[m] xs[..., m] ys[..., m], and the entry, with no normalizing
+    factor, is their sum."""
+    xd, yd, xu, yu, sign = _wedge_index(dim, tx, ty)
+    return x[xd[rows], xu[cols]], y[yd[rows], yu[cols]], sign
+
+
+@lru_cache(maxsize=None)
+def _readout(dim: int, p: int, free: tuple) -> tuple:
+    """(rows, cols, signs): the product entries (down and up key rows)
+    that each output of delta^(p), () or (i,) or (i, j), reads, and their
+    signs, arrays of shape (dim,)*len(free) + (T,).
+
+    For each increasing p-key U and positions r, s in it, a free lower
+    index i = U[r] drops U[r] from the up key and a free upper index
+    j = U[s] drops U[s] from the down key, with sign (-1)^(r+s).  An
+    output that reads fewer than T entries repeats its first with sign 0,
+    which reads no component it did not read already."""
+    reads = {}
+    for u in itertools.combinations(range(dim), p):
+        for r in range(p) if "d" in free else (None,):
+            for s in range(p) if "u" in free else (None,):
+                down = u if s is None else u[:s] + u[s + 1:]
+                up = u if r is None else u[:r] + u[r + 1:]
+                out = tuple(u[x] for x in (r, s) if x is not None)
+                reads.setdefault(out, []).append(
+                    (_key_rows(dim, len(down))[down],
+                     _key_rows(dim, len(up))[up],
+                     (-1) ** ((r or 0) + (s or 0))))
+    most = max(len(x) for x in reads.values())
+    table = np.zeros((dim,) * len(free) + (most, 3), dtype=np.intp)
+    for out, x in reads.items():
+        table[out] = x + [x[0][:2] + (0,)] * (most - len(x))
+    return table[..., 0], table[..., 1], table[..., 2]
+
+
+def _product(dim, products: dict, ids: tuple) -> tuple:
+    """(x, type): the product of the double forms ``products[i,]``, i in
+    ``ids``, at every key pair, from the products of its two halves; each
+    is kept in ``products``, so equal halves are multiplied once."""
+    if ids not in products:
+        h = len(ids) // 2
+        (x, tx), (y, ty) = (_product(dim, products, ids[:h]),
+                            _product(dim, products, ids[h:]))
+        tz = (tx[0] + ty[0], tx[1] + ty[1])
+        xs, ys, sign = _wedge_terms(
+            dim, x, tx, y, ty, np.arange(math.comb(dim, tz[0]))[:, None],
+            np.arange(math.comb(dim, tz[1])))
+        products[ids] = einsum("KLm,KLm->KL", xs,
+                               einsum("KLm,m->KLm", ys, sign)), tz
+    return products[ids]
+
+
+def gkd_contract(factors, ring, *, free=(), coeff=Fraction(1)) -> Tensor:
+    """coeff times delta^(p) contracted with the product of ``factors``,
+    as a product of double forms (Kulkarni, Math. Ann. 199 (1972); Labbi,
+    Trans. AMS 357 (2005)).
+
+    Each factor has valence (d,)*a + (u,)*b, a and b >= 1, and must be
+    antisymmetric in its down slots and in its up slots: it is read at its
+    increasing indices only, a double form of type (a, b).  The delta's
+    upper indices contract the factors' down slots in factor order and its
+    lower indices their up slots.  ``free`` is the result's valence: () for
+    the full contraction, ("d",) to leave the delta's first lower index
+    free, ("d", "u") to leave its first lower and first upper index free.
+
+    Antisymmetrizing the product on both sides is all the delta does, so
+    the result is prod(a! b!) over the factors times a signed sum of
+    entries of x_1 ^ ... ^ x_k, the exterior product on both sides with the
+    split tables of ``AltForm.alt_mul``: the diagonal (U, U) of each
+    increasing p-key U, or (U, U - i) and (U - j, U - i) (``_readout``).
+    The factors are multiplied as two halves, each computed in full
+    (``_product``), and the halves at those entries only.
+    """
+    types = []
+    for f in factors:
+        a = f.valence.count("d")
+        if f.valence != ("d",) * a + ("u",) * (f.rank - a) \
+                or not 0 < a < f.rank:
+            raise SlotError(f"delta factor valence {f.valence} is not "
+                            "down slots then up slots, both present")
+        types.append((a, f.rank - a))
+    if free not in ((), ("d",), ("d", "u")):
+        raise SlotError(f"bad free delta indices {free}")
+    p = sum(b for _, b in types) + ("d" in free)
+    if sum(a for a, _ in types) + ("u" in free) != p or not factors:
+        raise SlotError("delta factors do not match the delta's degree")
+    dim = factors[0].dim
+    if p > dim:
+        return zeros(dim, free, ring)
+    rows, cols, signs = _readout(dim, p, free)
+    products = {}
+    for f, t in zip(factors, types):
+        if (id(f),) not in products:
+            products[(id(f),)] = _double_form(f), t
+    ids, o = tuple(id(f) for f in factors), _LETTERS[:len(free)]
+    if len(ids) == 1:
+        x = products[ids][0][rows, cols]
+    else:   # the last product's terms, summed by the read-out
+        h = len(ids) // 2
+        (x, tx), (y, ty) = (_product(dim, products, ids[:h]),
+                            _product(dim, products, ids[h:]))
+        xs, ys, sign = _wedge_terms(dim, x, tx, y, ty, rows, cols)
+        x, signs = einsum(f"{o}TM,{o}TM->{o}TM", xs, ys), \
+            signs[..., None] * sign
+    e = o + "TM"[:signs.ndim - len(free)]
+    out = einsum(f"{e},{e}->{o}", signs, x)
+    scale = coeff * math.prod(math.factorial(a) * math.factorial(b)
+                              for a, b in types)
+    return Tensor(dim, free, _object_array(out * scale))
 
 
 # -- metric-dependent operations ----------------------------------------------

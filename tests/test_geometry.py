@@ -332,11 +332,6 @@ class TestShippedConfigs:
         st = ctx.stack
         assert max_abs(st.weyl.at_point()) < 1e-12
 
-    def test_phi_config(self):
-        from curvlab.config import load_phi_file
-        phi = load_phi_file(str(self.configs / "phi_pair_swap.json"))
-        assert phi.degree == 2
-
 
 # -- the Newton-lifted metric inverse ------------------------------------------
 

@@ -8,7 +8,7 @@ from curvlab.errors import DimensionError, SlotError
 from curvlab.geometry import GeometryContext, jet_ring
 from curvlab.invariants import (InvariantPolynomial, K_star, T_k_W,
                                 conformal_killing_K, functional_density,
-                                load_phi, lovelock_E, mixed_to_down, omega_k,
+                                lovelock_E, mixed_to_down, omega_k,
                                 p_phi_scalar, pfaffian_k, pfaffian_of,
                                 phi_w_c_form, rho_phi, star_p_phi_form,
                                 star_rho_general, trace_mixed, xi_k)
@@ -116,12 +116,6 @@ class TestInvariantPolynomial:
         direct = phi.eval_matrices(mats)
         via_index = np.einsum("stAB,As,Bt->", t.a, mats[0].a, mats[1].a)
         assert direct == via_index
-
-    def test_load_phi_config(self):
-        phi = load_phi({"degree": 2,
-                        "terms": [{"coeff": "1/2", "cycles": [[1, 2]]}]})
-        assert phi.degree == 2
-        assert phi.terms == InvariantPolynomial.pair_swap().terms
 
     def test_arity_mismatch(self):
         phi = InvariantPolynomial.pair_swap()

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from curvlab.errors import (DegenerateMetricError, ExactnessError,
                             JetOrderError,
                             ScalarKindError, SlotError)
-from curvlab.geometry import GeometryContext
-from curvlab.jets import Dual, Jet, JetAlgebra
+from curvlab.geometry import GeometryContext, dual_ring, jet_ring
+from curvlab.invariants import lovelock_E, pfaffian_k, pfaffian_of
+from curvlab.jets import Dual, Jet, JetAlgebra, field_value
+from curvlab.models import round_sphere_chart
 from curvlab.scalars import RATIONAL
 from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              contract, contract_with, einsum, epsilon_form,
@@ -170,53 +172,151 @@ class TestGeneralizedDelta:
             generalized_delta(0, 3, RATIONAL)
 
 
+def one_valid_jets(alg, shape, rng, valid):
+    """Array of float jets with random coefficients, all of one ``valid``."""
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        c = rng.standard_normal(alg.N)
+        c[alg.deg > valid] = 0.0
+        a[idx] = Jet(alg, c, valid, False)
+    return a
+
+
+def delta_operand(n, valence, rng, kind, valid=2):
+    """A random tensor of ``valence`` (down slots, then up slots) that is
+    antisymmetric in its down and in its up slots: rationals, float jets of
+    one ``valid`` or Duals over them (the im part one order lower)."""
+    shape = (n,) * len(valence)
+    if kind == "rational":
+        t = rational_tensor(n, valence, rng)
+    else:
+        alg = JetAlgebra.get(2, 3)
+        t = Tensor(n, valence, one_valid_jets(alg, shape, rng, valid))
+        if kind == "dual":
+            t = Tensor.dual(t, Tensor(n, valence, one_valid_jets(
+                alg, shape, rng, valid - 1)))
+    a = valence.count("d")
+    for group in (range(a), range(a, len(valence))):
+        assert len(group) <= 2
+        if len(group) == 2:
+            t = t - t.swap(*group)
+    return t.pack()
+
+
+def delta_ring(kind):
+    ring = jet_ring(JetAlgebra.get(2, 3), False)
+    return {"rational": RATIONAL, "float-jet": ring,
+            "dual": dual_ring(ring)}[kind]
+
+
+def materialized_contraction(spec, d: Tensor, factors):
+    """``spec`` evaluated on the materialized delta d (first operand) and
+    the factors, term by term over the nonzero entries of d; every letter
+    is one of d's."""
+    ins, out = spec.split("->")
+    dsub, *subs = ins.split(",")
+    acc = {}
+    for idx in np.ndindex(d.a.shape):
+        sign = d.a[idx]
+        if not sign:
+            continue
+        at = dict(zip(dsub, idx))
+        term = math.prod((f.a[tuple(at[x] for x in sub)]
+                          for f, sub in zip(factors, subs)), start=1)
+        term = term if sign > 0 else -term
+        key = tuple(at[x] for x in out)
+        acc[key] = acc[key] + term if key in acc else term
+    res = np.empty((d.dim,) * len(out), dtype=object)
+    for key, x in acc.items():
+        res[key] = x
+    return res
+
+
+# (factor valences, result valence, the contraction on the materialized
+# delta, its lower then its upper slots first)
+DELTA_SHAPES = {
+    "full": (("dduu", "dduu"), (), "abcdABCD,ABab,CDcd->"),
+    "free-lower": (("ddu", "dduu"), ("d",), "iabcABCD,ABa,CDbc->i"),
+    "free-pair": (("dduu",), ("d", "u"), "iabjAB,ABab->ij"),
+    "free-pair-PP": (("du", "du"), ("d", "u"), "iabjAB,Aa,Bb->ij"),
+    "three-factors": (("ddu", "duu", "du"), (), "abcdABCD,ABa,Cbc,Dd->"),
+}
+
+
 class TestGkdKernel:
     def test_matches_materialized_delta(self):
-        """Permutation-sum kernel vs naive materialized-delta contraction."""
+        """The double-form product against the materialized delta at n = 3
+        and 4, for each contraction shape and scalar kind."""
         rng = np.random.default_rng(9)
-        n, k = 3, 2
-        w = rational_tensor(n, ("d", "d", "u", "u"), rng)
-        p = 2 * k
-        lower = [(m, 2 + a) for m in range(k) for a in range(2)]
-        upper = [(m, a) for m in range(k) for a in range(2)]
-        got = gkd_contract(n, lower, upper, [w] * k, RATIONAL).item()
-        d = generalized_delta(p, n, RATIONAL)
-        naive = np.einsum("abcdABCD,ABab,CDcd->", d.a, w.a, w.a)
-        assert got == naive
+        for kind, (valences, free, spec), n in itertools.product(
+                ("rational", "float-jet", "dual"), DELTA_SHAPES.values(),
+                (3, 4)):
+            p = sum(v.count("u") for v in valences) + ("d" in free)
+            if p > n:
+                continue
+            factors = [delta_operand(n, tuple(v), rng, kind)
+                       for v in valences]
+            got = gkd_contract(factors, delta_ring(kind), free=free)
+            naive = materialized_contraction(
+                spec, generalized_delta(p, n, RATIONAL), factors)
+            assert got.valence == free
+            if kind == "rational":
+                assert isinstance(got.data, RationalField)
+                assert np.all(got.a == naive)
+            else:
+                for x, y in zip(got.a.flat, naive.flat):
+                    assert_jets_close(x, y)
 
-    def test_free_slots_and_symmetry_reduction(self, berger4_stack):
+    def test_free_slots_on_berger_product(self, berger4_stack):
+        """A free lower index (C W, as in xi) and a free pair (W) on the
+        exact Berger product against the materialized delta."""
         st = berger4_stack
-        w = st.weyl_dduu
-        lower = [None, (0, 2), (0, 3)]
-        upper = [None, (0, 0), (0, 1)]
-        sym = (((0, 2, 1), (0, 1, 2)), ((0, 1, 2), (0, 2, 1)))
-        fast = gkd_contract(4, lower, upper, [w], RATIONAL, sym=sym)
-        slow = gkd_contract(4, lower, upper, [w], RATIONAL)
-        assert tensors_equal(fast, slow)
+        c, w = st.cotton_ddu, st.weyl_dduu
+        got = gkd_contract([c, w], RATIONAL, free=("d",))
+        assert np.all(got.a == materialized_contraction(
+            DELTA_SHAPES["free-lower"][2], generalized_delta(4, 4, RATIONAL),
+            [c, w]))
+        got = gkd_contract([w], RATIONAL, free=("d", "u"))
+        assert np.all(got.a == materialized_contraction(
+            DELTA_SHAPES["free-pair"][2], generalized_delta(3, 4, RATIONAL),
+            [w]))
 
     @pytest.mark.parametrize("mode", ["rational", "float-jet"])
     def test_rank0_intermediate_times_kronecker(self, mode, chart4):
-        """delta^(3) against P.P with one free pair: the identity permutation
-        traces both factors to a scalar before the Kronecker factor for the
-        free pair joins, a rank-0 pairwise step that numpy >= 2 cannot take
-        on its own."""
+        """delta^(3) against P.P with one free pair: the diagonal holds the
+        traces times the Kronecker delta and reads more product entries than
+        the off-diagonal outputs do."""
         n = 4
         if mode == "rational":
             ring = RATIONAL
             p = rational_tensor(n, ("d", "u"), np.random.default_rng(17))
         else:
             ring, p = chart4.ring, chart4.stack.schouten_mixed
-        got = gkd_contract(n, [None, (0, 1), (1, 1)], [None, (0, 0), (1, 0)],
-                           [p, p], ring)
-        d3 = generalized_delta(3, n, ring)
-        naive = np.einsum("iabjAB,Aa,Bb->ij", d3.a, p.a, p.a, optimize=False)
+        got = gkd_contract([p, p], ring, free=("d", "u"))
+        naive = materialized_contraction(DELTA_SHAPES["free-pair-PP"][2],
+                                         generalized_delta(3, n, RATIONAL),
+                                         [p, p])
         assert got.valence == ("d", "u")
         if mode == "rational":
             assert np.all(got.a == naive)
         else:
             for x, y in zip(got.a.flat, naive.flat):
-                assert x.valid == y.valid
-                assert np.allclose(x.c, y.c, rtol=1e-12, atol=1e-12)
+                assert_jets_close(x, y)
+
+    def test_round_sphere_closed_form(self):
+        """R_ab^cd = K delta_ab^cd on a round sphere, and each factor gives
+        2K delta, so in dim 6 Pf_3(Rm) = (1/3!) (2K)^3 6!/0! = 960 K^3 and
+        E^(2)_i^j = (1/2!) (2K)^2 5!/1! delta_i^j = 240 K^2 delta_i^j."""
+        k = Fraction(3, 2)
+        r = generalized_delta(2, 6, RATIONAL).scale(k)
+        assert pfaffian_k(r, 3, RATIONAL) == 960 * k ** 3
+        e2 = gkd_contract([r, r], RATIONAL, free=("d", "u"),
+                          coeff=Fraction(1, 2))
+        assert tensors_equal(e2, identity_mixed(6).scale(240 * k ** 2))
+        st = round_sphere_chart(6, jet_order=2, exact=False).stack
+        assert abs(field_value(pfaffian_of(st, 3, "riemann")) - 960) < 1e-9
+        e2 = lovelock_E(st, 2).at_point()
+        assert max_abs(e2 - identity_mixed(6).scale(240.0).map(float)) < 1e-9
 
     def test_pairwise_run_matches_numpy_bits(self):
         """Without a rank-0 step numpy's own optimized einsum runs, and the
@@ -231,9 +331,17 @@ class TestGkdKernel:
 
     def test_p_above_dim_returns_zero(self):
         w = zeros(2, ("d", "d", "u", "u"), RATIONAL)
-        out = gkd_contract(2, [(0, 2), (0, 3), None], [(0, 0), (0, 1), None],
-                           [w], RATIONAL)
-        assert is_zero_tensor(out)
+        out = gkd_contract([w], RATIONAL, free=("d", "u"))
+        assert out.valence == ("d", "u") and is_zero_tensor(out)
+
+    def test_rejects_mismatched_factors(self):
+        w = zeros(3, ("d", "d", "u", "u"), RATIONAL)
+        with pytest.raises(SlotError):
+            gkd_contract([w], RATIONAL, free=("d",))
+        with pytest.raises(SlotError):
+            gkd_contract([w.permuted((2, 0, 1, 3))], RATIONAL)
+        with pytest.raises(SlotError):
+            gkd_contract([], RATIONAL)
 
 
 def random_jets(alg, shape, rng, kind, low=0):
@@ -321,6 +429,32 @@ class TestEinsumKernel:
         assert isinstance(got, np.ndarray) and got.shape == ref.shape
         for x, y in zip(got.flat, ref.flat):
             assert_jets_close(x, y)
+
+    @pytest.mark.parametrize("spec, first", [
+        ("abm,m->abm", False), ("m,abm->ab", True), ("oe,e->o", True),
+        ("e,e->", True), ("oEM,EM->o", True), ("ab,bc->ac", False)])
+    @pytest.mark.parametrize("kind", ["rational", "jet", "dual"])
+    def test_int_constant_operand(self, spec, first, kind):
+        """A packed field against an int ndarray (signs, a read-out matrix;
+        the first operand when ``first``) stays packed and matches numpy's
+        object einsum, ``valid`` orders included."""
+        rng = np.random.default_rng(31)
+        shapes = operand_shapes(spec, 3)
+        if first:
+            shapes = shapes[::-1]
+        k = rng.integers(-2, 3, size=shapes[1])
+        f = random_scalars(shapes[0], rng, "rational") if kind == "rational" \
+            else random_jets(JetAlgebra.get(2, 3), shapes[0], rng, kind)
+        packed = Tensor(3, "d" * f.ndim, f).pack().data
+        got = einsum(spec, *((k, packed) if first else (packed, k)))
+        ref = np.asarray(np.einsum(spec, *((k, f) if first else (f, k))),
+                         dtype=object)
+        assert isinstance(got, (JetField, RationalField))
+        if kind == "rational":
+            assert np.all(got.unpack() == ref)
+        else:
+            for x, y in zip(got.unpack().flat, ref.flat):
+                assert_jets_close(x, y)
 
     @pytest.mark.parametrize("spec", [
         "abcd,ce->abed",        # b shifted: 4 free components against 64
@@ -1208,8 +1342,3 @@ class TestPermutation:
         q = Permutation((1, 0, 2))
         assert q.sign == -1
         assert p.compose(p.inverse()) == Permutation((0, 1, 2))
-
-    def test_from_cycles(self):
-        p = Permutation.from_cycles(4, [[1, 2], [3, 4]])
-        assert p.images == (1, 0, 3, 2)
-        assert p.sign == 1
