@@ -128,7 +128,7 @@ def _with_valid(x, cap: int, g, alg: JetAlgebra, exact: bool):
         n = alg.upto[cap]       # the rows a field valid through cap holds
         if isinstance(x, JetField):
             coeffs = []
-            for c, _ in x._parts():
+            for c, _, _ in x._parts():
                 coeffs.append(np.zeros((n,) + g.shape))
                 coeffs[-1][:len(c)] = c
         else:
@@ -140,8 +140,7 @@ def _with_valid(x, cap: int, g, alg: JetAlgebra, exact: bool):
                 c[0] = np.reshape(vals, g.shape)
                 coeffs.append(c)
         v = np.full(g.shape, cap)
-        return JetField(alg, coeffs[0], v,
-                        *((coeffs[1], v) if len(coeffs) > 1 else ()))
+        return JetField._of(alg, [(c, v, cap) for c in coeffs])
 
     def lift(s):
         if isinstance(s, Dual):
@@ -167,7 +166,7 @@ def _euler(x, alg: JetAlgebra, inverse: bool = False):
     if isinstance(x, JetField):
         w = _euler_weights(alg, False, inverse).reshape(
             (-1,) + (1,) * len(x.shape))
-        return x._with((c * w[:len(c)], v) for c, v in x._parts())
+        return x._with((c * w[:len(c)], v, u) for c, v, u in x._parts())
     if isinstance(x, Dual):
         return Dual(_euler(x.re, alg, inverse), _euler(x.im, alg, inverse))
     if isinstance(x, Jet):
@@ -794,7 +793,8 @@ def _truncated_to(x, term):
     term, then keeps no degree the sum drops, and as the largest, not the
     smallest, it changes no component's ``valid`` in the sum."""
     if isinstance(x, JetField) and isinstance(term, JetField):
-        return x.truncated(max(int(v.max()) for _, v in term._parts()))
+        return x.truncated(max(int(v.max()) if u is None else u
+                               for _, v, u in term._parts()))
     return x
 
 

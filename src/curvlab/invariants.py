@@ -70,23 +70,6 @@ class InvariantPolynomial:
             images[2 * m], images[2 * m + 1] = 2 * m + 1, 2 * m
         return cls(2 * k, [(Fraction(1), Permutation(images))])
 
-    def eval_matrices(self, mats) -> object:
-        """Phi(A_1..A_k) for a list of (d,u)-valence matrix tensors."""
-        if len(mats) != self.degree:
-            raise SlotError("wrong number of matrix arguments")
-        total = None
-        for c, sigma in self.terms:
-            term = None
-            for cyc in _cycles(sigma):
-                prod = mats[cyc[0]].a
-                for a in cyc[1:]:
-                    prod = np.dot(prod, mats[a].a)
-                tr = einsum("ii->", prod)[()]
-                term = tr if term is None else term * tr
-            term = c * term
-            total = term if total is None else total + term
-        return total
-
     def __repr__(self):
         return f"InvariantPolynomial(deg={self.degree}, {len(self.terms)} terms)"
 

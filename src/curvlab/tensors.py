@@ -192,7 +192,7 @@ class Tensor:
         if isinstance(fr, JetField) and isinstance(fi, JetField) \
                 and fr.ic is None and fi.ic is None and fr.alg is fi.alg:
             return cls(re.dim, re.valence,
-                       JetField(fr.alg, fr.c, fr.v, fi.c, fi.v))
+                       fr._with([*fr._parts(), *fi._parts()]))
         out = np.empty(re.a.shape, dtype=object)
         for idx in np.ndindex(out.shape):
             out[idx] = Dual(re.a[idx], im.a[idx])
@@ -202,9 +202,8 @@ class Tensor:
         """(re, im) of a tensor of Duals."""
         f = self.field
         if isinstance(f, JetField):
-            return (Tensor(self.dim, self.valence, JetField(f.alg, f.c, f.v)),
-                    Tensor(self.dim, self.valence,
-                           JetField(f.alg, f.ic, f.iv)))
+            return tuple(Tensor(self.dim, self.valence, f._with([part]))
+                         for part in f._parts())
         return self.map(lambda d: d.re), self.map(lambda d: d.im)
 
     # -- basics ---------------------------------------------------------------
@@ -762,7 +761,7 @@ def is_antisymmetric(t: Tensor, tol: float = 1e-10) -> bool:
     if "float" not in t.kind():
         return not any(any((t.a + t.a.swapaxes(*w)).flat) for w in swaps)
     if isinstance(f, JetField):     # base-point values, one row per part
-        base = np.stack([c[0] for c, _ in f._parts()])
+        base = np.stack([c[0] for c, _, _ in f._parts()])
     else:
         vals = [field_value(x) for x in t.a.flat]
         base = np.array([(x.re, x.im) if isinstance(x, Dual) else (x,)
@@ -911,12 +910,6 @@ class AltForm:
             if acc is not None:
                 comps[idx] = w * acc
         return AltForm(self.dim, p + q, comps)
-
-    def wedge(self, other: "AltForm") -> "AltForm":
-        """Classical wedge: (p+q)!/(p!q!) times alt_mul."""
-        w = Fraction(math.factorial(self.degree + other.degree),
-                     math.factorial(self.degree) * math.factorial(other.degree))
-        return self.alt_mul(other).scale(w)
 
     def max_abs(self) -> float:
         if not self.comps:

@@ -398,7 +398,7 @@ class TestTruncatedProducts:
     def _assert_same(got, ref, scale=None):
         """Same ``valid``s, coefficients within 1e-13 of the largest in
         ``scale`` (default: ref)."""
-        for (c, v), (rc, rv), (sc, _) in zip(
+        for (c, v, _), (rc, rv, _), (sc, _, _) in zip(
                 got._parts(), ref._parts(), (scale or ref)._parts()):
             assert np.array_equal(v, rv)
             assert np.abs(c - rc).max() <= 1e-13 * np.abs(sc).max()

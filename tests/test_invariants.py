@@ -35,6 +35,28 @@ def index_tensor(phi, dim, ring):
     return t
 
 
+def eval_matrices(phi, mats):
+    """Oracle: Phi(A_1..A_k) for (d,u)-valence matrix tensors, the product
+    over each cycle of sigma of the trace of the matrices along it, summed
+    over the terms (c, sigma)."""
+    assert len(mats) == phi.degree
+    total = Fraction(0)
+    for c, sigma in phi.terms:
+        images, seen, term = sigma.images, set(), c
+        for start in range(len(images)):
+            if start in seen:
+                continue
+            prod, a = mats[start].a, images[start]
+            seen.add(start)
+            while a != start:
+                prod = np.dot(prod, mats[a].a)
+                seen.add(a)
+                a = images[a]
+            term = term * np.trace(prod)
+        total += term
+    return total
+
+
 class TestPfaffian:
     def test_flat_is_zero(self):
         st = flat_chart(4, jet_order=2, exact=True).stack
@@ -84,7 +106,7 @@ class TestInvariantPolynomial:
         m = zeros(3, ("d", "u"), RATIONAL)
         for idx in np.ndindex(3, 3):
             m.a[idx] = Fraction(int(rng.integers(-4, 5)))
-        val = phi.eval_matrices([m, m])
+        val = eval_matrices(phi, [m, m])
         tr2 = np.einsum("ab,ba->", m.a, m.a)
         assert val == Fraction(1, 2) * tr2
 
@@ -95,7 +117,7 @@ class TestInvariantPolynomial:
         for idx in np.ndindex(3, 3):
             m.a[idx] = Fraction(int(rng.integers(-3, 4)))
         tr2 = np.einsum("ab,ba->", m.a, m.a)
-        assert phi.eval_matrices([m] * 4) == tr2 * tr2
+        assert eval_matrices(phi, [m] * 4) == tr2 * tr2
 
     def test_symmetrized_index_form(self):
         phi = InvariantPolynomial(2, [(Fraction(1), Permutation((0, 1)))])
@@ -113,14 +135,9 @@ class TestInvariantPolynomial:
             for idx in np.ndindex(2, 2):
                 m.a[idx] = Fraction(int(rng.integers(-4, 5)))
             mats.append(m)
-        direct = phi.eval_matrices(mats)
+        direct = eval_matrices(phi, mats)
         via_index = np.einsum("stAB,As,Bt->", t.a, mats[0].a, mats[1].a)
         assert direct == via_index
-
-    def test_arity_mismatch(self):
-        phi = InvariantPolynomial.pair_swap()
-        with pytest.raises(SlotError):
-            phi.eval_matrices([zeros(2, ("d", "u"), RATIONAL)])
 
 
 class TestPPhi:

@@ -500,6 +500,7 @@ class TestEinsumKernel:
             for x in itertools.chain(a.flat, b.flat):
                 x.valid = cap if uniform else min(x.valid, cap)
                 x.c[alg.deg > x.valid] = 0.0
+            fields._step_plan.cache_clear()     # plans are cached
             with mock.patch.object(fields, "_pair_sums",
                                    wraps=fields._pair_sums) as spy:
                 got = einsum(spec, a, b)
@@ -526,24 +527,34 @@ class TestEinsumKernel:
                                        ("dual", "dual")])
     def test_blocks_match_one_block(self, spec, kinds):
         """Cutting the output monomials into many blocks gives the one-block
-        result to 1e-15 relative, and the same ``valid``s."""
+        result to 1e-15 relative, and the same ``valid``s (4 or 5, so that
+        even a rank-0 product has blocks to cut)."""
         rng = np.random.default_rng(len(spec))
         alg = JetAlgebra.get(4, 5)
-        ops = [JetField.pack(random_jets(alg, shape, rng, kind))
+        ops = [JetField.pack(random_jets(alg, shape, rng, kind, alg.order - 1))
                for shape, kind in zip(operand_shapes(spec, 3), kinds)]
-        runs = []
+        runs, plan = [], fields._step_plan
+
+        def spy(*key):
+            p = plan(*key)
+            if p.shift is not None:
+                blocks.append(len(p.shift.blocks))
+            return p
         try:
             for budget in (1 << 40, fields._BLOCK_FLOATS, 64):
-                fields._shift_blocks.cache_clear()     # blocks are cached
-                with mock.patch.object(fields, "_BLOCK_FLOATS", budget):
-                    blocks = fields._shift_blocks(alg, alg.order, 1, 1)
-                    runs.append((len(blocks), einsum(spec, *ops)))
+                plan.cache_clear()      # blocks are cached in the plans
+                blocks = []
+                with mock.patch.object(fields, "_BLOCK_FLOATS", budget), \
+                        mock.patch.object(fields, "_step_plan", spy):
+                    got = einsum(spec, *ops)
+                runs.append((max(blocks, default=1), got))
         finally:
-            fields._shift_blocks.cache_clear()
+            plan.cache_clear()
         (one, ref), *rest = runs
-        assert one == 1 and rest[-1][0] > 1
+        contracted_first = spec == "cdab,abcd->"
+        assert one == 1 and (rest[-1][0] > 1) != contracted_first
         for _, got in rest:
-            for (c, v), (rc, rv) in zip(got._parts(), ref._parts()):
+            for (c, v, _), (rc, rv, _) in zip(got._parts(), ref._parts()):
                 assert np.array_equal(v, rv)
                 assert np.abs(c - rc).max() <= 1e-15 * np.abs(rc).max()
 
@@ -720,10 +731,11 @@ class TestDegreeBands:
         it, and nonzero coefficients at every degree up to it."""
         f = JetField.pack(random_jets(alg, shape, rng, kind, alg.order))
         parts = []
-        for c, _ in f._parts():
+        for c, _, _ in f._parts():
             v = np.full(shape, cap) if uniform else \
                 rng.integers(0, cap + 1, size=shape)
-            parts.append((fields._zero_above(alg, c.copy(), v), v))
+            u = fields._uniform(v)
+            parts.append((fields._zero_above(alg, c.copy(), v, u), v, u))
         return f._with(parts)
 
     @staticmethod
@@ -732,7 +744,8 @@ class TestDegreeBands:
             return f
         deg = f.alg.deg.reshape((-1,) + (1,) * len(f.shape))
         outside = (deg < band[0]) | (deg > band[1])
-        return f._with((np.where(outside, 0.0, c), v) for c, v in f._parts())
+        return f._with((np.where(outside, 0.0, c), v, u)
+                       for c, v, u in f._parts())
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(_BAND_SPECS), st.integers(0, 5), st.booleans(),
@@ -751,13 +764,97 @@ class TestDegreeBands:
         got = fields._float_jet_einsum(spec, a, b, lo, band_a, band_b)
         ref = fields._float_jet_einsum(spec, self._inside(a, band_a),
                                        self._inside(b, band_b))
-        for (c, v), (rc, rv) in zip(got._parts(), ref._parts()):
+        for (c, v, _), (rc, rv, _) in zip(got._parts(), ref._parts()):
             assert np.array_equal(v, rv) and c.shape == rc.shape
             deg = alg.deg[:len(c)].reshape((-1,) + (1,) * v.ndim)
             kept = (deg >= lo) & (deg <= v)
             assert not c[~kept].any()
             err = np.abs(c - rc)[kept].max(initial=0.0)
             assert err <= 1e-14 * np.abs(rc).max(initial=1.0)
+
+
+def assert_valid_consistent(f):
+    """Each part's uniform ``valid`` is the int every component shares, or
+    None when they differ; the coefficients above each component's
+    ``valid`` are zero, and the rows up to the largest are stored."""
+    for c, v, u in f._parts():
+        shared = (v == v.flat[0]).all()
+        assert u == (int(v.flat[0]) if shared else None)
+        assert u is None or type(u) is int
+        deg = f.alg.deg[:len(c)].reshape((-1,) + (1,) * v.ndim)
+        assert not c[deg > v].any()
+        assert len(c) >= f.alg.upto[int(v.max())]
+
+
+class TestStepPlans:
+    """The cached plans of the packed float-jet kernel and the uniform
+    ``valid`` the fields carry."""
+
+    @staticmethod
+    def _operands(alg, spec, dim, cap, rng):
+        """Dual fields for spec's operands at extent dim, every ``valid``
+        the cap."""
+        ops = []
+        for shape in operand_shapes(spec, dim):
+            f = JetField.pack(random_jets(alg, shape, rng, "dual", alg.order))
+            ops.append(f.truncated(cap))
+        return ops
+
+    @pytest.mark.parametrize("spec", ["ab,bc->ac", "ab,ab->"])
+    def test_key_holds_shapes_cap_lo_and_bands(self, spec):
+        """Two operand shapes, two caps, two kept degrees and two band pairs
+        run back to back on warm plans give, bit for bit, what each gives
+        on a cleared cache: a plan reused across any of them gives other
+        rows, shapes or bands."""
+        alg = JetAlgebra.get(2, 4)
+        rng = np.random.default_rng(len(spec))
+        runs = [(self._operands(alg, spec, dim, cap, rng), lo, bands)
+                for dim in (3, 2) for cap in (2, 4) for lo in (0, 2)
+                for bands in ((None, None), ((0, 1), (1, 3)))]
+
+        def run(ops, lo, bands):
+            return fields._float_jet_einsum(spec, *ops, lo, *bands)
+        warm = [run(*r) for r in runs]
+        for r, got in zip(runs, warm):
+            fields._step_plan.cache_clear()
+            ref = run(*r)
+            for (c, v, u), (rc, rv, ru) in zip(got._parts(), ref._parts()):
+                assert np.array_equal(c, rc) and np.array_equal(v, rv)
+                assert u == ru
+
+    @pytest.mark.parametrize("kind", ["jet", "dual"])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_every_op_keeps_the_uniform_valid_exact(self, kind, uniform):
+        """Each packed operation, on operands with drawn (or shared)
+        ``valid``s, gives fields whose uniform ``valid`` agrees with the
+        ``valid`` arrays and that are zero above each ``valid``; so do
+        results that turn uniform from mixed operands (a truncation to
+        degree 0, one component picked, a full contraction)."""
+        rng = np.random.default_rng(7 + uniform)
+        alg = JetAlgebra.get(2, 4)
+        a, b = (JetField.pack(random_jets(alg, (3, 3), rng, kind,
+                                          alg.order if uniform else 1))
+                for _ in range(2))
+        assert (a._u is None) != uniform
+        jet = random_jets(alg, (), rng, "jet", 1)[()]
+        dual = random_jets(alg, (), rng, "dual", 1)[()]
+        signs = rng.integers(-1, 2, size=(3, 3))
+        got = [a + b, a - b, a + b.truncated(2), a.truncated(1) - b, -a,
+               a * 2.5, a * jet, a * dual, a.transpose(1, 0), a[1], a[:, 2],
+               a[[0, 2]], a[1:, :2], a[1:2, 2:], a.derivatives([0, None, 1]),
+               a.derivatives([None])]
+        got += [a.truncated(k) for k in range(alg.order + 1)]
+        got += [einsum(spec, a) for spec in ("ab->ba", "aa->a", "ab->a",
+                                             "ab->")]
+        got += [einsum(spec, a, b) for spec in ("ab,bc->ac", "ab,ab->",
+                                                "ab,ab->ab", "ab,cd->acbd")]
+        got += [einsum("ab,bc->ac", a, signs), einsum("ab,ab->", signs, a)]
+        got += [fields._float_jet_einsum("ab,bc->ac", a, b, 2, (0, 1),
+                                         (1, 3))]
+        assert a.truncated(0)._u == 0 and einsum("ab,ab->", a, b)._u >= 0
+        for f in got:
+            assert isinstance(f, JetField)
+            assert_valid_consistent(f)
 
 
 class TestJetField:
@@ -773,7 +870,7 @@ class TestJetField:
         f = JetField.pack(random_jets(alg, (3, 3), np.random.default_rng(k),
                                       "dual"))
         t = f.truncated(k)
-        for c, v in t._parts():
+        for c, v, _ in t._parts():
             assert len(c) <= alg.upto[k] or v.max() <= k
         for x, y in zip(t.unpack().flat, f.unpack().flat):
             for got, jet in ((x.re, y.re), (x.im, y.im)):
@@ -1329,10 +1426,12 @@ class TestAltForm:
         assert tensors_equal(got.to_tensor(RATIONAL), dense)
 
     def test_wedge_normalization(self):
+        """The classical wedge, (p+q)!/(p! q!) times ``alt_mul``, of dx and
+        dy is dx^dy with component 1."""
         dx = AltForm(2, 1, {(0,): Fraction(1)})
         dy = AltForm(2, 1, {(1,): Fraction(1)})
-        w = dx.wedge(dy)
-        assert w.comps[(0, 1)] == 1
+        w = dx.alt_mul(dy).scale(Fraction(2))
+        assert w.comps == {(0, 1): 1}
 
 
 class TestPermutation:
