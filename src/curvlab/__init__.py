@@ -16,11 +16,11 @@ from .errors import (ConfigError, CurvLabError, DegenerateMetricError,
 from .geometry import (ChartContext, CurvatureStack, FrameContext,
                        GeometryContext, ProductContext, bach, cotton, product)
 from .invariants import (InvariantPolynomial, WeightedOneForm,
-                         conformal_killing_K, functional_density, K_star,
+                         conformal_killing_K, functional_density,
                          lovelock_E, omega_k, p_phi_scalar, pfaffian_k,
                          pfaffian_of, phi_w_c_form, rho_phi,
                          star_p_phi_form, star_rho_general, T_k_W, xi_k)
-from .jets import Dual, Jet, JetAlgebra, jet_derivative
+from .jets import Dual, Jet, JetAlgebra
 from .models import (berger_frame, berger_product, flat_chart, fs_cp2_chart,
                      killing_field_T, product_8d, random_chart,
                      round_sphere_chart)

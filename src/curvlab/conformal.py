@@ -48,10 +48,6 @@ class ConformalFactor:
         return cls(constant=value)
 
     @classmethod
-    def log_of(cls, func) -> "ConformalFactor":
-        return cls(log_func=func)
-
-    @classmethod
     def zero(cls) -> "ConformalFactor":
         return cls(constant=Fraction(0))
 

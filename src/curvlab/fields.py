@@ -409,9 +409,9 @@ def _constant_einsum(spec: str, a, b):
     components summed into it, with zeros above it, as a chain of
     ``Jet.__add__`` calls gives, a Dual's im part first capped at its re
     part's ``valid`` as ``Dual.__mul__`` caps it for an int.  A rational
-    step runs on int64 when the largest |numerator| times the largest
-    |constant| times the number of terms is below 2**63, as
-    ``_rational_einsum`` does.
+    step runs on int64 when the field's bound times the largest |constant|
+    times the number of terms is below 2**63, from the plan
+    ``_rational_einsum`` uses.
     """
     ins, out = spec.split("->")
     (sf, sk), (f, k) = ins.split(","), (a, b)
@@ -421,12 +421,13 @@ def _constant_einsum(spec: str, a, b):
             or k.dtype.kind not in "iu":
         return None
     if isinstance(f, RationalField):
-        bound = _summed_terms(spec, (a.shape, b.shape)) * max(f.top, 1) \
-            * max(int(np.abs(k).max(initial=0)), 1)
-        num, = _widened(bound, f.num)
-        res = np.asarray(np.einsum(f"{sf},{sk}->{out}", num, k),
-                         dtype=num.dtype)
-        return RationalField.reduced(res, f.den)
+        spec = f"{sf},{sk}->{out}"
+        plan = _int_plan(spec, (f.shape, k.shape))
+        scale = plan.terms * max(_top(k), 1)
+        bound, (num,) = _numerators(lambda b: scale * b, f)
+        return RationalField.reduced(
+            _int_contract(spec, plan, [num, k.astype(num.dtype, copy=False)]),
+            f.den, bound)
     coef = next(x for x in _LETTERS if x not in spec)
     letters = out + "".join(x for x in dict.fromkeys(sf) if x not in out)
     parts = []
@@ -799,35 +800,51 @@ class RationalField(_Field):
     ``num`` holds the numerators and ``den`` is a positive Python int.  The
     pair is canonical, gcd(den, every numerator) = 1, so each component
     unpacks to the very Fraction the object path gives.  ``num`` is int64
-    when every numerator fits, else an object array of Python ints.  An
-    operation runs on int64 only when a bound on its partial sums, computed
-    in Python ints from each operand's largest |numerator| (``top``), is
-    below 2**63, and on Python ints otherwise, so it is exact either way:
+    when every numerator fits, else an object array of Python ints.
+
+    ``bound``, a Python int of at least 1, bounds every |numerator|.  The
+    operation that builds a field propagates it from its operands' bounds
+    instead of rescanning an array: a contraction gives the number of terms
+    times the product of the bounds, a sum bx fx + by fy (fx, fy the
+    factors that rescale the operands to the common denominator), a scaling
+    by p/q the bound times |p|; gathers, transposes and negation keep it,
+    and the reduction by a common factor g divides it by g.  An operation
+    runs on int64 when the bound of its result is below 2**63, which bounds
+    every partial sum too.  When the propagated bound cannot prove that,
+    each operand's bound is first tightened to its exact largest
+    |numerator| (``top``), so the choice between int64 and Python ints is
+    the one the exact tops give, and the result is exact either way:
     fraction-free arithmetic over a common denominator (Bareiss, Math.
-    Comp. 22 (1968)).  Operations never write into an operand's arrays.
+    Comp. 22 (1968)).  Two-operand contractions on int64 run as one
+    ``np.matmul`` from a plan cached per (spec, shapes) (``_int_plan``), and
+    a packed metric is inverted by fraction-free elimination on its
+    numerators (``geometry._fraction_free_inverse``).  Operations never
+    write into an operand's arrays.
     """
 
-    __slots__ = ("num", "den", "_top")
+    __slots__ = ("num", "den", "bound")
 
-    def __init__(self, num: np.ndarray, den: int, top: int | None = None):
-        self.num, self.den, self._top = num, den, top
+    def __init__(self, num: np.ndarray, den: int, bound: int):
+        self.num, self.den, self.bound = num, den, bound
 
     @classmethod
-    def reduced(cls, num: np.ndarray, den: int) -> "RationalField":
-        """The canonical field of the integer array num over den > 0."""
+    def reduced(cls, num: np.ndarray, den: int, bound: int) -> "RationalField":
+        """The canonical field of the integer array num over den > 0, every
+        |numerator| at most bound."""
         if den != 1:
-            common = int(np.gcd.reduce(num.ravel()))
+            common = int(np.gcd.reduce(num, axis=None))
             g = math.gcd(den, common)
             if g > 1:
                 den //= g
                 if common:      # all-zero numerators only reset den to 1
                     num = num // g
-        top = None
+                    bound //= g
         if num.dtype == object:
-            top = max(map(abs, num.ravel().tolist()))
-            if top < _INT64_BOUND:
+            if bound >= _INT64_BOUND:
+                bound = _top(num)
+            if bound < _INT64_BOUND:
                 num = num.astype(np.int64)
-        return cls(num, den, top)
+        return cls(num, den, max(bound, 1))
 
     @property
     def shape(self) -> tuple:
@@ -835,10 +852,13 @@ class RationalField(_Field):
 
     @property
     def top(self) -> int:
-        """The largest |numerator|, a Python int."""
-        if self._top is None:
-            self._top = int(np.abs(self.num).max())
-        return self._top
+        """The largest |numerator|, a Python int, from a scan of ``num``."""
+        return _top(self.num)
+
+    def _tight(self) -> int:
+        """``bound`` lowered to max(top, 1)."""
+        self.bound = max(self.top, 1)
+        return self.bound
 
     def kind(self) -> str:
         return "rational"
@@ -860,7 +880,7 @@ class RationalField(_Field):
         top = max(map(abs, nums))
         num = np.empty(len(nums), np.int64 if top < _INT64_BOUND else object)
         num[:] = nums
-        return cls(num.reshape(a.shape), den, top)
+        return cls(num.reshape(a.shape), den, max(top, 1))
 
     def unpack(self) -> np.ndarray:
         """An object array of Fractions, one per distinct numerator."""
@@ -878,62 +898,125 @@ class RationalField(_Field):
         component gives it as a Fraction."""
         num = self.num[idx]
         if isinstance(num, np.ndarray):
-            return RationalField.reduced(num, self.den)
+            return RationalField.reduced(num, self.den, self.bound)
         return Fraction(int(num), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def transpose(self, *axes) -> "RationalField":
-        return RationalField(self.num.transpose(*axes), self.den, self._top)
+        return RationalField(self.num.transpose(*axes), self.den, self.bound)
 
     def __neg__(self) -> "RationalField":
-        return RationalField(-self.num, self.den, self._top)
+        return RationalField(-self.num, self.den, self.bound)
 
     def _elementwise(self, other, op, flip: bool):
-        """op(self, other), or op(other, self) when flipped, with both
-        numerator arrays rescaled to the lcm of the denominators.  An operand
-        that does not pack takes the object path."""
+        """op(self, other), or op(other, self) when flipped, on the numerators
+        over a shared denominator, else rescaled to the lcm of the two.  An
+        operand that does not pack takes the object path."""
         o = RationalField.of(other)
         if o is None or o.shape != self.shape:
             return _object_op(self, other, op, flip)
         x, y = (o, self) if flip else (self, o)
-        den = math.lcm(x.den, y.den)
+        den = x.den if x.den == y.den else math.lcm(x.den, y.den)
         fx, fy = den // x.den, den // y.den
-        nx, ny = _widened(max(x.top, 1) * fx + max(y.top, 1) * fy,
-                          x.num, y.num)
-        return RationalField.reduced(op(nx * fx, ny * fy), den)
+        bound, (nx, ny) = _numerators(lambda bx, by: bx * fx + by * fy, x, y)
+        nx, ny = nx * fx if fx > 1 else nx, ny * fy if fy > 1 else ny
+        return RationalField.reduced(op(nx, ny), den, bound)
 
     def __mul__(self, s):
         """The field times an int or a Fraction; any other scalar takes the
         object path."""
         if type(s) is int or type(s) is Fraction:
             p, q = s.as_integer_ratio()
-            num, = _widened(max(self.top, 1) * abs(p), self.num)
-            return RationalField.reduced(num * p, self.den * q)
+            bound, (num,) = _numerators(lambda b: b * abs(p), self)
+            return RationalField.reduced(num * p, self.den * q, bound)
         return self.unpack() * s
 
     def derivatives(self, variables) -> "RationalField":
         """D_a of every component in a new leading slot: zero, as the
         derivative of a constant is."""
         return RationalField(np.zeros((len(variables),) + self.shape,
-                                      dtype=np.int64), 1, 0)
+                                      dtype=np.int64), 1, 1)
+
+
+def _top(num: np.ndarray) -> int:
+    """The largest |entry| of an integer array, a Python int."""
+    if num.dtype == object:
+        return max(map(abs, num.ravel().tolist()), default=0)
+    return int(np.abs(num).max(initial=0))
+
+
+def _numerators(bound_of, *fields) -> tuple:
+    """(bound, numerator arrays) for one operation on the fields: the bound
+    ``bound_of`` gives from their bounds, or from their exact tops when
+    that is not below 2**63, and their arrays, as object arrays of Python
+    ints when even the tops do not prove int64 arithmetic exact."""
+    bound = bound_of(*[f.bound for f in fields])
+    if bound >= _INT64_BOUND:
+        bound = bound_of(*[f._tight() for f in fields])
+        if bound >= _INT64_BOUND:
+            return bound, [f.num.astype(object) for f in fields]
+    return bound, [f.num for f in fields]
+
+
+class _IntPlan(NamedTuple):
+    """How one ``einsum`` step runs on numerators, cached per (spec,
+    shapes) by ``_int_plan``."""
+    terms: int              # the terms summed into each output
+    axes: tuple | None      # a one-operand step that only permutes: its axes
+    gemm: tuple | None      # a two-operand step as one matmul on int64:
+    #   (axes_a, shape_a, axes_b, shape_b, shape, axes): each operand
+    #   transposed and reshaped to (batch, free, summed) and (batch, summed,
+    #   free), the product reshaped to ``shape`` and transposed by ``axes``
 
 
 @lru_cache(maxsize=None)
-def _summed_terms(spec: str, shapes: tuple) -> int:
-    """The number of terms in each output of ``spec``: the product of the
-    extents of the summed letters."""
+def _int_plan(spec: str, shapes: tuple) -> _IntPlan:
+    """The plan of a one- or two-operand ``spec`` on operands of ``shapes``.
+    A step with a letter repeated in one operand, summed in only one, or of
+    two extents has neither ``axes`` nor ``gemm``."""
     ins, out = spec.split("->")
-    extents = dict(zip(ins.replace(",", ""), sum(shapes, ())))
-    return math.prod(n for x, n in extents.items() if x not in out)
+    subs, extents = ins.split(","), {}
+    plain = all(len(set(sub)) == len(sub) for sub in subs) \
+        and set(out) <= set(ins)
+    for sub, shape in zip(subs, shapes):
+        for x, n in zip(sub, shape):
+            plain &= extents.setdefault(x, n) == n
+    terms = math.prod(n for x, n in extents.items() if x not in out)
+    if len(subs) == 1:
+        axes = tuple(ins.index(x) for x in out) \
+            if plain and len(out) == len(ins) else None
+        return _IntPlan(terms, axes, None)
+    a, b = subs
+    if not plain or any((x in a) != (x in b) for x in ins if x not in out):
+        return _IntPlan(terms, None, None)
+    batch = [x for x in out if x in a and x in b]
+    left = [x for x in out if x not in b]
+    right = [x for x in out if x not in a]
+    summed = [x for x in a if x not in out]
+    size = lambda xs: math.prod(extents[x] for x in xs)
+    order = batch + left + right
+    gemm = (tuple(a.index(x) for x in batch + left + summed),
+            (size(batch), size(left), size(summed)),
+            tuple(b.index(x) for x in batch + summed + right),
+            (size(batch), size(summed), size(right)),
+            tuple(extents[x] for x in order),
+            tuple(order.index(x) for x in out))
+    return _IntPlan(terms, None, gemm)
 
 
-def _widened(bound: int, *nums) -> tuple:
-    """The numerator arrays as they are when ``bound`` proves int64
-    arithmetic on them exact, else as object arrays of Python ints."""
-    if bound >= _INT64_BOUND:
-        return tuple(n.astype(object) for n in nums)
-    return nums
+def _int_contract(spec: str, plan: _IntPlan, nums: list) -> np.ndarray:
+    """``spec`` on numerator arrays: one ``np.matmul`` on int64 where the
+    plan has one, else ``np.einsum``."""
+    if plan.gemm is None or nums[0].dtype != np.int64 \
+            or nums[1].dtype != np.int64:
+        return np.asarray(np.einsum(spec, *nums),
+                          dtype=np.result_type(*nums))
+    axes_a, shape_a, axes_b, shape_b, shape, axes = plan.gemm
+    x, y = nums
+    prod = np.matmul(x.transpose(axes_a).reshape(shape_a),
+                     y.transpose(axes_b).reshape(shape_b))
+    return prod.reshape(shape).transpose(axes)
 
 
 def _object_op(x: _Field, other, op, flip: bool):
@@ -949,17 +1032,19 @@ def _rational_einsum(spec: str, *ops):
     array of Fractions alone.
 
     The numerators are contracted and the denominators multiply.  Every
-    partial sum is bounded by the product of the operands' largest
-    |numerator| times the number of terms, the product of the extents of the
-    summed letters, so the run is on int64 when that bound is below 2**63
-    and on Python ints otherwise.
+    partial sum is bounded by the number of terms, the product of the
+    extents of the summed letters, times the product of the operands'
+    bounds, so the run is on int64 when that is below 2**63 (after the
+    bounds are tightened to the exact tops, if need be) and on Python ints
+    otherwise.  A one-operand step that only permutes is a transpose.
     """
     fields = [RationalField.of(x) for x in ops]
     if None in fields:
         return None
-    bound = _summed_terms(spec, tuple(f.shape for f in fields))
-    for f in fields:
-        bound *= max(f.top, 1)
-    nums = _widened(bound, *(f.num for f in fields))
-    res = np.asarray(np.einsum(spec, *nums), dtype=nums[0].dtype)
-    return RationalField.reduced(res, math.prod(f.den for f in fields))
+    plan = _int_plan(spec, tuple([f.num.shape for f in fields]))
+    if plan.axes is not None:
+        return fields[0].transpose(plan.axes)
+    terms = plan.terms
+    bound, nums = _numerators(lambda *b: terms * math.prod(b), *fields)
+    return RationalField.reduced(_int_contract(spec, plan, nums),
+                                 math.prod([f.den for f in fields]), bound)

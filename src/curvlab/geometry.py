@@ -34,7 +34,8 @@ from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
                    newton_caps, scalar_float)
 from .polys import Poly, RationalFunc, taylor_jet
 from .scalars import FLOAT, RATIONAL, Ring, exact_sqrt
-from .fields import _LETTERS, JetField, RationalField, _float_jet_einsum
+from .fields import (_INT64_BOUND, _LETTERS, JetField, RationalField,
+                     _float_jet_einsum, _top)
 from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
                       raise_slot)
 
@@ -87,6 +88,41 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
     if sign < 0:
         det = -det
     return aug[:, n:], det
+
+
+def _fraction_free_inverse(g: RationalField):
+    """(g^-1 as a ``RationalField``, det g as a Fraction) of a matrix of
+    Fractions g = M / D by fraction-free Gauss-Jordan elimination on the
+    integer numerators M (Bareiss, Math. Comp. 22 (1968)).
+
+    Each step k turns row i != k into (p a_i - a_ik a_k) / p', p the pivot
+    and p' the one before it, a division that is exact, so every entry stays
+    an integer.  [M | I] ends as [d I | d M^-1] with d the last pivot, the
+    determinant of M with its rows swapped; so g^-1 = D (d M^-1) / d and
+    det g = +-d / D^n, the sign flipped once per swap."""
+    n = g.shape[0]
+    rows = [r + [int(i == j) for j in range(n)]
+            for i, r in enumerate(g.num.tolist())]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            raise DegenerateMetricError("metric is singular at the base point")
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk = rows[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                a = rows[i][k]
+                rows[i] = [(p * x - a * y) // prev
+                           for x, y in zip(rows[i], pk)]
+        prev = p
+    num = np.array([r[n:] for r in rows], dtype=object) \
+        * (g.den if prev > 0 else -g.den)
+    return RationalField.reduced(num, abs(prev), _top(num)), \
+        Fraction(sign * prev, g.den ** n)
 
 
 def _newton_inverse(g, x0: np.ndarray, alg: JetAlgebra, exact: bool):
@@ -214,7 +250,11 @@ class GeometryContext:
 
     @cached_property
     def _point_inverse(self):
-        """(g(p)^-1, det g(p)): Gauss-Jordan on the base-point values."""
+        """(g(p)^-1, det g(p)): fraction-free elimination on the numerators
+        of a packed rational metric, else Gauss-Jordan on the base-point
+        values."""
+        if isinstance(self.metric.field, RationalField):
+            return _fraction_free_inverse(self.metric.field)
         g = self.metric if self.jet_algebra is None else self.metric.at_point()
         ring = Ring(self.ring.name, field_value(self.ring.zero()),
                     field_value(self.ring.one()), self.ring.exact)
@@ -281,15 +321,11 @@ class FrameContext(GeometryContext):
         self.var_of_direction = [None] * dim
         self.var_base_point = ()
         self.meta = {"name": name}
-        c = np.empty((dim, dim, dim), dtype=object)
-        c[...] = ring.zero()
-        for (e, a, b), val in structure_constants.items():
-            c[e, a, b] = val
-        g = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                g[i, j] = metric_entries[i][j]
-        self.structure = RationalField.pack(c) or c
+        c = _assembled((dim,) * 3, structure_constants, ring)
+        g = _assembled((dim,) * 2, {(i, j): metric_entries[i][j]
+                                    for i in range(dim) for j in range(dim)},
+                       ring)
+        self.structure = RationalField.of(c) or c
         self.metric = Tensor(dim, ("d", "d"), g).pack()
         self._validate()
 
@@ -306,15 +342,10 @@ class FrameContext(GeometryContext):
             raise ValueError("frame metric not symmetric")
 
     def to_float(self) -> "FrameContext":
-        sc = {}
         n = self.dim
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    v = self.structure[e, a, b]
-                    if v:
-                        sc[(e, a, b)] = float(v)
-        g = [[float(self.metric.a[i, j]) for j in range(n)] for i in range(n)]
+        c = Tensor(n, "udd", self.structure).a
+        sc = {idx: float(v) for idx, v in np.ndenumerate(c) if v}
+        g = [[float(x) for x in row] for row in self.metric.a]
         return FrameContext(n, sc, g, ring=FLOAT, orientation=self.orientation,
                             name=self.meta["name"])
 
@@ -478,23 +509,60 @@ class ProductContext(GeometryContext):
                 if isinstance(s, Jet):
                     return _embed_jet(s, alg, fvar_off[id(f)], exact)
                 return Jet.const(alg, s, exact)
-        g = np.empty((self.dim, self.dim), dtype=object)
+        n = self.dim
+        blocks = [(f.metric.data, f.structure, off)
+                  for f, off in zip(factors, offsets)]
+        if nvars == 0 and exact and all(
+                isinstance(g, RationalField)
+                and (c is None or isinstance(c, RationalField))
+                for g, c, _ in blocks):
+            self.metric = Tensor(n, ("d", "d"), _block_field(
+                (n, n), [(g, off) for g, _, off in blocks]))
+            self.structure = _block_field(
+                (n, n, n), [(c, off) for _, c, off in blocks if c is not None])
+            return
+        g = np.empty((n, n), dtype=object)
         g[...] = self.ring.zero()
-        c = np.empty((self.dim, self.dim, self.dim), dtype=object)
+        c = np.empty((n, n, n), dtype=object)
         c[...] = self.ring.zero()
         for f, off in zip(factors, offsets):
-            for i in range(f.dim):
-                for j in range(f.dim):
-                    g[off + i, off + j] = lift(f.metric.a[i, j], f)
-            if f.structure is not None:
-                for e in range(f.dim):
-                    for a in range(f.dim):
-                        for b in range(f.dim):
-                            v = f.structure[e, a, b]
-                            if v:
-                                c[off + e, off + a, off + b] = lift(v, f)
-        self.metric = Tensor(self.dim, ("d", "d"), g).pack()
+            up = np.frompyfunc(lambda s, f=f: lift(s, f), 1, 1)
+            blk = slice(off, off + f.dim)
+            g[blk, blk] = up(f.metric.a)
+            if f.structure is not None:     # the nonzero constants
+                s = Tensor(f.dim, "udd", f.structure).a
+                c[blk, blk, blk][s.nonzero()] = up(s[s.nonzero()])
+        self.metric = Tensor(n, ("d", "d"), g).pack()
         self.structure = RationalField.pack(c) or c
+
+
+def _assembled(shape: tuple, entries: dict, ring: Ring):
+    """The array of ``shape`` holding the values of ``entries`` at their
+    indices and ring zeros elsewhere: when the zero and every value are
+    Fractions, numerators over the lcm of the denominators, the
+    ``RationalField`` that ``RationalField.pack`` gives; else an object
+    array."""
+    exact = type(ring.zero()) is Fraction \
+        and all(type(v) is Fraction for v in entries.values())
+    den = math.lcm(*(v.denominator for v in entries.values())) if exact else 1
+    out = np.empty(shape, dtype=object)
+    out[...] = 0 if exact else ring.zero()
+    for idx, v in entries.items():
+        out[idx] = v.numerator * (den // v.denominator) if exact else v
+    return RationalField.reduced(out, den, _top(out)) if exact else out
+
+
+def _block_field(shape: tuple, blocks: list) -> RationalField:
+    """The block-diagonal field of ``shape`` holding each (field, offset) of
+    ``blocks`` at offset on every axis, its numerators rescaled to the lcm
+    of the blocks' denominators."""
+    den = math.lcm(*(f.den for f, _ in blocks))
+    bound = max((f.bound * (den // f.den) for f, _ in blocks), default=1)
+    num = np.zeros(shape, dtype=np.int64 if bound < _INT64_BOUND else object)
+    for f, off in blocks:
+        num[tuple(slice(off, off + d) for d in f.shape)] = \
+            f.num * (den // f.den)
+    return RationalField.reduced(num, den, bound)
 
 
 @lru_cache(maxsize=None)
@@ -688,6 +756,12 @@ class CurvatureStack:
         return raise_slot(self.ctx, w, 3)
 
     @cached_property
+    def weyl_dudd(self) -> Tensor:
+        """W_t^s_ij (second slot raised), the Phi-chain's curvature
+        factor."""
+        return raise_slot(self.ctx, self.weyl, 1)
+
+    @cached_property
     def rm_dduu(self) -> Tensor:
         return raise_slot(self.ctx, self.rm_mixed, 3)
 
@@ -702,6 +776,11 @@ class CurvatureStack:
     def cotton_ddu(self) -> Tensor:
         """C_ij^k (third slot raised)."""
         return raise_slot(self.ctx, self.cotton, 2)
+
+    @cached_property
+    def cotton_dud(self) -> Tensor:
+        """C_t^s_i (second slot raised), the Phi-chain's Cotton factor."""
+        return raise_slot(self.ctx, self.cotton, 1)
 
     @cached_property
     def bach(self) -> Tensor:

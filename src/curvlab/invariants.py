@@ -214,8 +214,9 @@ def trace_mixed(t: Tensor):
 
 def _matrix_two_form(stack, which: str = "weyl") -> Tensor:
     """W_t^s_{ij}: all-down curvature with the second slot raised."""
-    W = stack.weyl if which == "weyl" else stack.rm
-    return raise_slot(stack.ctx, W, 1)
+    if which == "weyl":
+        return stack.weyl_dudd
+    return raise_slot(stack.ctx, stack.rm, 1)
 
 
 # the most components a chain step of a Phi-cycle holds: the middle factors
@@ -408,9 +409,8 @@ def phi_w_c_form(stack, phi: InvariantPolynomial) -> AltForm:
     indices.
     """
     k = phi.degree
-    C = raise_slot(stack.ctx, stack.cotton, 1)
-    W = _matrix_two_form(stack, "weyl")
-    return _phi_chain_form(stack, phi, [C] + [W] * (k - 1))
+    return _phi_chain_form(stack, phi,
+                           [stack.cotton_dud] + [stack.weyl_dudd] * (k - 1))
 
 
 def p_phi_scalar(stack, phi: InvariantPolynomial, which: str = "weyl"):
@@ -476,11 +476,6 @@ def conformal_killing_K(stack, alpha: Tensor) -> Tensor:
                  na.a + einsum("ij->ji", na.a))
     divv = contract(raise_slot(stack.ctx, na, 0), [(0, 1)]).item()
     return sym - stack.ctx.metric.scale(divv * Fraction(2, n))
-
-
-def K_star(stack, A: Tensor) -> Tensor:
-    """K*(A)_i = -2 grad^k A_ki."""
-    return stack.div(A, 0).scale(-2)
 
 
 def functional_density(ctx, omega: WeightedOneForm, X: Tensor):

@@ -285,8 +285,9 @@ class Jet:
         sel = self.alg.deg <= v
         return bool(np.all(self.c[sel] == o.c[sel]))
 
-    def __hash__(self):
-        return hash((self.alg.nvars, self.alg.order, self.valid))
+    # equality compares coefficients up to the smaller ``valid``, so it is
+    # not transitive and no hash can agree with it
+    __hash__ = None
 
     def __bool__(self):
         return not self.is_zero()
@@ -410,20 +411,6 @@ class Jet:
             return self
         return Jet(self.alg, np.array([float(x) for x in self.c]),
                    self.valid, False)
-
-
-def jet_derivative(j: Jet, multi_index) -> object:
-    """Partial-derivative value at the base point for the given multi-index."""
-    multi = tuple(multi_index)
-    total = sum(multi)
-    if total > j.valid:
-        raise JetOrderError(
-            f"derivative order {total} exceeds valid jet order {j.valid}")
-    fac = 1
-    for m in multi:
-        fac *= math.factorial(m)
-    coeff = j.c[j.alg.index[multi]]
-    return coeff * fac
 
 
 class Dual:

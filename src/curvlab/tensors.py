@@ -57,12 +57,14 @@ Each step dispatches on its operands' scalars alone:
   output's ``valid`` the min over the components summed into it.
 - One or two ``RationalField`` operands, or two object arrays of Fractions
   alone (packed for the call, the result unpacked), contract their
-  numerators in one ``np.einsum`` over the product of the denominators.
-  It runs on int64 when the product of the operands' largest |numerator|
-  times the product of the extents of the summed letters, computed in
-  Python ints, is below 2**63, which bounds every partial sum, and on
-  Python ints otherwise; sums, differences and scalings prove their bound
-  the same way.  Either way the result is exact and reduced once.
+  numerators over the product of the denominators: one ``np.matmul`` on
+  int64 from a plan cached per (spec, shapes), ``np.einsum`` for other
+  steps.  It runs on int64 when the product of the operands' bounds on
+  |numerator| times the product of the extents of the summed letters is
+  below 2**63, which bounds every partial sum, and on Python ints
+  otherwise; sums, differences and scalings prove their bound the same way
+  (``RationalField`` says how the bounds propagate).  Either way the result
+  is exact and reduced once.
 - A packed operand and an int ndarray, a constant such as a sign vector,
   contract the coefficients or numerators with the constant
   (``_constant_einsum``), each output's ``valid`` the min over the
@@ -92,8 +94,8 @@ import numpy as np
 
 from .errors import DimensionError, ScalarKindError, SlotError
 from .fields import (_LETTERS, JetField, RationalField, _constant_einsum,
-                     _Field, _field_einsum1, _float_jet_einsum, _object_array,
-                     _pack, _rational_einsum, _widened)
+                     _Field, _field_einsum1, _float_jet_einsum, _numerators,
+                     _object_array, _pack, _rational_einsum)
 from .jets import Dual, Jet, field_value, scalar_float
 
 
@@ -498,14 +500,15 @@ def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
         terms.append((axes, signed and sign < 0))
     f = RationalField.of(t.data)
     if f is not None:
-        num, = _widened(max(f.top, 1) * k, f.num)
+        bound, (num,) = _numerators(lambda b: b * k, f)
         acc = np.zeros_like(num)
         for axes, negative in terms:
             if negative:
                 acc -= num.transpose(axes)
             else:
                 acc += num.transpose(axes)
-        return Tensor(t.dim, t.valence, RationalField.reduced(acc, f.den * k))
+        return Tensor(t.dim, t.valence,
+                      RationalField.reduced(acc, f.den * k, bound))
     acc = None
     for axes, negative in terms:
         arr = t.data.transpose(axes)

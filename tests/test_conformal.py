@@ -49,7 +49,7 @@ class TestRescale:
         for v in range(n):
             r2 = r2 + Poly.var(n, v) * Poly.var(n, v)
         f = RationalFunc(Poly.const(n, 2), Poly.const(n, 1) + r2)
-        ctx2 = rescale(flat, ConformalFactor.log_of(f))
+        ctx2 = rescale(flat, ConformalFactor(log_func=f))
         sphere = round_sphere_chart(n, jet_order=3, exact=True, base_point=pt)
         assert tensors_equal(ctx2.stack.rm, sphere.stack.rm)
         assert tensors_equal(ctx2.stack.schouten, sphere.stack.schouten)

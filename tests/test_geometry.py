@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from curvlab.config import context_from_config
 from curvlab.conformal import ConformalFactor, _dual_context, clone_context
 from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
-from curvlab.fields import JetField
+from curvlab.fields import JetField, RationalField
 from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
                               cotton, bach, dual_ring, kulkarni_nomizu_pg,
                               product)
@@ -181,6 +182,22 @@ class TestProducts:
             if len(blocks) > 1:
                 worst = max(worst, abs(rm.a[idx]))
         assert worst < 1e-12
+
+    def test_exact_blocks_pack_like_objects(self):
+        """The exact product's metric and structure constants, assembled as
+        numerator blocks, are the fields the block-diagonal Fraction arrays
+        pack to."""
+        s3, s1 = berger_frame(Fraction(9, 4)), circle_frame()
+        prod = product([s3, s1])
+        g = np.full((4, 4), Fraction(0), dtype=object)
+        c = np.full((4, 4, 4), Fraction(0), dtype=object)
+        g[:3, :3], g[3, 3] = s3.metric.a, s1.metric.a[0, 0]
+        c[:3, :3, :3] = s3.structure.unpack()
+        for got, ref in ((prod.metric.field, g), (prod.structure, c)):
+            want = RationalField.pack(ref)
+            assert isinstance(got, RationalField)
+            assert (got.den, got.num.dtype, got.num.tolist()) == \
+                (want.den, want.num.dtype, want.num.tolist())
 
     def test_product_blocks_match_factors(self):
         s3 = berger_frame(Fraction(4))
@@ -528,3 +545,49 @@ class TestNewtonInverse:
         inv, det = _invert_with_det(berger4.metric.a, berger4.ring)
         assert berger4.metric_inv.a.tolist() == inv.tolist()
         assert berger4.det_metric == det
+
+
+def _frame(entries):
+    """A frame with these metric entries and no brackets."""
+    return FrameContext(len(entries), {},
+                        [[Fraction(x) for x in row] for row in entries])
+
+
+class TestFractionFreeInverse:
+    @pytest.mark.parametrize("entries, det_sign", [
+        ([[4, 0, 0, 0], [0, Fraction(1, 9), 0, 0],
+          [0, 0, Fraction(7, 2), 0], [0, 0, 0, 1]], 1),
+        # g_00 = 0: the first pivot is a row swap
+        ([[0, Fraction(1, 2), 0], [Fraction(1, 2), Fraction(1, 3), 1],
+          [0, 1, 2]], -1),
+        ([[-2, Fraction(1, 3), 0, 0], [Fraction(1, 3), 1, 0, 0],
+          [0, 0, Fraction(5, 7), 1], [0, 0, 1, 3]], -1),
+    ], ids=["diagonal", "pivot-swap", "lorentzian"])
+    def test_matches_gauss_jordan(self, entries, det_sign):
+        """The packed inverse and the determinant equal Gauss-Jordan's on
+        the unpacked Fractions; the inverse is canonical."""
+        ctx = _frame(entries)
+        g = ctx.metric.field
+        ref_inv, ref_det = _invert_with_det(g.unpack(), RATIONAL)
+        inv, det = geometry._fraction_free_inverse(g)
+        assert isinstance(inv, RationalField) and inv.num.dtype == np.int64
+        assert math.gcd(inv.den, *inv.num.ravel().tolist()) == 1
+        assert inv.bound >= inv.top
+        assert inv.unpack().tolist() == ref_inv.tolist()
+        assert type(det) is Fraction and det == ref_det
+        assert (det > 0) - (det < 0) == det_sign
+        assert ctx.metric_inv.field.num.tolist() == inv.num.tolist()
+        assert ctx.det_metric == ref_det
+
+    def test_singular_frame(self):
+        """A singular frame metric raises the error, with the message,
+        that Gauss-Jordan raises."""
+        ctx = _frame([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+        with pytest.raises(DegenerateMetricError) as ours:
+            geometry._fraction_free_inverse(ctx.metric.field)
+        with pytest.raises(DegenerateMetricError) as ref:
+            _invert_with_det(ctx.metric.a, RATIONAL)
+        assert str(ours.value) == str(ref.value)
+        for attr in ("metric_inv", "det_metric"):
+            with pytest.raises(DegenerateMetricError, match=str(ref.value)):
+                getattr(ctx, attr)

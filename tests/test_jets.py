@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab.errors import ExactnessError, JetOrderError, ScalarKindError
-from curvlab.jets import Dual, Jet, JetAlgebra, jet_derivative, newton_caps
+from curvlab.jets import Dual, Jet, JetAlgebra, newton_caps
 from curvlab.polys import Poly
+
+
+def jet_derivative(j: Jet, multi):
+    """Oracle: the partial derivative at the base point for a multi-index,
+    the Taylor coefficient times the product of the factorials; a
+    derivative past the jet's ``valid`` raises JetOrderError."""
+    if sum(multi) > j.valid:
+        raise JetOrderError(f"derivative order {sum(multi)} exceeds "
+                            f"valid jet order {j.valid}")
+    return j.c[j.alg.index[tuple(multi)]] * math.prod(
+        math.factorial(m) for m in multi)
 
 
 def poly_strategy(nvars, max_degree=3):
@@ -347,3 +358,18 @@ def test_dual_times_jet_or_scalar(re_v, im_v, x_v):
         assert np.allclose(got.re.c, full.re.c, rtol=0, atol=1e-15)
         assert np.allclose(got.im.c, full.im.c, rtol=0, atol=1e-15)
         assert not got.im.c[alg.deg > got.im.valid].any()
+
+
+def test_jets_are_unhashable():
+    """Jets equal up to the smaller ``valid`` compare equal, and equality is
+    not transitive, so no hash can agree with it: a Jet is unhashable, and
+    no set can hold two equal jets."""
+    alg = JetAlgebra.get(2, 3)
+    c = np.arange(alg.N, dtype=float)
+    a, b = Jet(alg, c, 3, False), Jet(alg, np.where(alg.deg > 2, 0.0, c), 2,
+                                      False)
+    assert a == b
+    with pytest.raises(TypeError):
+        {a, b}
+    with pytest.raises(TypeError):
+        hash(a)

@@ -611,9 +611,13 @@ class TestEinsumKernel:
             a[idx] = Fraction(top - int(rng.integers(0, 2)))
             b[idx] = Fraction(-top + int(rng.integers(0, 2)))
         a[0, 0] = Fraction(top, den)    # the lcm of a's denominators
-        with mock.patch.object(np, "einsum", wraps=np.einsum) as spy:
+        # one numpy call contracts the numerators: np.matmul on int64, or
+        # np.einsum on Python ints
+        with mock.patch.object(np, "einsum", wraps=np.einsum) as es, \
+                mock.patch.object(np, "matmul", wraps=np.matmul) as ms:
             assert _rational_einsum("ab,bc->ac", a, b) is not None
-        assert (spy.call_args.args[1].dtype == np.int64) is kernel
+        call, = es.call_args_list + ms.call_args_list
+        assert (call.args[-1].dtype == np.int64) is kernel
         got = einsum("ab,bc->ac", a, b)
         ref = np.einsum("ab,bc->ac", a, b, optimize=False)
         for x, y in zip(got.flat, ref.flat):
@@ -1078,13 +1082,20 @@ def no_rational_unpacking():
 
 
 def assert_canonical(f):
-    """gcd(den, numerators) = 1, den > 0, and int64 storage exactly when
-    every numerator fits."""
+    """gcd(den, numerators) = 1, den > 0, int64 storage exactly when every
+    numerator fits, and a bound of at least 1 on every |numerator|."""
     nums = f.num.ravel().tolist()
     assert isinstance(f, RationalField) and f.den > 0
     assert math.gcd(f.den, *nums) == 1
     assert (f.num.dtype == np.int64) == (max(map(abs, nums)) < 2 ** 63)
     assert f.top == max(map(abs, nums))
+    assert f.bound >= max(f.top, 1)
+
+
+def loosened(f: RationalField) -> RationalField:
+    """f again, with a propagated bound looser than its exact one: a sum
+    and a difference bound their numerators by the sum of the bounds."""
+    return (f + f) - f
 
 
 def assert_fractions_equal(got, ref):
@@ -1253,7 +1264,8 @@ class TestRationalField:
         phi = InvariantPolynomial.pair_swap()
         with no_rational_unpacking():
             out = [st.gamma, st.rm, st.ric, st.schouten, st.weyl,
-                   st.weyl_dduu, st.cotton_ddu, st.rm_dduu, st.schouten_mixed]
+                   st.weyl_dduu, st.cotton_ddu, st.rm_dduu, st.schouten_mixed,
+                   st.weyl_dudd, st.cotton_dud]
             scalar = st.scalar_curv
             G = phi_w_c_form(st, phi)
             rho = rho_phi(st, phi).components
@@ -1265,6 +1277,96 @@ class TestRationalField:
             assert isinstance(t.field, RationalField)
             assert_canonical(t.field)
         assert [st.ric.a[i, i] for i in range(4)] == [32, -4, -4, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 50), st.integers(0, 10 ** 6))
+    @example(bits=14, seed=3)
+    @example(bits=48, seed=5)
+    def test_bound_after_every_op(self, bits, seed):
+        """Each packed op, on operands whose propagated bounds are loose,
+        leaves a bound of at least every |numerator|, and runs on int64
+        exactly when the bound from its operands' exact tops is below
+        2**63 (the ``_numerators`` call it makes says which); gathers and
+        transposes make no such call."""
+        rng = np.random.default_rng(seed)
+        base = [RationalField.pack(random_fractions(shape, rng, 2 ** bits))
+                for shape in [(3, 3, 3), (3, 3, 3), (3, 3)]]
+        k = rng.integers(-5, 6, size=3)
+        q = Fraction(int(rng.integers(-9, 10)) << bits, int(rng.integers(1, 9)))
+        tops = [max(f.top, 1) for f in base]
+        (x, y, m), (tx, ty, tm) = base, tops
+        den = math.lcm(x.den, y.den)
+        added = tx * (den // x.den) + ty * (den // y.den)
+        # each op takes the operands and an einsum: ``einsum`` on the
+        # fields, numpy's on the objects for the reference
+        cases = [
+            (lambda x, y, m, e: x + y, added),
+            (lambda x, y, m, e: x - y, added),
+            (lambda x, y, m, e: x * q, tx * abs(q.numerator)),
+            (lambda x, y, m, e: e("abb->a", x), 3 * tx),
+            (lambda x, y, m, e: e("abc,cd->abd", x, m), 3 * tx * tm),
+            (lambda x, y, m, e: e("abc,abc->c", x, y), 9 * tx * ty),
+            (lambda x, y, m, e: e("abc,c->ab", x, k),
+             3 * tx * max(int(np.abs(k).max()), 1)),
+            (lambda x, y, m, e: x[1, ::2], None),
+            (lambda x, y, m, e: x.transpose(2, 0, 1), None),
+            (lambda x, y, m, e: e("abc->cab", x), None),
+        ]
+        numerators = fields._numerators
+        for op, exact in cases:
+            calls = []
+
+            def spy(bound_of, *operands):
+                out = numerators(bound_of, *operands)
+                calls.append(out[1][0].dtype == object)
+                return out
+            operands = [loosened(f) for f in base]
+            with mock.patch.object(fields, "_numerators", spy):
+                got = op(*operands, einsum)
+            assert_canonical(got)
+            assert calls == ([] if exact is None else [exact >= 2 ** 63])
+            assert_fractions_equal(got, op(
+                *(f.unpack() for f in base),
+                lambda spec, *a: np.einsum(spec, *a, optimize=False)))
+
+    def test_reduction_divides_the_bound(self):
+        """A common factor g of the denominator and the numerators divides
+        the bound too."""
+        f = RationalField.reduced(np.array([6, -12, 0]), 9, 13)
+        assert (f.num.tolist(), f.den, f.bound) == ([2, -4, 0], 3, 4)
+
+    def test_bound_of_exactly_2_63_is_tightened(self):
+        """A propagated bound of exactly 2**63 does not prove int64 safe, so
+        the operands' bounds are first tightened to their exact tops, which
+        do: the step runs on int64."""
+        x = np.full((8, 8), Fraction(2 ** 29), dtype=object)
+        y = np.full((8, 8), Fraction(-2 ** 29), dtype=object)
+        y[0, 0] = Fraction(0)
+        z = RationalField.pack(x) + RationalField.pack(y)
+        assert (z.bound, z.top) == (2 ** 30, 2 ** 29)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            got = einsum("ab,bc->ac", z, z)
+        assert spy.call_args.args[0].dtype == np.int64
+        assert z.bound == 2 ** 29
+        assert_fractions_equal(got, np.einsum("ab,bc->ac", x + y, x + y))
+
+    def test_plan_per_spec_and_shapes(self):
+        """One spec at two shape sets gets a plan for each, back to back and
+        against a cleared cache, and both run exactly."""
+        rng = np.random.default_rng(12)
+        runs = [(random_fractions((2, 3), rng), random_fractions((3, 4), rng)),
+                (random_fractions((4, 2), rng), random_fractions((2, 1), rng))]
+        refs = [np.einsum("ab,bc->ac", a, b) for a, b in runs]
+        for order in ([0, 1, 0, 1], [1, 0]):
+            fields._int_plan.cache_clear()
+            for i in order:
+                a, b = (RationalField.pack(x) for x in runs[i])
+                assert_fractions_equal(einsum("ab,bc->ac", a, b), refs[i])
+        shapes = [tuple(x.shape for x in run) for run in runs]
+        plans = [fields._int_plan("ab,bc->ac", sh) for sh in shapes]
+        assert [p.gemm[1] for p in plans] == [(1, 2, 3), (1, 4, 2)]
+        assert [p.terms for p in plans] == [3, 2]
+        assert fields._int_plan.cache_info().currsize == 2
 
 
 class TestEpsilonHodge:
