@@ -410,8 +410,7 @@ def _constant_einsum(spec: str, a, b):
     ``Jet.__add__`` calls gives, a Dual's im part first capped at its re
     part's ``valid`` as ``Dual.__mul__`` caps it for an int.  A rational
     step runs on int64 when the field's bound times the largest |constant|
-    times the number of terms is below 2**63, from the plan
-    ``_rational_einsum`` uses.
+    times the number of terms is below 2**63, from ``_int_plan``.
     """
     ins, out = spec.split("->")
     (sf, sk), (f, k) = ins.split(","), (a, b)
@@ -801,25 +800,17 @@ class RationalField(_Field):
     pair is canonical, gcd(den, every numerator) = 1, so each component
     unpacks to the very Fraction the object path gives.  ``num`` is int64
     when every numerator fits, else an object array of Python ints.
-
-    ``bound``, a Python int of at least 1, bounds every |numerator|.  The
-    operation that builds a field propagates it from its operands' bounds
-    instead of rescanning an array: a contraction gives the number of terms
-    times the product of the bounds, a sum bx fx + by fy (fx, fy the
-    factors that rescale the operands to the common denominator), a scaling
-    by p/q the bound times |p|; gathers, transposes and negation keep it,
-    and the reduction by a common factor g divides it by g.  An operation
-    runs on int64 when the bound of its result is below 2**63, which bounds
-    every partial sum too.  When the propagated bound cannot prove that,
-    each operand's bound is first tightened to its exact largest
-    |numerator| (``top``), so the choice between int64 and Python ints is
-    the one the exact tops give, and the result is exact either way:
-    fraction-free arithmetic over a common denominator (Bareiss, Math.
-    Comp. 22 (1968)).  Two-operand contractions on int64 run as one
-    ``np.matmul`` from a plan cached per (spec, shapes) (``_int_plan``), and
-    a packed metric is inverted by fraction-free elimination on its
-    numerators (``geometry._fraction_free_inverse``).  Operations never
-    write into an operand's arrays.
+    ``bound`` (a Python int, at least 1) bounds every |numerator|; each
+    operation propagates it instead of rescanning: terms times the product
+    of the bounds for a contraction, bx fx + by fy for a sum rescaled by fx
+    and fy, the bound times |p| for a scaling by p/q, the same bound for
+    gathers, transposes and negation, divided by g when a common factor g
+    is reduced away.  An operation runs on int64 when its bound is below
+    2**63; when the propagated bounds cannot prove that, the operands' exact
+    ``top``s decide.  Either way it is exact: fraction-free arithmetic over
+    a common denominator (Bareiss, Math. Comp. 22 (1968)), as is the metric
+    inverse ``geometry._fraction_free_inverse``.  Operations never write
+    into an operand's arrays.
     """
 
     __slots__ = ("num", "den", "bound")
@@ -947,10 +938,9 @@ def _top(num: np.ndarray) -> int:
 
 
 def _numerators(bound_of, *fields) -> tuple:
-    """(bound, numerator arrays) for one operation on the fields: the bound
-    ``bound_of`` gives from their bounds, or from their exact tops when
-    that is not below 2**63, and their arrays, as object arrays of Python
-    ints when even the tops do not prove int64 arithmetic exact."""
+    """(bound, numerator arrays): ``bound_of`` of the fields' bounds, or of
+    their exact tops when that is not below 2**63; the arrays are Python
+    ints when neither proves int64 exact."""
     bound = bound_of(*[f.bound for f in fields])
     if bound >= _INT64_BOUND:
         bound = bound_of(*[f._tight() for f in fields])
@@ -960,21 +950,15 @@ def _numerators(bound_of, *fields) -> tuple:
 
 
 class _IntPlan(NamedTuple):
-    """How one ``einsum`` step runs on numerators, cached per (spec,
-    shapes) by ``_int_plan``."""
     terms: int              # the terms summed into each output
-    axes: tuple | None      # a one-operand step that only permutes: its axes
-    gemm: tuple | None      # a two-operand step as one matmul on int64:
-    #   (axes_a, shape_a, axes_b, shape_b, shape, axes): each operand
-    #   transposed and reshaped to (batch, free, summed) and (batch, summed,
-    #   free), the product reshaped to ``shape`` and transposed by ``axes``
+    axes: tuple | None      # the axes of a one-operand pure transpose
+    gemm: tuple | None      # see _int_contract
 
 
 @lru_cache(maxsize=None)
 def _int_plan(spec: str, shapes: tuple) -> _IntPlan:
-    """The plan of a one- or two-operand ``spec`` on operands of ``shapes``.
-    A step with a letter repeated in one operand, summed in only one, or of
-    two extents has neither ``axes`` nor ``gemm``."""
+    """The plan of a one- or two-operand ``spec`` on ``shapes``; a letter
+    repeated in one operand or summed in only one rules out ``gemm``."""
     ins, out = spec.split("->")
     subs, extents = ins.split(","), {}
     plain = all(len(set(sub)) == len(sub) for sub in subs) \
@@ -1006,8 +990,11 @@ def _int_plan(spec: str, shapes: tuple) -> _IntPlan:
 
 
 def _int_contract(spec: str, plan: _IntPlan, nums: list) -> np.ndarray:
-    """``spec`` on numerator arrays: one ``np.matmul`` on int64 where the
-    plan has one, else ``np.einsum``."""
+    """``spec`` on numerator arrays: on int64 with a ``gemm`` (axes_a,
+    shape_a, axes_b, shape_b, shape, axes), one ``np.matmul`` of the
+    operands transposed and reshaped to (batch, free, summed) and (batch,
+    summed, free), the product reshaped and transposed to the output;
+    else ``np.einsum``."""
     if plan.gemm is None or nums[0].dtype != np.int64 \
             or nums[1].dtype != np.int64:
         return np.asarray(np.einsum(spec, *nums),
@@ -1031,11 +1018,9 @@ def _rational_einsum(spec: str, *ops):
     ``RationalField``, or None unless every operand is one or an object
     array of Fractions alone.
 
-    The numerators are contracted and the denominators multiply.  Every
-    partial sum is bounded by the number of terms, the product of the
-    extents of the summed letters, times the product of the operands'
-    bounds, so the run is on int64 when that is below 2**63 (after the
-    bounds are tightened to the exact tops, if need be) and on Python ints
+    The numerators are contracted and the denominators multiply.  The
+    number of terms times the operands' bounds bounds every partial sum,
+    so the run is on int64 when that is below 2**63 and on Python ints
     otherwise.  A one-operand step that only permutes is a transpose.
     """
     fields = [RationalField.of(x) for x in ops]
