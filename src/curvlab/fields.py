@@ -807,7 +807,7 @@ class RationalField(_Field):
     gathers, transposes and negation, divided by g when a common factor g
     is reduced away.  An operation runs on int64 when its bound is below
     2**63; when the propagated bounds cannot prove that, the operands' exact
-    ``top``s decide.  Either way it is exact: fraction-free arithmetic over
+    maxima decide.  Either way it is exact: fraction-free arithmetic over
     a common denominator (Bareiss, Math. Comp. 22 (1968)), as is the metric
     inverse ``geometry._fraction_free_inverse``.  Operations never write
     into an operand's arrays.
@@ -841,14 +841,9 @@ class RationalField(_Field):
     def shape(self) -> tuple:
         return self.num.shape
 
-    @property
-    def top(self) -> int:
-        """The largest |numerator|, a Python int, from a scan of ``num``."""
-        return _top(self.num)
-
     def _tight(self) -> int:
-        """``bound`` lowered to max(top, 1)."""
-        self.bound = max(self.top, 1)
+        """``bound`` lowered to the largest |numerator|, at least 1."""
+        self.bound = max(_top(self.num), 1)
         return self.bound
 
     def kind(self) -> str:

@@ -321,11 +321,15 @@ class FrameContext(GeometryContext):
         self.var_of_direction = [None] * dim
         self.var_base_point = ()
         self.meta = {"name": name}
-        c = _assembled((dim,) * 3, structure_constants, ring)
-        g = _assembled((dim,) * 2, {(i, j): metric_entries[i][j]
-                                    for i in range(dim) for j in range(dim)},
-                       ring)
-        self.structure = RationalField.of(c) or c
+        c = np.empty((dim, dim, dim), dtype=object)
+        c[...] = ring.zero()
+        for (e, a, b), val in structure_constants.items():
+            c[e, a, b] = val
+        g = np.empty((dim, dim), dtype=object)
+        for i in range(dim):
+            for j in range(dim):
+                g[i, j] = metric_entries[i][j]
+        self.structure = RationalField.pack(c) or c
         self.metric = Tensor(dim, ("d", "d"), g).pack()
         self._validate()
 
@@ -342,10 +346,15 @@ class FrameContext(GeometryContext):
             raise ValueError("frame metric not symmetric")
 
     def to_float(self) -> "FrameContext":
+        sc = {}
         n = self.dim
-        c = Tensor(n, "udd", self.structure).a
-        sc = {idx: float(v) for idx, v in np.ndenumerate(c) if v}
-        g = [[float(x) for x in row] for row in self.metric.a]
+        for e in range(n):
+            for a in range(n):
+                for b in range(n):
+                    v = self.structure[e, a, b]
+                    if v:
+                        sc[(e, a, b)] = float(v)
+        g = [[float(self.metric.a[i, j]) for j in range(n)] for i in range(n)]
         return FrameContext(n, sc, g, ring=FLOAT, orientation=self.orientation,
                             name=self.meta["name"])
 
@@ -521,35 +530,23 @@ class ProductContext(GeometryContext):
             self.structure = _block_field(
                 (n, n, n), [(c, off) for _, c, off in blocks if c is not None])
             return
-        g = np.empty((n, n), dtype=object)
+        g = np.empty((self.dim, self.dim), dtype=object)
         g[...] = self.ring.zero()
-        c = np.empty((n, n, n), dtype=object)
+        c = np.empty((self.dim, self.dim, self.dim), dtype=object)
         c[...] = self.ring.zero()
         for f, off in zip(factors, offsets):
-            up = np.frompyfunc(lambda s, f=f: lift(s, f), 1, 1)
-            blk = slice(off, off + f.dim)
-            g[blk, blk] = up(f.metric.a)
-            if f.structure is not None:     # the nonzero constants
-                s = Tensor(f.dim, "udd", f.structure).a
-                c[blk, blk, blk][s.nonzero()] = up(s[s.nonzero()])
-        self.metric = Tensor(n, ("d", "d"), g).pack()
+            for i in range(f.dim):
+                for j in range(f.dim):
+                    g[off + i, off + j] = lift(f.metric.a[i, j], f)
+            if f.structure is not None:
+                for e in range(f.dim):
+                    for a in range(f.dim):
+                        for b in range(f.dim):
+                            v = f.structure[e, a, b]
+                            if v:
+                                c[off + e, off + a, off + b] = lift(v, f)
+        self.metric = Tensor(self.dim, ("d", "d"), g).pack()
         self.structure = RationalField.pack(c) or c
-
-
-def _assembled(shape: tuple, entries: dict, ring: Ring):
-    """The array of ``shape`` holding the values of ``entries`` at their
-    indices and ring zeros elsewhere: when the zero and every value are
-    Fractions, numerators over the lcm of the denominators, the
-    ``RationalField`` that ``RationalField.pack`` gives; else an object
-    array."""
-    exact = type(ring.zero()) is Fraction \
-        and all(type(v) is Fraction for v in entries.values())
-    den = math.lcm(*(v.denominator for v in entries.values())) if exact else 1
-    out = np.empty(shape, dtype=object)
-    out[...] = 0 if exact else ring.zero()
-    for idx, v in entries.items():
-        out[idx] = v.numerator * (den // v.denominator) if exact else v
-    return RationalField.reduced(out, den, _top(out)) if exact else out
 
 
 def _block_field(shape: tuple, blocks: list) -> RationalField:
@@ -558,10 +555,11 @@ def _block_field(shape: tuple, blocks: list) -> RationalField:
     of the blocks' denominators."""
     den = math.lcm(*(f.den for f, _ in blocks))
     bound = max((f.bound * (den // f.den) for f, _ in blocks), default=1)
-    num = np.zeros(shape, dtype=np.int64 if bound < _INT64_BOUND else object)
-    for f, off in blocks:
+    wide = bound >= _INT64_BOUND
+    num = np.zeros(shape, dtype=object if wide else np.int64)
+    for f, off in blocks:       # widened before the rescaling multiply
         num[tuple(slice(off, off + d) for d in f.shape)] = \
-            f.num * (den // f.den)
+            (f.num.astype(object) if wide else f.num) * (den // f.den)
     return RationalField.reduced(num, den, bound)
 
 

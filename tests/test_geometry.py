@@ -9,13 +9,13 @@ from curvlab.config import context_from_config
 from curvlab.conformal import ConformalFactor, _dual_context, clone_context
 from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
-from curvlab.fields import JetField, RationalField
+from curvlab.fields import JetField, RationalField, _top
 from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
                               cotton, bach, dual_ring, kulkarni_nomizu_pg,
                               product)
 from curvlab.jets import Dual, Jet
-from curvlab.models import (berger_frame, berger_product, circle_frame,
-                            flat_chart, fs_cp2_chart, product_8d,
+from curvlab.models import (_su2_frame, berger_frame, berger_product,
+                            circle_frame, flat_chart, fs_cp2_chart, product_8d,
                             random_chart, random_conformal_factor,
                             round_sphere_chart)
 from curvlab.polys import Poly
@@ -183,21 +183,37 @@ class TestProducts:
                 worst = max(worst, abs(rm.a[idx]))
         assert worst < 1e-12
 
-    def test_exact_blocks_pack_like_objects(self):
+    @pytest.mark.parametrize("factors", [
+        lambda: [berger_frame(Fraction(9, 4)), circle_frame()],
+        # lcm 2**40 3**26: rescaled numerators near 2**81
+        lambda: [berger_frame(Fraction(1, 2 ** 40)),
+                 berger_frame(Fraction(1, 3 ** 26))],
+        # the circle's rescaling factor alone is 2**64
+        lambda: berger_product(Fraction(1, 2 ** 64)).factors,
+        # structure constants over large coprime denominators
+        lambda: [_su2_frame(Fraction(1), Fraction(1, 5 ** 27), True),
+                 _su2_frame(Fraction(1), Fraction(3, 7 ** 22), True)],
+    ], ids=["small", "coprime-2^81", "circle-factor-2^64", "brackets"])
+    def test_exact_blocks_pack_like_objects(self, factors):
         """The exact product's metric and structure constants, assembled as
         numerator blocks, are the fields the block-diagonal Fraction arrays
-        pack to."""
-        s3, s1 = berger_frame(Fraction(9, 4)), circle_frame()
-        prod = product([s3, s1])
-        g = np.full((4, 4), Fraction(0), dtype=object)
-        c = np.full((4, 4, 4), Fraction(0), dtype=object)
-        g[:3, :3], g[3, 3] = s3.metric.a, s1.metric.a[0, 0]
-        c[:3, :3, :3] = s3.structure.unpack()
+        pack to, also when the rescaled numerators or the rescaling factors
+        do not fit in int64."""
+        factors = factors()
+        prod = product(factors)
+        n = prod.dim
+        g = np.full((n, n), Fraction(0), dtype=object)
+        c = np.full((n, n, n), Fraction(0), dtype=object)
+        for f, off in zip(factors, prod.offsets):
+            blk = slice(off, off + f.dim)
+            g[blk, blk] = f.metric.a
+            c[blk, blk, blk] = f.structure.unpack()
         for got, ref in ((prod.metric.field, g), (prod.structure, c)):
             want = RationalField.pack(ref)
             assert isinstance(got, RationalField)
             assert (got.den, got.num.dtype, got.num.tolist()) == \
                 (want.den, want.num.dtype, want.num.tolist())
+            assert got.bound >= max(_top(got.num), 1)
 
     def test_product_blocks_match_factors(self):
         s3 = berger_frame(Fraction(4))
@@ -572,7 +588,7 @@ class TestFractionFreeInverse:
         inv, det = geometry._fraction_free_inverse(g)
         assert isinstance(inv, RationalField) and inv.num.dtype == np.int64
         assert math.gcd(inv.den, *inv.num.ravel().tolist()) == 1
-        assert inv.bound >= inv.top
+        assert inv.bound >= _top(inv.num)
         assert inv.unpack().tolist() == ref_inv.tolist()
         assert type(det) is Fraction and det == ref_det
         assert (det > 0) - (det < 0) == det_sign
