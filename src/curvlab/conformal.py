@@ -8,16 +8,14 @@ computed by adjoining a nilpotent dual variable over the coordinate jets
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ExactnessError
-from .geometry import GeometryContext, dual_ring
+from .geometry import GeometryContext, clone_context, dual_ring
 from .invariants import (InvariantPolynomial, pfaffian_of, rho_phi,
                          star_rho_general, xi_k)
 from .jets import Jet
@@ -96,21 +94,6 @@ class ConformalFactor:
         if self.poly is not None:
             return float(self.poly(ctx.var_base_point))
         return float(self.constant)
-
-
-def clone_context(ctx: GeometryContext, metric: Tensor,
-                  ring=None) -> GeometryContext:
-    """Shallow context copy with a new metric; every cached property (the
-    inverse, determinant, volume and curvature stack) is dropped."""
-    new = copy.copy(ctx)
-    for cls in type(ctx).__mro__:
-        for key, attr in vars(cls).items():
-            if isinstance(attr, cached_property):
-                new.__dict__.pop(key, None)
-    new.metric = metric
-    if ring is not None:
-        new.ring = ring
-    return new
 
 
 def rescale(ctx: GeometryContext, ups: ConformalFactor) -> GeometryContext:
@@ -215,10 +198,13 @@ def linearize(ctx: GeometryContext, quantity, ups: ConformalFactor,
 
 
 def _dual_context(ctx: GeometryContext, upsj) -> GeometryContext:
-    """ctx over dual numbers with the metric g + eps 2 Upsilon g."""
+    """ctx over dual numbers with the metric g + eps 2 Upsilon g; its
+    inverse and determinant come from those ctx holds for g."""
     g = ctx.metric
-    return clone_context(ctx, Tensor.dual(g, g.scale(2 * upsj)),
+    dual = clone_context(ctx, Tensor.dual(g, g.scale(2 * upsj)),
                          ring=dual_ring(ctx.ring))
+    dual._real_part = ctx
+    return dual
 
 
 def _linear_part(t_dual: Tensor, wu) -> Tensor:

@@ -22,6 +22,7 @@ grad_i) X^k and Ricci R_ij = R_ki^k_j.
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,8 +37,7 @@ from .polys import Poly, RationalFunc, taylor_jet
 from .scalars import FLOAT, RATIONAL, Ring, exact_sqrt
 from .fields import (_INT64_BOUND, _LETTERS, JetField, RationalField,
                      _float_jet_einsum, _top)
-from .tensors import (Tensor, contract, einsum, is_zero_tensor, lower_slot,
-                      raise_slot)
+from .tensors import Tensor, contract, einsum, lower_slot, raise_slot
 
 
 def jet_ring(alg: JetAlgebra, exact: bool) -> Ring:
@@ -52,10 +52,24 @@ def dual_ring(base: Ring) -> Ring:
                 Dual(base.one(), base.zero()), base.exact)
 
 
+def clone_context(ctx: "GeometryContext", metric: Tensor,
+                  ring=None) -> "GeometryContext":
+    """Shallow context copy with a new metric; every cached property (the
+    inverse, determinant, volume and curvature stack) is dropped."""
+    new = copy.copy(ctx)
+    for cls in type(ctx).__mro__:
+        for key, attr in vars(cls).items():
+            if isinstance(attr, cached_property):
+                new.__dict__.pop(key, None)
+    new.metric = metric
+    if ring is not None:
+        new.ring = ring
+    return new
+
+
 def _invert_with_det(mat: np.ndarray, ring: Ring):
     """Gauss-Jordan inverse and determinant of an object matrix of constants
-    (a metric's base-point values), pivoting on the largest magnitude; for
-    Duals, of the real part, as a + eps b is a unit exactly when a is."""
+    (a metric's base-point values), pivoting on the largest magnitude."""
     n = mat.shape[0]
     aug = np.empty((n, 2 * n), dtype=object)
     aug[:, :n] = mat
@@ -67,8 +81,7 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
     for col in range(n):
         piv, best = None, 0.0
         for r in range(col, n):
-            x = aug[r, col]
-            m = abs(scalar_float(x.re if isinstance(x, Dual) else x))
+            m = abs(scalar_float(aug[r, col]))
             if m > best:
                 piv, best = r, m
         if piv is None:
@@ -78,8 +91,7 @@ def _invert_with_det(mat: np.ndarray, ring: Ring):
             sign = -sign
         p = aug[col, col]
         det = det * p
-        pinv = p.inverse() if hasattr(p, "inverse") else 1 / p
-        aug[col] = aug[col] * pinv
+        aug[col] = aug[col] * (1 / p)
         for r in range(n):
             if r != col:
                 f = aug[r, col]
@@ -126,9 +138,9 @@ def _fraction_free_inverse(g: RationalField):
 
 
 def _newton_inverse(g, x0: np.ndarray, alg: JetAlgebra, exact: bool):
-    """g^-1 for a matrix g of jets (a ``JetField`` of float jets or of Duals
-    over them, or an object array of jets) from x0 = g(p)^-1, by Newton
-    steps X <- X + XE with E = I - GX, stored as g is.
+    """g^-1 for a matrix g of jets (a ``JetField`` of float jets or an
+    object array of jets) from x0 = g(p)^-1, by Newton steps X <- X + XE
+    with E = I - GX, stored as g is.
 
     The error E squares at each step (Griewank & Walther, Evaluating
     Derivatives, 2008, ch. 13), so the steps run on the schedule of
@@ -162,25 +174,14 @@ def _with_valid(x, cap: int, g, alg: JetAlgebra, exact: bool):
     above a jet's old ``valid`` are zero, so only the label changes."""
     if isinstance(g, JetField):
         n = alg.upto[cap]       # the rows a field valid through cap holds
+        c = np.zeros((n,) + g.shape)
         if isinstance(x, JetField):
-            coeffs = []
-            for c, _, _ in x._parts():
-                coeffs.append(np.zeros((n,) + g.shape))
-                coeffs[-1][:len(c)] = c
+            c[:len(x.c)] = x.c
         else:
-            flat = x.ravel().tolist()
-            coeffs = []
-            for vals in [flat] if g.ic is None else \
-                    [[s.re for s in flat], [s.im for s in flat]]:
-                c = np.zeros((n,) + g.shape)
-                c[0] = np.reshape(vals, g.shape)
-                coeffs.append(c)
-        v = np.full(g.shape, cap)
-        return JetField._of(alg, [(c, v, cap) for c in coeffs])
+            c[0] = x.astype(float)
+        return JetField._of(alg, [(c, np.full(g.shape, cap), cap)])
 
     def lift(s):
-        if isinstance(s, Dual):
-            return Dual(lift(s.re), lift(s.im))
         c = s.c if isinstance(s, Jet) else Jet.const(alg, s, exact).c
         return Jet(alg, c, cap, exact)
     return np.frompyfunc(lift, 1, 1)(x)
@@ -197,14 +198,12 @@ def _euler_weights(alg: JetAlgebra, exact: bool, inverse: bool) -> np.ndarray:
 
 
 def _euler(x, alg: JetAlgebra, inverse: bool = False):
-    """E (or E^-1) on a jet, a Dual of jets, a ``JetField`` or an object
-    array of them."""
+    """E (or E^-1) on a jet, a ``JetField`` of float jets or an object
+    array of jets."""
     if isinstance(x, JetField):
         w = _euler_weights(alg, False, inverse).reshape(
             (-1,) + (1,) * len(x.shape))
-        return x._with((c * w[:len(c)], v, u) for c, v, u in x._parts())
-    if isinstance(x, Dual):
-        return Dual(_euler(x.re, alg, inverse), _euler(x.im, alg, inverse))
+        return x._with([(x.c * w[:len(x.c)], x.v, x._u)])
     if isinstance(x, Jet):
         return Jet(alg, x.c * _euler_weights(alg, x.exact, inverse), x.valid,
                    x.exact)
@@ -244,8 +243,7 @@ class GeometryContext:
         if self.metric.field is not None:
             return getattr(self.metric.field, "alg", None)
         s = self.metric.a.flat[0]
-        while isinstance(s, Dual):
-            s = s.re
+        s = s.re if isinstance(s, Dual) else s
         return s.alg if isinstance(s, Jet) else None
 
     @cached_property
@@ -264,8 +262,25 @@ class GeometryContext:
         return inv, det
 
     @cached_property
+    def _real_part(self) -> "GeometryContext":
+        """For a metric of Duals A + eps B, the context of A, whose
+        ``metric_inv`` and ``det_metric`` are A^-1 and det A by the plain
+        route; ``conformal.linearize`` hands in the context it linearizes."""
+        zero, one = self.ring.zero(), self.ring.one()
+        ring = Ring(self.ring.name.removeprefix("dual:"), zero.re, one.re,
+                    self.ring.exact)
+        return clone_context(self, self.metric.dual_parts()[0].pack(), ring)
+
+    @cached_property
     def metric_inv(self) -> Tensor:
-        """g^-1; on jets the Newton lift of g(p)^-1."""
+        """g^-1; on jets the Newton lift of g(p)^-1.  For Duals A + eps B,
+        X - eps XBX with X = A^-1 (eps^2 = 0): XBX sums in X at each place,
+        so its ``valid`` is capped at X's, as ``Dual.__mul__`` caps it."""
+        if isinstance(self.ring.zero(), Dual):
+            x, b = self._real_part.metric_inv, self.metric.dual_parts()[1]
+            xbx = einsum("ab,bc->ac", x.data,
+                         einsum("ab,bc->ac", b.data, x.data))
+            return Tensor.dual(x, Tensor(self.dim, ("u", "u"), -xbx)).pack()
         inv, alg = self._point_inverse[0], self.jet_algebra
         if alg is not None:
             inv = _newton_inverse(self.metric.data, inv, alg,
@@ -273,37 +288,49 @@ class GeometryContext:
         return Tensor(self.dim, ("u", "u"), inv).pack()
 
     @cached_property
-    def det_metric(self):
-        """det g; on jets det g(p) exp(L) with L = log(det g / det g(p)),
-        which Jacobi's formula in Euler form, E log det g = tr(g^-1 E g),
-        gives as L = E^-1 tr(g^-1 E g), a series without constant term."""
-        det, alg = self._point_inverse[1], self.jet_algebra
-        if alg is None:
-            return det
+    def _log_det(self):
+        """L = log(det g / det g(p)) on jets, which Jacobi's formula in
+        Euler form, E log det g = tr(g^-1 E g), gives as L = E^-1 tr(g^-1 E
+        g), a series without constant term."""
+        alg = self.jet_algebra
         tr = einsum("ab,ba->", self.metric_inv.data,
                     _euler(self.metric.data, alg))[()]
-        return _euler(tr, alg, inverse=True).exp() * det
+        return _euler(tr, alg, inverse=True)
+
+    @cached_property
+    def det_metric(self):
+        """det g; on jets det g(p) exp(L) (``_log_det``).  For Duals
+        A + eps B, det A (1 + eps tr(A^-1 B)), as eps^2 = 0."""
+        if isinstance(self.ring.zero(), Dual):
+            real = self._real_part
+            det = real.det_metric
+            tr = einsum("ab,ba->", real.metric_inv.data,
+                        self.metric.dual_parts()[1].data)[()]
+            return Dual(det, det * tr)
+        det = self._point_inverse[1]
+        return det if self.jet_algebra is None else self._log_det.exp() * det
 
     @cached_property
     def volume(self):
         """(eps_{0..n-1}, eps^{0..n-1}) = (o sqrt|det g|, o sgn(det g) / sqrt|det g|)
-        for the orientation o = +-1; sgn(det g) is read from the real
-        base-point value (the ``re`` part of a Dual)."""
+        for the orientation o = +-1: on jets o r exp(L/2) and o sgn
+        exp(-L/2) / r with r = sqrt|det g(p)|, L = ``_log_det``; a Dual's
+        sign is read from its real part."""
         o = self.orientation
         if o not in (1, -1):
             raise DimensionError("context has no orientation")
-        det, sign = self.det_metric, 1
-        base = field_value(det)
-        if float(base.re if isinstance(base, Dual) else base) < 0:
-            det, sign = -det, -1
-        if isinstance(det, (Jet, Dual)):
-            root = det.sqrt()
-        elif isinstance(det, float):
-            root = math.sqrt(det)
-        else:
-            root = exact_sqrt(det)
-        inv = root.inverse() if hasattr(root, "inverse") else 1 / root
-        return root * o, inv * (o * sign)
+        if isinstance(self.ring.zero(), Dual):
+            det = self.det_metric
+            sign = 1 if field_value(det.re) > 0 else -1
+            root = (det * sign).sqrt()
+            return root * o, root.inverse() * (o * sign)
+        det = self._point_inverse[1]
+        sign = 1 if det > 0 else -1
+        root = (exact_sqrt if self.ring.exact else math.sqrt)(det * sign)
+        if self.jet_algebra is None:
+            return root * o, o * sign / root
+        half = self._log_det * Fraction(1, 2)
+        return half.exp() * (root * o), (-half).exp() * (o * sign / root)
 
     @cached_property
     def stack(self) -> "CurvatureStack":
@@ -334,15 +361,22 @@ class FrameContext(GeometryContext):
         self._validate()
 
     def _validate(self):
+        """c^e_ab = -c^e_ba, the Jacobi identity and g = g^T; packed, on the
+        integer numerators over their one denominator, int64 when the Jacobi
+        sums (three of n products each) are proven below 2**63."""
         c, g, n = self.structure, self.metric.data, self.dim
-        if not is_zero_tensor(Tensor(n, "udd", c + c.transpose(0, 2, 1))):
+        if isinstance(c, RationalField):
+            c = c.num.astype(object) if 3 * n * c.bound ** 2 >= _INT64_BOUND \
+                else c.num
+        if isinstance(g, RationalField):
+            g = g.num
+        if (c + c.transpose(0, 2, 1)).any():
             raise ValueError("structure constants not antisymmetric")
         # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
-        m = einsum("ead,dbf->eabf", c, c)
-        jacobi = m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)
-        if not is_zero_tensor(Tensor(n, "uddd", jacobi)):
+        m = np.einsum("ead,dbf->eabf", c, c)
+        if (m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).any():
             raise ValueError("Jacobi identity fails")
-        if not is_zero_tensor(Tensor(n, "dd", g - g.transpose())):
+        if (g != g.transpose()).any():
             raise ValueError("frame metric not symmetric")
 
     def to_float(self) -> "FrameContext":
@@ -604,6 +638,7 @@ class CurvatureStack:
         self.ctx = ctx
         if ctx.dim < 2:
             raise DimensionError("curvature stack needs dim >= 2")
+        self._phi_cycles = {}       # see invariants._phi_chain_form
 
     @property
     def dim(self) -> int:
@@ -758,6 +793,11 @@ class CurvatureStack:
         """W_t^s_ij (second slot raised), the Phi-chain's curvature
         factor."""
         return raise_slot(self.ctx, self.weyl, 1)
+
+    @cached_property
+    def rm_dudd(self) -> Tensor:
+        """R_t^s_ij (second slot raised), the Riemann Phi-chain factor."""
+        return raise_slot(self.ctx, self.rm, 1)
 
     @cached_property
     def rm_dduu(self) -> Tensor:

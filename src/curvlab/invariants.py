@@ -214,9 +214,7 @@ def trace_mixed(t: Tensor):
 
 def _matrix_two_form(stack, which: str = "weyl") -> Tensor:
     """W_t^s_{ij}: all-down curvature with the second slot raised."""
-    if which == "weyl":
-        return stack.weyl_dudd
-    return raise_slot(stack.ctx, stack.rm, 1)
+    return stack.weyl_dudd if which == "weyl" else stack.rm_dudd
 
 
 # the most components a chain step of a Phi-cycle holds: the middle factors
@@ -367,28 +365,27 @@ def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
 
     factors: one matrix-valued form per polynomial slot, valence
     (d, u, form...).  Returns the compressed alternating form of degree equal
-    to the total form degree.
+    to the total form degree.  Each cycle's form is kept on the stack, keyed
+    by its factors up to rotation, for every Phi on those factors.
     """
     dim = stack.dim
     total_deg = sum(f.rank - 2 for f in factors)
     result = AltForm.zero(dim, total_deg)
-    cache: dict = {}
+    cache = stack._phi_cycles
     for c, sigma in phi.terms:
         chain_form = None
         for cyc in _cycles(sigma):
-            key = _canonical_cycle_key(cyc, factors)
+            ids = tuple(id(factors[a]) for a in cyc)
+            key = min(ids[i:] + ids[:i] for i in range(len(ids)))
             if key not in cache:
-                cache[key] = _cycle_alt_form(factors, cyc, dim)
-            part = cache[key]
+                # the entry holds the factors whose ids key it, so no id
+                # is reused while it lives
+                cache[key] = ([factors[a] for a in cyc],
+                              _cycle_alt_form(factors, cyc, dim))
+            part = cache[key][1]
             chain_form = part if chain_form is None else chain_form.alt_mul(part)
         result = result.add(chain_form.scale(c))
     return result
-
-
-def _canonical_cycle_key(cycle, factors):
-    ids = tuple(id(factors[a]) for a in cycle)
-    rots = [ids[i:] + ids[:i] for i in range(len(ids))]
-    return min(rots)
 
 
 def star_p_phi_form(stack, phi: InvariantPolynomial,

@@ -59,10 +59,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def max_residual(self) -> float:
-        vals = [c.residual for c in self.checks if c.residual is not None]
-        return max(vals) if vals else 0.0
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,

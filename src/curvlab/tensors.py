@@ -861,15 +861,6 @@ class AltForm:
     def zero(cls, dim, degree) -> "AltForm":
         return cls(dim, degree, {})
 
-    @classmethod
-    def from_tensor(cls, t: Tensor) -> "AltForm":
-        comps = {}
-        for idx in itertools.combinations(range(t.dim), t.rank):
-            x = t.a[idx]
-            if not (x.is_zero() if isinstance(x, Jet) else not x):
-                comps[idx] = x
-        return cls(t.dim, t.rank, comps)
-
     def to_tensor(self, ring) -> Tensor:
         t = zeros(self.dim, ("d",) * self.degree, ring)
         for idx, x in self.comps.items():

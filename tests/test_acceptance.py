@@ -28,8 +28,10 @@ def _report(num: int, label: str, rep, budget: float | None = None,
             elapsed: float | None = None):
     status = "PASS" if rep.passed else "FAIL"
     extra = ""
-    if rep.max_residual():
-        extra = f" (max residual {rep.max_residual():.2e})"
+    worst = max((c.residual for c in rep.checks if c.residual is not None),
+                default=0.0)
+    if worst:
+        extra = f" (max residual {worst:.2e})"
     if elapsed is not None:
         extra += f" [{elapsed:.1f}s]"
     print(f"[ACCEPTANCE] criterion {num}: {status} - {label}{extra}",

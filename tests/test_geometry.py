@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from curvlab import geometry
 from curvlab.config import context_from_config
-from curvlab.conformal import ConformalFactor, _dual_context, clone_context
+from curvlab.conformal import (ConformalFactor, _dual_context, clone_context,
+                               linearize)
 from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
 from curvlab.fields import JetField, RationalField, _top
@@ -401,6 +403,64 @@ def _assert_matches_gauss_jordan(ctx):
         _assert_same_jet(g, w)
 
 
+def _coeffs(s) -> list:
+    return list(s.c) if isinstance(s, Jet) else [s]
+
+
+def _assert_close(got, want, scale):
+    """Equal coefficient lists (a constant want padded with zeros): exactly
+    for exact scalars, else to 1e-13 of scale; jets keep their ``valid``."""
+    g, w = _coeffs(got), _coeffs(want)
+    w += [0] * (len(g) - len(w))
+    if isinstance(got, Jet) and isinstance(want, Jet):
+        assert got.valid == want.valid
+    if isinstance(g[0], float):
+        assert max(abs(x - y) for x, y in zip(g, w)) <= 1e-13 * scale
+    else:
+        assert g == w
+
+
+def _leibniz(m):
+    """det m as the sum over permutations, in the arithmetic of m's
+    entries."""
+    total = None
+    for perm in itertools.permutations(range(len(m))):
+        term = m[0, perm[0]]
+        for i in range(1, len(m)):
+            term = term * m[i, perm[i]]
+        if sum(x > y for x, y in itertools.combinations(perm, 2)) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _assert_dual_inverse(ctx):
+    """metric_inv and det_metric of a metric of Duals G = A + eps B against
+    an oracle that shares no code with them: G X = I in Dual arithmetic,
+    det G by the Leibniz expansion in Dual arithmetic, and the eps part of
+    det G against det A tr(XB)."""
+    g, x, n = ctx.metric.a, ctx.metric_inv.a, ctx.dim
+    assert all(isinstance(s, Dual) for s in x.flat)
+
+    def mag(s):
+        return max(abs(float(c)) for part in (s.re, s.im)
+                   for c in _coeffs(part))
+    scale = n * max(map(mag, g.flat)) * max(map(mag, x.flat))
+    for i, k in itertools.product(range(n), repeat=2):
+        p = g[i, 0] * x[0, k]
+        for j in range(1, n):
+            p = p + g[i, j] * x[j, k]
+        _assert_close(p.re, int(i == k), scale)
+        _assert_close(p.im, 0, scale)
+    det, got = _leibniz(g), ctx.det_metric
+    scale = mag(det)
+    _assert_close(got.re, det.re, scale)
+    _assert_close(got.im, det.im, scale)
+    tr = sum(x[a, b].re * g[b, a].im
+             for a, b in itertools.product(range(n), repeat=2))
+    _assert_close(got.im, det.re * tr, scale)
+
+
 def _lorentzian_entries(dim=4):
     """diag(-1, 1, ..., 1) plus small rational polynomials."""
     rng = np.random.default_rng(5)
@@ -492,7 +552,7 @@ class TestNewtonInverse:
         ups = ConformalFactor.from_poly(random_conformal_factor(4, 3))
         dual = _dual_context(chart4, ups.field(chart4))
         assert dual.metric.field.ic is not None
-        _assert_matches_gauss_jordan(dual)
+        _assert_dual_inverse(dual)
 
     def test_dual_pivots_on_the_real_part(self):
         """g + eps B with g = I and B_01 = B_10 = 10: the entry (1, 0) is
@@ -504,7 +564,7 @@ class TestNewtonInverse:
             flat.jet_algebra, b[i, j], False)).pack()
         dual = clone_context(flat, Tensor.dual(flat.metric, eps),
                              ring=dual_ring(flat.ring))
-        _assert_matches_gauss_jordan(dual)
+        _assert_dual_inverse(dual)
         inv = dual.metric_inv.at_point().a
         assert inv[0, 1].im == inv[1, 0].im == -10.0
 
@@ -563,10 +623,119 @@ class TestNewtonInverse:
         assert berger4.det_metric == det
 
 
+def _context(name, request):
+    if name.startswith("lorentzian"):
+        return ChartContext.from_polys(_lorentzian_entries(),
+                                       (Fraction(0),) * 4, jet_order=3,
+                                       exact=name.endswith("exact"))
+    return request.getfixturevalue(name)
+
+
+class TestDualInverse:
+    """A metric of Duals A + eps B inverts its real part only: X - eps XBX
+    and det A (1 + eps tr(XB)) with X = A^-1, against the oracle
+    ``_assert_dual_inverse``."""
+
+    @pytest.mark.parametrize("name", ["chart4", "cp2_exact", "berger4",
+                                      "lorentzian-float", "lorentzian-exact"])
+    def test_linearize_contexts(self, name, request):
+        """g + eps 2 Upsilon g, as ``linearize`` builds it (a constant
+        Upsilon on the frame)."""
+        ctx = _context(name, request)
+        ups = ConformalFactor.const(Fraction(1, 3)) \
+            if ctx.jet_algebra is None \
+            else ConformalFactor.from_poly(random_conformal_factor(4, 5))
+        _assert_dual_inverse(_dual_context(ctx, ups.field(ctx)))
+
+    @pytest.mark.parametrize("name", ["chart4", "berger4", "lorentzian-float",
+                                      "lorentzian-exact"])
+    def test_eps_part_no_multiple_of_the_metric(self, name, request):
+        """B a constant symmetric matrix, which commutes with no X here, so
+        XBX and BXX differ; the real part is inverted from scratch."""
+        ctx = _context(name, request)
+        alg, exact = ctx.jet_algebra, ctx.ring.exact
+        rng = np.random.default_rng(3)
+        b = rng.integers(-9, 10, (4, 4))
+
+        def entry(i, j):
+            x = Fraction(int(b[i, j] + b[j, i]), 7)
+            return x if alg is None else Jet.const(alg, x, exact)
+        eps = Tensor.from_function(4, "dd", entry).pack()
+        dual = clone_context(ctx, Tensor.dual(ctx.metric, eps),
+                             ring=dual_ring(ctx.ring))
+        _assert_dual_inverse(dual)
+        x = ctx.metric_inv.at_point().a
+        xbx = np.einsum("ab,bc,cd->ad", x, eps.at_point().a, x)
+        bxx = np.einsum("ab,bc,cd->ad", eps.at_point().a, x, x)
+        assert np.abs((xbx - bxx).astype(float)).max() > 1e-3
+
+    def test_linearize_inverts_nothing(self, chart4, monkeypatch):
+        """The dual context of ``linearize`` takes X and det A from the
+        context it linearizes: no Gauss-Jordan, no Newton lift."""
+        chart4.metric_inv, chart4.det_metric
+
+        def refuse(*args):
+            raise AssertionError("the dual context solved a metric")
+        for name in ("_invert_with_det", "_fraction_free_inverse",
+                     "_newton_inverse"):
+            monkeypatch.setattr(geometry, name, refuse)
+        ups = ConformalFactor.from_poly(random_conformal_factor(4, 5))
+        dual = _dual_context(chart4, ups.field(chart4))
+        re, _ = dual.metric_inv.dual_parts()
+        assert np.array_equal(re.data.c, chart4.metric_inv.data.c)
+        assert dual.det_metric.re is chart4.det_metric
+        linearize(chart4, "cotton", ups)
+
+
 def _frame(entries):
     """A frame with these metric entries and no brackets."""
     return FrameContext(len(entries), {},
                         [[Fraction(x) for x in row] for row in entries])
+
+
+def _brackets(pairs, scale):
+    """Structure constants c^e_ab = scale = -c^e_ba for each (e, a, b)."""
+    sc = {}
+    for e, a, b in pairs:
+        sc[e, a, b], sc[e, b, a] = Fraction(scale), Fraction(-scale)
+    return sc
+
+
+SU2 = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+
+
+class TestFrameValidation:
+    """``FrameContext._validate`` on the integer numerators: each of its
+    errors on int64 numerators, on int64 numerators whose Jacobi products
+    pass 2**63, and on numerators past 2**63, with no field operation."""
+
+    @pytest.fixture(autouse=True)
+    def _no_field_operations(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("packed frame validated by field operations")
+        monkeypatch.setattr(geometry, "einsum", refuse)
+        monkeypatch.setattr(RationalField, "_elementwise", refuse)
+        monkeypatch.setattr(RationalField, "reduced", refuse)
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40, 2 ** 70],
+                             ids=["int64", "wide-products", "wide"])
+    def test_each_error(self, scale):
+        eye = [[Fraction(scale * int(i == j)) for j in range(3)]
+               for i in range(3)]
+        ctx = FrameContext(3, _brackets(SU2, scale), eye)
+        assert isinstance(ctx.structure, RationalField)
+        assert (ctx.structure.num.dtype == object) == (scale >= 2 ** 63)
+        one_sided = _brackets(SU2, scale)
+        one_sided[0, 2, 1] = Fraction(0)
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            FrameContext(3, one_sided, eye)
+        # [e0, e1] = e2, [e1, e2] = e1: antisymmetric, not a Lie algebra
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            FrameContext(3, _brackets([(2, 0, 1), (1, 1, 2)], scale), eye)
+        skew = [row[:] for row in eye]
+        skew[0][1] = Fraction(scale)
+        with pytest.raises(ValueError, match="frame metric not symmetric"):
+            FrameContext(3, _brackets(SU2, scale), skew)
 
 
 class TestFractionFreeInverse:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from curvlab import invariants as inv
-from curvlab.conformal import ConformalFactor, _dual_context
+from curvlab.conformal import ConformalFactor, _dual_context, clone_context
 from curvlab.invariants import (InvariantPolynomial, phi_w_c_form, rho_phi,
                                 star_p_phi_form)
 from curvlab.jets import Dual, Jet, JetAlgebra
@@ -78,10 +78,17 @@ def per_assignment():
         yield
 
 
-def batched_and_reference(fn, *args):
-    got = fn(*args)
-    with per_assignment():
-        ref = fn(*args)
+def batched_and_reference(fn, stack, *args):
+    """fn batched and by the per-assignment loop, each from an empty cycle
+    cache on the stack, which is left empty."""
+    try:
+        stack._phi_cycles.clear()
+        got = fn(stack, *args)
+        stack._phi_cycles.clear()
+        with per_assignment():
+            ref = fn(stack, *args)
+    finally:
+        stack._phi_cycles.clear()
     return got, ref
 
 
@@ -185,6 +192,45 @@ def test_dual_context_of_linearize(chart4):
                 1.0, float(np.abs(b.c).max()))
 
 
+# -- the cycle cache on the stack --------------------------------------------------
+
+
+def _fresh_stack(ctx):
+    return clone_context(ctx, ctx.metric).stack
+
+
+@pytest.mark.parametrize("first", ["weyl", "riemann"])
+def test_cycle_cache_keeps_factors_apart(chart4, first):
+    """On one stack the Riemann and the Weyl forms, in either order, and
+    the Cotton chain, are those of fresh stacks."""
+    phi = InvariantPolynomial.pair_swap()
+    st = _fresh_stack(chart4)
+    second = "weyl" if first == "riemann" else "riemann"
+    got = {w: star_p_phi_form(st, phi, w) for w in (first, second)}
+    got["cotton"] = phi_w_c_form(st, phi)
+    assert got["weyl"].comps and got["riemann"].comps
+    for which in (first, second):
+        assert_exact_equal(got[which], star_p_phi_form(_fresh_stack(chart4),
+                                                       phi, which))
+    assert_exact_equal(got["cotton"], phi_w_c_form(_fresh_stack(chart4), phi))
+    assert len(st._phi_cycles) == 3
+    for key, (held, _) in st._phi_cycles.items():
+        ids = tuple(map(id, held))
+        assert key in {ids[i:] + ids[:i] for i in range(len(ids))}
+
+
+def test_cycle_cache_across_polynomials(chart4):
+    """tr(w^2) and tr(w^2)/2 share their one cycle: trace_power(1) gives
+    twice pair_swap on one stack."""
+    st = _fresh_stack(chart4)
+    half = star_p_phi_form(st, InvariantPolynomial.pair_swap())
+    full = star_p_phi_form(st, InvariantPolynomial.trace_power(1))
+    assert len(st._phi_cycles) == 1
+    assert full.comps.keys() == half.comps.keys()
+    for key, x in full.comps.items():
+        assert x == half.comps[key] * 2
+
+
 # -- cycle shapes on random factors of every kind ---------------------------------
 
 
@@ -226,7 +272,7 @@ def test_cycle_shapes_on_random_factors(kind, phi):
     dim = 5
     C = _random_factor(kind, dim, 3, rng)
     W = _random_factor(kind, dim, 4, rng)
-    stub = SimpleNamespace(dim=dim)
+    stub = SimpleNamespace(dim=dim, _phi_cycles={})
     compare = assert_exact_equal if kind in ("fraction", "exact-jet") \
         else assert_float_close
     k = phi.degree

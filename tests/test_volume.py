@@ -15,6 +15,7 @@ from curvlab.errors import DimensionError
 from curvlab.geometry import ChartContext, FrameContext
 from curvlab.invariants import InvariantPolynomial, p_phi_scalar, rho_phi
 from curvlab.models import random_chart, random_conformal_factor
+from curvlab.polys import RationalFunc
 from curvlab.tensors import (AltForm, Permutation, Tensor,
                              contract_with, epsilon_form, hodge_star,
                              is_zero_tensor, max_abs, perm_sign, raise_slot,
@@ -115,6 +116,46 @@ class TestVolumePair:
         flipped = clone_context(berger4, berger4.metric)
         flipped.orientation = -berger4.orientation
         assert flipped.volume == (-volume[0], -volume[1])
+
+
+def _flipped_chart(ctx, exact):
+    """ctx's chart with g_00 negated (signature (-,+,+,+)) and the opposite
+    orientation."""
+    entries = [list(row) for row in ctx.metric_polys]
+    e = entries[0][0]
+    entries[0][0] = RationalFunc(e.num * Fraction(-1), e.den) \
+        if isinstance(e, RationalFunc) else e * Fraction(-1)
+    return ChartContext.from_polys(entries, base_point=ctx.base_point,
+                                   jet_order=ctx.jet_order, exact=exact,
+                                   orientation=-ctx.orientation)
+
+
+class TestVolumeFromLogDeterminant:
+    """On jets the pair is o r exp(L/2) and o sgn exp(-L/2) / r with
+    r = sqrt|det g(p)|: equal to the root of |det g| and its inverse by
+    ``Jet.sqrt`` and ``Jet.inverse``, to 1e-13 on float jets and identical
+    on exact ones."""
+
+    @pytest.mark.parametrize("name, flip", [
+        ("chart4", False), ("chart4", True), ("cp2_exact", False),
+        ("s4_exact", True)])
+    def test_matches_the_root_of_the_determinant(self, name, flip, request):
+        ctx = request.getfixturevalue(name)
+        exact = ctx.ring.exact
+        if flip:
+            ctx = _flipped_chart(ctx, exact)
+        det, o = ctx.det_metric, ctx.orientation
+        sign = -1 if det.c[0] < 0 else 1
+        assert sign == (-1 if flip else 1)
+        root = (det * sign).sqrt()
+        for got, want in zip(ctx.volume,
+                             (root * o, root.inverse() * (o * sign))):
+            assert got.valid == want.valid == ctx.jet_order
+            if exact:
+                assert list(got.c) == list(want.c)
+            else:
+                assert np.abs(got.c - want.c).max() \
+                    <= 1e-13 * np.abs(want.c).max()
 
 
 class TestHodgeStar:
