@@ -29,8 +29,7 @@ from .report import Check, VerificationReport
 from .scalars import exact_sqrt, rational_sqrt
 from .tensors import (AltForm, Permutation, Tensor, antisymmetrize, contract,
                       contract_with, epsilon_form, generalized_delta,
-                      gkd_contract, hodge_star, lower_slot, raise_slot,
-                      symmetrize)
+                      gkd_contract, hodge_star, lower_slot, raise_slot)
 
 __version__ = "0.1.0"
 

@@ -10,18 +10,16 @@ double forms read off on increasing indices (``tensors.gkd_contract``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, SlotError
-from .tensors import (AltForm, Permutation, Tensor, contract, einsum,
-                      gkd_contract, lower_slot, perm_sign, raise_slot,
-                      signed_permutations)
+from .tensors import (AltForm, Permutation, Tensor, _alt_product, _keys,
+                      _split_index, contract, einsum, gkd_contract,
+                      lower_slot, raise_slot, signed_permutations)
 
 
 @dataclass(frozen=True)
@@ -41,21 +39,20 @@ class InvariantPolynomial:
     S_k-invariant.
     """
 
-    def __init__(self, degree: int, terms, *, symmetrize: bool = True):
+    def __init__(self, degree: int, terms):
         self.degree = degree
-        terms = [(Fraction(c), sigma if isinstance(sigma, Permutation)
-                  else Permutation(sigma)) for c, sigma in terms]
-        if symmetrize:
-            acc: dict = {}
-            fact = math.factorial(degree)
-            for c, sigma in terms:
-                for tau, _ in signed_permutations(degree):
-                    tau = Permutation(tau)
-                    conj = tau.compose(sigma).compose(tau.inverse())
-                    acc[conj.images] = acc.get(conj.images, Fraction(0)) + \
-                        Fraction(c, fact)
-            terms = [(c, Permutation(images)) for images, c in acc.items() if c]
-        self.terms = terms
+        acc: dict = {}
+        fact = math.factorial(degree)
+        for c, sigma in terms:
+            sigma = sigma if isinstance(sigma, Permutation) \
+                else Permutation(sigma)
+            for tau, _ in signed_permutations(degree):
+                tau = Permutation(tau)
+                conj = tau.compose(sigma).compose(tau.inverse())
+                acc[conj.images] = acc.get(conj.images, Fraction(0)) + \
+                    Fraction(c) / fact
+        self.terms = [(c, Permutation(images)) for images, c in acc.items()
+                      if c]
 
     @classmethod
     def pair_swap(cls) -> "InvariantPolynomial":
@@ -217,147 +214,42 @@ def _matrix_two_form(stack, which: str = "weyl") -> Tensor:
     return stack.weyl_dudd if which == "weyl" else stack.rm_dudd
 
 
-# the most components a chain step of a Phi-cycle holds: the middle factors
-# of a cycle carry one dim x dim matrix per (key, assignment) pair
-_CYCLE_COMPONENTS = 1 << 13
+def _cycle_alt_form(factors, cycle, dim):
+    """Alt of the matrix-trace chain over one Phi-cycle, as its components
+    at the increasing keys of the total degree (``tensors._keys`` rows).
 
-
-def _assignments(values, degs):
-    """Split a sorted tuple into per-factor index groups, pair groups kept
-    increasing; yields (groups, parity) for each admissible arrangement."""
-    def rec(remaining, q):
-        if q == len(degs):
-            if not remaining:
-                yield []
-            return
-        for pick in itertools.combinations(remaining, degs[q]):
-            rest = tuple(v for v in remaining if v not in pick)
-            for tail in rec(rest, q + 1):
-                yield [pick] + tail
-
-    for groups in rec(tuple(values), 0):
-        flat = tuple(v for g in groups for v in g)
-        order = tuple(sorted(range(len(flat)), key=lambda i: flat[i]))
-        yield groups, perm_sign(order)
-
-
-def _index_arrays(groups) -> tuple:
-    """One int array per form slot that gathers a factor at ``groups``."""
-    return tuple(np.array(col, dtype=np.intp) for col in zip(*groups))
-
-
-def _distinct(items) -> dict:
-    """Each distinct item to its position, in order of first appearance."""
-    return {x: i for i, x in enumerate(dict.fromkeys(items))}
-
-
-@lru_cache(maxsize=None)
-def _cycle_plan(dim: int, degs: tuple):
-    """The gathers and read-outs of one Phi-cycle whose factors have form
-    degrees ``degs``.
-
-    Returns (keys, pieces): keys are the increasing index tuples of the
-    total degree, and a piece (k0, k1, first, steps, last, parts) covers
-    some of the assignments of keys[k0:k1].  Factor 0 is gathered at
-    ``first``, its distinct form-index groups in the piece.  Each step
-    (xi, idx) multiplies the chain prefixes ``xi`` by factor j gathered at
-    ``idx``, one row per distinct prefix of j + 1 groups.  The last factor
-    is gathered at ``last``, its distinct groups, and the closing product
-    holds the trace of every (prefix, last group) pair.  Each part
-    (sign, read) reads the traces of the (key, assignment) pairs of one sign
-    out of it, with index arrays of shape (k1 - k0, assignments).
-
-    The assignments of a sorted key, and their signs, depend on positions
-    alone, so one table serves every key.  A gather at distinct groups is
-    never larger than its factor, but a chain step holds a matrix per
-    prefix, so a cycle with middle factors takes at most
-    ``_CYCLE_COMPONENTS // dim**2`` pairs per piece (one at least).
-    """
-    total = sum(degs)
-    keys = tuple(itertools.combinations(range(dim), total))
-    if not keys:
-        return keys, ()
-    table = tuple(_assignments(range(total), degs))
-    most = len(keys) * len(table)
-    if len(degs) > 2:
-        most = max(1, _CYCLE_COMPONENTS // dim ** 2)
-    rows = max(1, most // len(table))
-    width = min(len(table), most)
-    pieces = []
-    for k0 in range(0, len(keys), rows):
-        k1 = min(k0 + rows, len(keys))
-        for a0 in range(0, len(table), width):
-            cols = table[a0:a0 + width]
-            chains = {(k, a): [tuple(keys[k][p] for p in g) for g in groups]
-                      for k in range(k0, k1)
-                      for a, (groups, _) in enumerate(cols)}
-            prefixes = head = _distinct(tuple(t[:1])
-                                        for t in chains.values())
-            steps = []
-            for j in range(1, len(degs) - 1):
-                nxt = _distinct(tuple(t[:j + 1]) for t in chains.values())
-                xi = np.array([prefixes[p[:j]] for p in nxt], dtype=np.intp)
-                steps.append((xi, _index_arrays([p[j] for p in nxt])))
-                prefixes = nxt
-            last = _distinct(t[-1] for t in chains.values())
-            parts = []
-            for sign in (1, -1):
-                picked = [a for a, (_, s) in enumerate(cols) if s == sign]
-                if not picked:
-                    continue
-                where = [[chains[k, a] for a in picked]
-                         for k in range(k0, k1)]
-                read = [[[last[t[-1]] for t in r] for r in where]]
-                if len(degs) > 1:
-                    read.insert(0, [[prefixes[tuple(t[:-1])] for t in r]
-                                    for r in where])
-                parts.append((sign, tuple(np.array(x, dtype=np.intp)
-                                          for x in read)))
-            pieces.append((k0, k1, _index_arrays([p[0] for p in head]),
-                           tuple(steps), _index_arrays(last), tuple(parts)))
-    return keys, tuple(pieces)
-
-
-def _cycle_alt_form(factors, cycle, dim) -> AltForm:
-    """Compressed Alt of the matrix-trace chain over one Phi-cycle.
-
-    Each factor is a matrix-valued form with valence (d, u, form-slots...);
-    the trace closes over the matrix slots, the form slots are skewed.  The
-    per-factor antisymmetry halves the permutation count per 2-form.  Each
-    piece of the cycle's plan gathers the factors at their distinct index
-    groups, makes one contraction per middle factor and one closing the
-    trace, and sums the assignments of each key and sign in one more.
+    Each factor is a matrix-valued form with valence (d, u, form...), read
+    at its increasing form indices: shape (dim, dim, C(dim, d)).  The chain
+    is a matrix product in the exterior algebra (Chern-Weil): each step
+    gathers the chain and the next factor at every split of a key
+    (``tensors._split_index``) and sums the matrix products with the
+    split's sign, and the last step closes the trace.  A middle step sums
+    the even and the odd splits inside two products, as the sign would
+    otherwise multiply every gathered matrix entry; the last step takes one
+    trace per split and sums those with their signs.  The full
+    antisymmetrization meets each split once per ordering within its
+    groups, hence the weight prod(d_i!) / d!.
     """
     mats = [factors[a] for a in cycle]
-    degs = tuple(f.rank - 2 for f in mats)
-    weight = Fraction(2 ** degs.count(2), math.factorial(sum(degs)))
-    keys, pieces = _cycle_plan(dim, degs)
-    mat = (slice(None), slice(None))
-    sums = {}
-    for k0, k1, first, steps, last, parts in pieces:
-        closing = mats[-1].data[mat + last]
-        if len(mats) == 1:
-            out = einsum("aaS->S", closing)
+    degs = [f.rank - 2 for f in mats]
+    forms = [m.data[(slice(None), slice(None)) + tuple(_keys(dim, d).T)]
+             for m, d in zip(mats, degs)]
+    chain, p = forms[0], degs[0]
+    if len(forms) == 1:
+        chain = einsum("aaK->K", chain)
+    for j in range(1, len(forms)):
+        s, t, sign = _split_index(dim, p, degs[j])
+        if j < len(forms) - 1:
+            even, odd = (einsum("abKm,bcKm->acK", chain[..., s[:, sign == v]],
+                                forms[j][..., t[:, sign == v]])
+                         for v in (1, -1))
+            chain = even - odd
         else:
-            chain = mats[0].data[mat + first]
-            for j, (xi, idx) in enumerate(steps, 1):
-                chain = einsum("abX,bcX->acX", chain[mat + (xi,)],
-                               mats[j].data[mat + idx])
-            out = einsum("abX,baS->XS", chain, closing)
-        acc = None
-        for sign, read in parts:
-            val = einsum("KA->K", out[read])
-            val = val if sign > 0 else -val
-            acc = val if acc is None else acc + val
-        for i, key in enumerate(keys[k0:k1]):
-            x = acc[i]
-            sums[key] = sums[key] + x if key in sums else x
-    comps = {}
-    for key, x in sums.items():
-        x = weight * x
-        if x:
-            comps[key] = x
-    return AltForm(dim, sum(degs), comps)
+            chain = einsum("Km,m->K", einsum("abKm,baKm->Km", chain[..., s],
+                                             forms[j][..., t]), sign)
+        p += degs[j]
+    return chain * Fraction(math.prod(map(math.factorial, degs)),
+                            math.factorial(p))
 
 
 def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
@@ -365,15 +257,19 @@ def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
 
     factors: one matrix-valued form per polynomial slot, valence
     (d, u, form...).  Returns the compressed alternating form of degree equal
-    to the total form degree.  Each cycle's form is kept on the stack, keyed
-    by its factors up to rotation, for every Phi on those factors.
+    to the total form degree.  The cycle forms of each term are joined by
+    the exterior product (``tensors._alt_product``) on their increasing
+    keys, and the terms summed there.  Each cycle's form is kept on the
+    stack, keyed by its factors up to rotation, for every Phi on those
+    factors.
     """
-    dim = stack.dim
-    total_deg = sum(f.rank - 2 for f in factors)
-    result = AltForm.zero(dim, total_deg)
+    dim, degree = stack.dim, sum(f.rank - 2 for f in factors)
+    if degree > dim:
+        return AltForm.zero(dim, degree)
     cache = stack._phi_cycles
+    total = None
     for c, sigma in phi.terms:
-        chain_form = None
+        term, p = None, 0
         for cyc in _cycles(sigma):
             ids = tuple(id(factors[a]) for a in cyc)
             key = min(ids[i:] + ids[:i] for i in range(len(ids)))
@@ -382,10 +278,13 @@ def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
                 # is reused while it lives
                 cache[key] = ([factors[a] for a in cyc],
                               _cycle_alt_form(factors, cyc, dim))
-            part = cache[key][1]
-            chain_form = part if chain_form is None else chain_form.alt_mul(part)
-        result = result.add(chain_form.scale(c))
-    return result
+            form, q = cache[key][1], sum(factors[a].rank - 2 for a in cyc)
+            term = form if term is None else _alt_product(dim, term, p,
+                                                          form, q)
+            p += q
+        term = term * c
+        total = term if total is None else total + term
+    return AltForm.from_rows(dim, degree, total)
 
 
 def star_p_phi_form(stack, phi: InvariantPolynomial,

@@ -475,7 +475,9 @@ class Dual:
         return self.inverse() * other
 
     def sqrt(self) -> "Dual":
-        r = self.re.sqrt() if isinstance(self.re, Jet) else math.sqrt(self.re)
+        r = self.re.sqrt() if isinstance(self.re, Jet) else \
+            exact_sqrt(self.re) if isinstance(self.re, Fraction) else \
+            math.sqrt(self.re)
         half = Fraction(1, 2)
         return Dual(r, half * self.im / r)
 

@@ -77,10 +77,11 @@ Each step dispatches on its operands' scalars alone:
 Generalized Kronecker deltas are never materialized inside a larger
 contraction.  ``gkd_contract`` reads each factor as a double form, its
 components at increasing tuples of down and of up indices, multiplies the
-factors by the exterior product on both sides (the split tables of
-``AltForm.alt_mul``) and reads the contraction off the product's entries,
-each step a field gather or an ``einsum``; ``generalized_delta``
-materializes the delta as an oracle.
+factors by the exterior product on both sides (the split tables
+``_split_index``, which the Phi-chain's matrix-valued forms and
+``AltForm.alt_mul`` also multiply through) and reads the contraction off
+the product's entries, each step a field gather or an ``einsum``;
+``generalized_delta`` materializes the delta as an oracle.
 """
 
 from __future__ import annotations
@@ -482,22 +483,23 @@ def contract_with(a: Tensor, b: Tensor, pairs) -> Tensor:
     return Tensor(a.dim, valence, arr)
 
 
-def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
-    """The (signed) average of t over the k! orderings of ``slots``.  A
-    tensor of Fractions is packed once and its k! transposes summed as
-    numerator arrays."""
+def antisymmetrize(t: Tensor, slots) -> Tensor:
+    """Projection onto the antisymmetric part over the listed slots: the
+    signed average of t over the k! orderings of ``slots``.  A tensor of
+    Fractions is packed once and its k! transposes summed as numerator
+    arrays."""
     slots = list(slots)
     if len(set(slots)) != len(slots):
-        raise SlotError("repeated slot in (anti)symmetrization list")
+        raise SlotError("repeated slot in antisymmetrization list")
     if len({t.valence[s] for s in slots}) > 1:
-        raise SlotError("(anti)symmetrization over mixed-variance slots")
+        raise SlotError("antisymmetrization over mixed-variance slots")
     k = math.factorial(len(slots))
     terms = []
     for perm, sign in signed_permutations(len(slots)):
         axes = list(range(t.rank))
         for pos, s in enumerate(slots):
             axes[s] = slots[perm[pos]]
-        terms.append((axes, signed and sign < 0))
+        terms.append((axes, sign < 0))
     f = RationalField.of(t.data)
     if f is not None:
         bound, (num,) = _numerators(lambda b: b * k, f)
@@ -516,16 +518,6 @@ def _permutation_average(t: Tensor, slots, signed: bool) -> Tensor:
             arr = -arr
         acc = arr if acc is None else acc + arr
     return Tensor(t.dim, t.valence, acc * Fraction(1, k))
-
-
-def antisymmetrize(t: Tensor, slots) -> Tensor:
-    """Projection onto the antisymmetric part over the listed slots."""
-    return _permutation_average(t, slots, signed=True)
-
-
-def symmetrize(t: Tensor, slots) -> Tensor:
-    """Projection onto the symmetric part over the listed slots."""
-    return _permutation_average(t, slots, signed=False)
 
 
 def generalized_delta(p: int, dim: int, ring) -> Tensor:
@@ -576,16 +568,34 @@ def _double_form(t: Tensor):
 
 @lru_cache(maxsize=None)
 def _split_index(dim: int, p: int, q: int) -> tuple:
-    """``_alt_mul_plan(dim, p, q)`` as arrays (s, t, sign): split m of the
-    product key K takes the p-key s[K, m] and the q-key t[K, m] (row numbers
-    in ``_keys``), with sign[m]."""
-    plan = _alt_mul_plan(dim, p, q)
-    at_p, at_q = _key_rows(dim, p), _key_rows(dim, q)
-    s = np.array([[at_p[x] for x, _, _ in splits] for _, splits in plan],
-                 dtype=np.intp)
-    t = np.array([[at_q[y] for _, y, _ in splits] for _, splits in plan],
-                 dtype=np.intp)
-    return s, t, np.array([sign for _, _, sign in plan[0][1]])
+    """(s, t, sign), the exterior product of a p-form and a q-form on
+    increasing keys: split m of the (p + q)-key K (row K of ``_keys``)
+    takes the p indices at the positions of split m as the p-key s[K, m]
+    and the rest as the q-key t[K, m] (rows of ``_keys``), with sign[m],
+    the sign of the permutation that sorts the two into K."""
+    splits = [(x, tuple(i for i in range(p + q) if i not in x))
+              for x in itertools.combinations(range(p + q), p)]
+    keys = list(itertools.combinations(range(dim), p + q))
+
+    def rows(side, d):
+        at = _key_rows(dim, d)
+        return np.array([[at[tuple(k[i] for i in x[side])] for x in splits]
+                         for k in keys], dtype=np.intp).reshape(
+                             len(keys), len(splits))
+
+    return rows(0, p), rows(1, q), np.array([perm_sign(x + y)
+                                             for x, y in splits])
+
+
+def _alt_product(dim: int, x, p: int, y, q: int):
+    """Alt(x (x) y) of the forms x and y of degrees p and q, each an object
+    array or a field of its components at the increasing keys (``_keys``
+    rows): component K sums sign x[S] y[T] over the splits (S, T) of K,
+    times p! q! / (p + q)!."""
+    s, t, sign = _split_index(dim, p, q)
+    return einsum("Km,m->K", einsum("Km,Km->Km", x[s], y[t]), sign) \
+        * Fraction(math.factorial(p) * math.factorial(q),
+                   math.factorial(p + q))
 
 
 @lru_cache(maxsize=None)
@@ -671,7 +681,7 @@ def gkd_contract(factors, ring, *, free=(), coeff=Fraction(1)) -> Tensor:
     Antisymmetrizing the product on both sides is all the delta does, so
     the result is prod(a! b!) over the factors times a signed sum of
     entries of x_1 ^ ... ^ x_k, the exterior product on both sides with the
-    split tables of ``AltForm.alt_mul``: the diagonal (U, U) of each
+    split tables ``_split_index``: the diagonal (U, U) of each
     increasing p-key U, or (U, U - i) and (U - j, U - i) (``_readout``).
     The factors are multiplied as two halves, each computed in full
     (``_product``), and the halves at those entries only.
@@ -832,23 +842,6 @@ def is_zero_tensor(t: Tensor) -> bool:
 # -- compressed alternating forms ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _alt_mul_plan(dim: int, p: int, q: int) -> tuple:
-    """(key, splits) for every increasing key of p + q indices: each split
-    (s, t, sign) takes the p indices s and the q indices t of the key, both
-    increasing, with the sign of the permutation that sorts s + t."""
-    splits = []
-    for spos in itertools.combinations(range(p + q), p):
-        tpos = tuple(i for i in range(p + q) if i not in spos)
-        order = spos + tpos
-        splits.append((spos, tpos, perm_sign(tuple(sorted(
-            range(p + q), key=lambda i: order[i])))))
-    return tuple((idx, tuple((tuple(idx[i] for i in s),
-                              tuple(idx[i] for i in t), sign)
-                             for s, t, sign in splits))
-                 for idx in itertools.combinations(range(dim), p + q))
-
-
 class AltForm:
     """Antisymmetric all-down form stored on strictly increasing index tuples."""
 
@@ -860,6 +853,26 @@ class AltForm:
     @classmethod
     def zero(cls, dim, degree) -> "AltForm":
         return cls(dim, degree, {})
+
+    @classmethod
+    def from_rows(cls, dim, degree, data) -> "AltForm":
+        """The form whose components at the increasing keys (``_keys``
+        rows) are ``data``, an object array or a field, read one key at a
+        time; zeros are left out."""
+        comps = {}
+        for i, key in enumerate(itertools.combinations(range(dim), degree)):
+            x = data[i]
+            if x:
+                comps[key] = x
+        return cls(dim, degree, comps)
+
+    def rows(self) -> np.ndarray:
+        """The components at the increasing keys, in ``_keys`` order, as an
+        object array: 0 where the form holds none."""
+        return np.fromiter(
+            (self.comps.get(key, 0) for key in
+             itertools.combinations(range(self.dim), self.degree)),
+            dtype=object, count=math.comb(self.dim, self.degree))
 
     def to_tensor(self, ring) -> Tensor:
         t = zeros(self.dim, ("d",) * self.degree, ring)
@@ -876,12 +889,6 @@ class AltForm:
         rel = tuple(order.index(i) for i in idx)
         return self.comps[order] if perm_sign(rel) > 0 else -self.comps[order]
 
-    def add(self, other: "AltForm") -> "AltForm":
-        comps = dict(self.comps)
-        for idx, x in other.comps.items():
-            comps[idx] = comps[idx] + x if idx in comps else x
-        return AltForm(self.dim, self.degree, comps)
-
     def scale(self, s) -> "AltForm":
         return AltForm(self.dim, self.degree,
                        {i: s * x for i, x in self.comps.items()})
@@ -889,23 +896,7 @@ class AltForm:
     def alt_mul(self, other: "AltForm") -> "AltForm":
         """Plain antisymmetrization Alt(self (x) other); associative."""
         p, q = self.degree, other.degree
-        w = Fraction(math.factorial(p) * math.factorial(q),
-                     math.factorial(p + q))
-        comps = {}
-        for idx, splits in _alt_mul_plan(self.dim, p, q):
-            acc = None
-            for sset, tset, sign in splits:
-                if sset not in self.comps or tset not in other.comps:
-                    continue
-                term = self.comps[sset] * other.comps[tset]
-                if sign < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                comps[idx] = w * acc
-        return AltForm(self.dim, p + q, comps)
-
-    def max_abs(self) -> float:
-        if not self.comps:
-            return 0.0
-        return max(abs(scalar_float(x)) for x in self.comps.values())
+        if p + q > self.dim:
+            return AltForm.zero(self.dim, p + q)
+        return AltForm.from_rows(self.dim, p + q, _alt_product(
+            self.dim, self.rows(), p, other.rows(), q))

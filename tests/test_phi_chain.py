@@ -1,11 +1,12 @@
-"""The batched Phi-cycle contraction against the per-assignment loop, kept
-here as the reference, on every scalar kind and cycle shape the Phi-chain
-meets.
+"""The Phi-chain, matrix products over the exterior algebra, against the
+per-assignment loop, kept here as the reference, on every scalar kind and
+cycle shape the Phi-chain meets.
 
 ``reference_cycle_alt_form`` is that loop: one contraction per (key,
-assignment) pair on views of the factors.  The batched code sums in its own
-order, so exact kinds must agree exactly and float kinds to 1e-13 of the
-largest coefficient, with the same per-component ``valid`` orders.
+assignment) pair on views of the factors.  ``reference_phi_chain_form``
+joins its cycle forms one component pair at a time.  The engine sums in
+its own order, so exact kinds must agree exactly and float kinds to 1e-13
+of the largest coefficient, with the same per-component ``valid`` orders.
 """
 
 import itertools
@@ -72,15 +73,55 @@ def reference_cycle_alt_form(factors, cycle, dim) -> AltForm:
     return AltForm(dim, total, comps)
 
 
+def reference_alt_mul(x: AltForm, y: AltForm) -> AltForm:
+    """Alt(x (x) y) one component pair at a time: for every key, the signed
+    products over its splits into increasing groups of x's and y's degree,
+    skipping components a form does not hold, times p! q! / (p + q)!."""
+    p, q = x.degree, y.degree
+    w = Fraction(math.factorial(p) * math.factorial(q), math.factorial(p + q))
+    comps = {}
+    for key in itertools.combinations(range(x.dim), p + q):
+        acc = None
+        for (s, t), sign in _assignments(key, (p, q)):
+            if s in x.comps and t in y.comps:
+                term = x.comps[s] * y.comps[t]
+                term = term if sign > 0 else -term
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            comps[key] = w * acc
+    return AltForm(x.dim, p + q, comps)
+
+
+def reference_phi_chain_form(stack, phi, factors) -> AltForm:
+    """The Phi-chain form from the per-assignment cycle forms, joined by
+    ``reference_alt_mul`` and summed per key; zeros are left out."""
+    total = {}
+    for c, sigma in phi.terms:
+        term = None
+        for cyc in inv._cycles(sigma):
+            part = reference_cycle_alt_form(factors, cyc, stack.dim)
+            term = part if term is None else reference_alt_mul(term, part)
+        for key, x in term.comps.items():
+            total[key] = total[key] + c * x if key in total else c * x
+    return AltForm(stack.dim, sum(f.rank - 2 for f in factors),
+                   {key: x for key, x in total.items() if x})
+
+
 @contextmanager
 def per_assignment():
-    with mock.patch.object(inv, "_cycle_alt_form", reference_cycle_alt_form):
+    with mock.patch.object(inv, "_phi_chain_form", reference_phi_chain_form):
         yield
 
 
-def batched_and_reference(fn, stack, *args):
-    """fn batched and by the per-assignment loop, each from an empty cycle
-    cache on the stack, which is left empty."""
+def phi_chain_form(stack, phi, factors) -> AltForm:
+    """``invariants._phi_chain_form`` looked up at each call, so that
+    ``per_assignment`` reaches it."""
+    return inv._phi_chain_form(stack, phi, factors)
+
+
+def engine_and_reference(fn, stack, *args):
+    """fn by the engine and by the per-assignment loop, each from an empty
+    cycle cache on the stack, which is left empty."""
     try:
         stack._phi_cycles.clear()
         got = fn(stack, *args)
@@ -139,10 +180,10 @@ def test_exact_berger_frames(t, berger4_stack):
     st = berger4_stack if t == 4 else berger_product(t).stack
     phi = InvariantPolynomial.pair_swap()
     for fn in (phi_w_c_form, star_p_phi_form):
-        got, ref = batched_and_reference(fn, st, phi)
+        got, ref = engine_and_reference(fn, st, phi)
         assert_exact_equal(got, ref)
         assert all(type(x) is Fraction for x in got.comps.values())
-    got, ref = batched_and_reference(rho_phi, st, phi)
+    got, ref = engine_and_reference(rho_phi, st, phi)
     assert [type(x) for x in got.components.a] == [Fraction] * 4
     assert list(got.components.a) == list(ref.components.a)
 
@@ -153,8 +194,8 @@ def test_exact_jet_charts(s4_exact, cp2_exact):
     Weyl tensor is not zero."""
     phi = InvariantPolynomial.pair_swap()
     for fn in (phi_w_c_form, star_p_phi_form):
-        assert_exact_equal(*batched_and_reference(fn, s4_exact.stack, phi))
-    got, ref = batched_and_reference(star_p_phi_form, cp2_exact.stack, phi)
+        assert_exact_equal(*engine_and_reference(fn, s4_exact.stack, phi))
+    got, ref = engine_and_reference(star_p_phi_form, cp2_exact.stack, phi)
     assert got.comps
     assert_exact_equal(got, ref)
 
@@ -170,7 +211,7 @@ def test_exact_jet_charts(s4_exact, cp2_exact):
 def test_float_random_charts(chart, phi, request):
     st = request.getfixturevalue(chart).stack
     for fn in (phi_w_c_form, star_p_phi_form):
-        got, ref = batched_and_reference(fn, st, phi)
+        got, ref = engine_and_reference(fn, st, phi)
         assert got.comps
         assert_float_close(got, ref)
 
@@ -181,10 +222,10 @@ def test_dual_context_of_linearize(chart4):
     st = _dual_context(chart4, ups.field(chart4)).stack
     phi = InvariantPolynomial.pair_swap()
     for fn in (phi_w_c_form, star_p_phi_form):
-        got, ref = batched_and_reference(fn, st, phi)
+        got, ref = engine_and_reference(fn, st, phi)
         assert all(isinstance(x, Dual) for x in got.comps.values())
         assert_float_close(got, ref)
-    got, ref = batched_and_reference(rho_phi, st, phi)
+    got, ref = engine_and_reference(rho_phi, st, phi)
     for x, y in zip(got.components.a, ref.components.a):
         for a, b in zip(_jets(x), _jets(y), strict=True):
             assert a.valid == b.valid
@@ -266,7 +307,9 @@ def _random_factor(kind: str, dim: int, rank: int, rng) -> Tensor:
     InvariantPolynomial.pair_swap(),    # one 2-cycle
     IDENTITY_2,                         # two 1-cycles
     _cyclic(3),                         # 3-cycles: one middle factor
-], ids=["pair_swap", "identity2", "cyclic3"])
+    # a 1-cycle and a 2-cycle: forms of unequal degree joined
+    InvariantPolynomial(3, [(Fraction(1), Permutation((0, 2, 1)))]),
+], ids=["pair_swap", "identity2", "cyclic3", "cycles12"])
 def test_cycle_shapes_on_random_factors(kind, phi):
     rng = np.random.default_rng(7)
     dim = 5
@@ -277,22 +320,50 @@ def test_cycle_shapes_on_random_factors(kind, phi):
         else assert_float_close
     k = phi.degree
     for factors in [[C] + [W] * (k - 1)] + [[W] * k] * (2 * k <= dim):
-        got, ref = batched_and_reference(inv._phi_chain_form, stub, phi,
-                                         factors)
+        got, ref = engine_and_reference(phi_chain_form, stub, phi, factors)
         assert got.comps
         compare(got, ref)
 
 
+@pytest.mark.parametrize("kind", ["fraction", "float-jet", "dual",
+                                  "exact-jet"])
+def test_three_cycle_of_distinct_factors(kind):
+    """tr(C W V) for three different random factors: the chain multiplies
+    in cycle order.  A symmetrized Phi sums both orientations of a 3-cycle,
+    so this reads the cycle form itself."""
+    rng = np.random.default_rng(9)
+    dim = 5
+    factors = [_random_factor(kind, dim, rank, rng) for rank in (3, 4, 4)]
+    compare = assert_exact_equal if kind in ("fraction", "exact-jet") \
+        else assert_float_close
+    got = AltForm.from_rows(dim, 5, inv._cycle_alt_form(factors, (0, 1, 2),
+                                                        dim))
+    assert got.comps
+    compare(got, reference_cycle_alt_form(factors, (0, 1, 2), dim))
+
+
 def test_four_cycle_at_n8():
     """tr w^4 at n = 8: 2,520 assignments of one key for four 2-forms and
-    630 for each of 8 keys with a 1-form first, so both split into
-    pieces, within a key and across keys."""
+    630 for each of 8 keys with a 1-form first."""
     rng = np.random.default_rng(8)
     C = _random_factor("fraction", 8, 3, rng)
     W = _random_factor("fraction", 8, 4, rng)
     for factors in ([W] * 4, [C, W, W, W]):
-        _, pieces = inv._cycle_plan(8, tuple(f.rank - 2 for f in factors))
-        assert len(pieces) > 1
-        got = inv._cycle_alt_form(factors, (0, 1, 2, 3), 8)
+        total = sum(f.rank - 2 for f in factors)
+        got = AltForm.from_rows(8, total, inv._cycle_alt_form(
+            factors, (0, 1, 2, 3), 8))
         assert_exact_equal(got, reference_cycle_alt_form(factors,
                                                          (0, 1, 2, 3), 8))
+
+
+def test_degree_above_dimension_is_zero():
+    """A Phi-chain, or a product of forms, of degree above the dimension is
+    the zero form."""
+    rng = np.random.default_rng(10)
+    C = _random_factor("float-jet", 4, 3, rng)
+    W = _random_factor("float-jet", 4, 4, rng)
+    stub = SimpleNamespace(dim=4, _phi_cycles={})
+    form = inv._phi_chain_form(stub, _cyclic(3), [C, W, W])
+    assert (form.degree, form.comps) == (5, {})
+    x = AltForm(3, 2, {(0, 1): Fraction(1)})
+    assert x.alt_mul(x).comps == {}

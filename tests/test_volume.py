@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from curvlab import invariants
-from curvlab.conformal import ConformalFactor, clone_context, linearize
+from curvlab.conformal import (ConformalFactor, _dual_context,
+                               clone_context, linearize)
 from curvlab.errors import DimensionError
 from curvlab.geometry import ChartContext, FrameContext
+from curvlab.jets import Dual
 from curvlab.invariants import InvariantPolynomial, p_phi_scalar, rho_phi
 from curvlab.models import random_chart, random_conformal_factor
 from curvlab.polys import RationalFunc
@@ -116,6 +118,22 @@ class TestVolumePair:
         flipped = clone_context(berger4, berger4.metric)
         flipped.orientation = -berger4.orientation
         assert flipped.volume == (-volume[0], -volume[1])
+
+    def test_dual_volume_over_an_exact_frame(self, berger4):
+        """sqrt|det| of g + eps (2/3) g on the Berger product at t = 4 stays
+        rational: det g = 4 and det grows by 1 + eps 4 (2/3)."""
+        volume = _dual_context(berger4, Fraction(1, 3)).volume
+        parts = [(v.re, v.im) for v in volume]
+        assert all(isinstance(v, Dual) for v in volume)
+        assert parts == [(2, Fraction(8, 3)), (Fraction(1, 2), Fraction(-2, 3))]
+        assert all(type(x) is Fraction for p in parts for x in p)
+
+    def test_exact_linearization_keeps_fractions(self, berger4):
+        """rho^Phi linearized on the exact Berger product runs in
+        Fractions throughout, down to its components."""
+        lin = linearize(berger4, "rho_phi", ConformalFactor.const(
+            Fraction(1, 3)))
+        assert all(type(x) is Fraction for x in lin.field.a.flat)
 
 
 def _flipped_chart(ctx, exact):
