@@ -35,8 +35,8 @@ from .jets import (Dual, Jet, JetAlgebra, field_partial, field_value,
                    newton_caps, scalar_float)
 from .polys import Poly, RationalFunc, taylor_jet
 from .scalars import FLOAT, RATIONAL, Ring, exact_sqrt
-from .fields import (_INT64_BOUND, _LETTERS, JetField, RationalField,
-                     _float_jet_einsum, _top)
+from .fields import _LETTERS, JetField, _float_jet_einsum
+from .rationals import _INT64_BOUND, RationalField, _top, entries_array
 from .tensors import Tensor, contract, einsum, lower_slot, raise_slot
 
 
@@ -348,16 +348,11 @@ class FrameContext(GeometryContext):
         self.var_of_direction = [None] * dim
         self.var_base_point = ()
         self.meta = {"name": name}
-        c = np.empty((dim, dim, dim), dtype=object)
-        c[...] = ring.zero()
-        for (e, a, b), val in structure_constants.items():
-            c[e, a, b] = val
-        g = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                g[i, j] = metric_entries[i][j]
-        self.structure = RationalField.pack(c) or c
-        self.metric = Tensor(dim, ("d", "d"), g).pack()
+        self.structure = entries_array((dim,) * 3, structure_constants,
+                                       ring.zero())
+        self.metric = Tensor(dim, ("d", "d"), entries_array(
+            (dim, dim), {(i, j): metric_entries[i][j] for i in range(dim)
+                         for j in range(dim)})).pack()
         self._validate()
 
     def _validate(self):
@@ -373,7 +368,8 @@ class FrameContext(GeometryContext):
         if (c + c.transpose(0, 2, 1)).any():
             raise ValueError("structure constants not antisymmetric")
         # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
-        m = np.einsum("ead,dbf->eabf", c, c)
+        m = np.matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape(
+            (n,) * 4)
         if (m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).any():
             raise ValueError("Jacobi identity fails")
         if (g != g.transpose()).any():
@@ -844,8 +840,12 @@ class CurvatureStack:
         return t - self.ctx.metric.scale(tr * Fraction(1, self.ctx.dim))
 
     def grad_scalar(self, s) -> Tensor:
-        """grad_i f for a scalar field."""
+        """grad_i f for a scalar field; on a frame, the packed zero of a
+        Fraction."""
         n = self.ctx.dim
+        if type(s) is Fraction and self.ctx.is_homogeneous:
+            zero = RationalField(np.zeros(n, np.int64), 1, 1)
+            return Tensor(n, ("d",), zero)
         out = np.empty((n,), dtype=object)
         for a in range(n):
             out[a] = self.ctx.partial(s, a)

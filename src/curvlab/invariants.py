@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, SlotError
 from .tensors import (AltForm, Permutation, Tensor, _alt_product, _keys,
-                      _split_index, contract, einsum, gkd_contract,
-                      lower_slot, raise_slot, signed_permutations)
+                      _split_index, contract, contract_with, einsum,
+                      gkd_contract, lower_slot, raise_slot,
+                      signed_permutations)
 
 
 @dataclass(frozen=True)
@@ -36,23 +38,15 @@ class InvariantPolynomial:
     Each term (c, sigma) contributes c * prod_{cycles (a1..am) of sigma}
     tr(A_{a1} A_{a2} .. A_{am}) when evaluated on matrices A_1..A_k.  The
     constructor symmetrizes over relabelings so the index form is
-    S_k-invariant.
+    S_k-invariant; ``terms`` is a tuple of (c, sigma) pairs, shared by every
+    polynomial built from the same degree and terms.
     """
 
     def __init__(self, degree: int, terms):
         self.degree = degree
-        acc: dict = {}
-        fact = math.factorial(degree)
-        for c, sigma in terms:
-            sigma = sigma if isinstance(sigma, Permutation) \
-                else Permutation(sigma)
-            for tau, _ in signed_permutations(degree):
-                tau = Permutation(tau)
-                conj = tau.compose(sigma).compose(tau.inverse())
-                acc[conj.images] = acc.get(conj.images, Fraction(0)) + \
-                    Fraction(c) / fact
-        self.terms = [(c, Permutation(images)) for images, c in acc.items()
-                      if c]
+        self.terms = _symmetrized(degree, tuple(
+            (Fraction(c), tuple(sigma.images if isinstance(sigma, Permutation)
+                                else sigma)) for c, sigma in terms))
 
     @classmethod
     def pair_swap(cls) -> "InvariantPolynomial":
@@ -69,6 +63,22 @@ class InvariantPolynomial:
 
     def __repr__(self):
         return f"InvariantPolynomial(deg={self.degree}, {len(self.terms)} terms)"
+
+
+@lru_cache(maxsize=None)
+def _symmetrized(degree: int, terms: tuple) -> tuple:
+    """The terms (c, images) averaged over conjugation by S_degree, as
+    ((c, Permutation), ...) in the order the conjugates first appear, zero
+    coefficients dropped."""
+    acc: dict = {}
+    fact = math.factorial(degree)
+    for c, images in terms:
+        sigma = Permutation(images)
+        for tau, _ in signed_permutations(degree):
+            tau = Permutation(tau)
+            conj = tau.compose(sigma).compose(tau.inverse())
+            acc[conj.images] = acc.get(conj.images, Fraction(0)) + c / fact
+    return tuple((c, Permutation(images)) for images, c in acc.items() if c)
 
 
 def _cycles(sigma: Permutation):
@@ -386,5 +396,5 @@ def functional_density(ctx, omega: WeightedOneForm, X: Tensor):
             "functional density needs a homogeneous (frame) context")
     if X.valence != ("u",):
         raise SlotError("X must be a vector (valence 'u')")
-    val = contract(omega.components.tp(X), [(1, 0)]).item()
+    val = contract_with(omega.components, X, [(0, 0)]).item()
     return ctx.point_value(val)

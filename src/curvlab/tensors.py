@@ -4,7 +4,7 @@ Components are over one scalar kind (Fraction, float, Jet, or Dual).
 Slot order is storage order; valence is a tuple of 'u'/'d' flags.
 
 Storage.  A ``Tensor`` holds its components as a numpy object array or
-packed in a field (``curvlab.fields``):
+packed in a field (``curvlab.fields`` and ``curvlab.rationals``):
 
 - float jets of one ``JetAlgebra`` and Duals over them in a ``JetField``:
   one float coefficient array with the coefficient axis leading,
@@ -57,7 +57,9 @@ Each step dispatches on its operands' scalars alone:
   output's ``valid`` the min over the components summed into it.
 - One or two ``RationalField`` operands, or two object arrays of Fractions
   alone (packed for the call, the result unpacked), contract their
-  numerators over the product of the denominators: one ``np.matmul`` on
+  numerators over the product of the denominators (``_rational_einsum``,
+  the one kernel a step with a ``RationalField`` operand reaches; an int
+  ndarray beside one is a constant, numerators over 1): one ``np.matmul`` on
   int64 from a plan cached per (spec, shapes), ``np.einsum`` for other
   steps.  It runs on int64 when the product of the operands' bounds on
   |numerator| times the product of the extents of the summed letters is
@@ -65,8 +67,8 @@ Each step dispatches on its operands' scalars alone:
   otherwise; sums, differences and scalings prove their bound the same way
   (``RationalField`` says how the bounds propagate).  Either way the result
   is exact and reduced once.
-- A packed operand and an int ndarray, a constant such as a sign vector,
-  contract the coefficients or numerators with the constant
+- A packed float-jet operand and an int ndarray, a constant such as a
+  sign vector, contract the coefficients with the constant
   (``_constant_einsum``), each output's ``valid`` the min over the
   components summed into it.
 - Any other step (exact jets, plain floats, arrays that mix kinds or mix
@@ -94,10 +96,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ScalarKindError, SlotError
-from .fields import (_LETTERS, JetField, RationalField, _constant_einsum,
-                     _Field, _field_einsum1, _float_jet_einsum, _numerators,
-                     _object_array, _pack, _rational_einsum)
+from .fields import (_LETTERS, JetField, _constant_einsum, _Field,
+                     _field_einsum1, _float_jet_einsum, _object_array)
 from .jets import Dual, Jet, field_value, scalar_float
+from .rationals import RationalField, _numerators, _rational_einsum
+
+# every valence up to rank 8; a longer one is checked slot by slot
+_VALENCES = frozenset(v for r in range(9)
+                      for v in itertools.product("ud", repeat=r))
 
 
 def kind_of(x) -> str:
@@ -132,7 +138,8 @@ class Tensor:
 
     def __init__(self, dim: int, valence, a):
         valence = tuple(valence)
-        if any(v not in ("u", "d") for v in valence):
+        if valence not in _VALENCES \
+                and any(v not in ("u", "d") for v in valence):
             raise SlotError(f"bad valence {valence}")
         if a.shape != (dim,) * len(valence):
             raise SlotError(f"component shape {a.shape} does not match "
@@ -164,7 +171,7 @@ class Tensor:
         tensor itself."""
         if self.field is not None:
             return self
-        f = _pack(self._a)
+        f = JetField.pack(self._a) or RationalField.pack(self._a)
         return self if f is None else Tensor(self.dim, self.valence, f)
 
     # -- construction --------------------------------------------------------
@@ -306,12 +313,20 @@ def einsum(spec: str, *operands):
     The result is a field when an operand is one and the step ran packed,
     else an object ndarray (never a bare scalar).  Three or more operands
     run pairwise along numpy's greedy plan, with every intermediate kept as
-    an array.  A two-operand step with an explicit ``->`` output runs
-    ``_constant_einsum`` on a field and an int ndarray, the dense kernel
-    ``_float_jet_einsum`` on float jets (or ``Dual`` numbers over them) and
-    the numerator contraction ``_rational_einsum`` on Fractions; a
-    one-operand step on a field sums its coefficients
-    (``_field_einsum1``) or numerators; any other step is
+    an array.  Each step with an explicit ``->`` output goes to one kernel,
+    chosen by its operands' kinds:
+
+    - a ``RationalField`` among them: ``_rational_einsum``, the other
+      operand a field, an object array of Fractions or an int ndarray (a
+      constant), and no other kernel is tried;
+    - two operands, neither a ``RationalField``: ``_constant_einsum`` for a
+      float-jet field and an int ndarray, else the dense kernel
+      ``_float_jet_einsum`` for float jets (or ``Dual`` numbers over them),
+      else ``_rational_einsum`` for two object arrays of Fractions (packed
+      for the call, the result unpacked);
+    - one ``JetField``: ``_field_einsum1`` sums its coefficients.
+
+    Any other step, or one whose kernel declines its operands, is
     ``np.einsum(..., optimize=True)`` on the objects themselves.
     """
     if len(operands) < 3:
@@ -324,22 +339,23 @@ def einsum(spec: str, *operands):
 
 
 def _einsum_step(spec: str, *ops):
-    packed = any(isinstance(x, _Field) for x in ops)
     if "->" in spec and "." not in spec:
-        if len(ops) == 2:
+        if RationalField in map(type, ops):
+            out = _rational_einsum(spec, *ops)
+            if out is not None:
+                return out
+        elif len(ops) == 2:
             out = _constant_einsum(spec, *ops)
             if out is None:
                 out = _float_jet_einsum(spec, *ops)
             if out is None:
                 out = _rational_einsum(spec, *ops)
             if out is not None:
-                return out if packed else out.unpack()
-        elif packed:
-            if isinstance(ops[0], JetField):
-                return _field_einsum1(spec, ops[0])
-            return _rational_einsum(spec, ops[0])
-    if packed:
-        ops = [x.unpack() if isinstance(x, _Field) else x for x in ops]
+                return out if any(isinstance(x, _Field) for x in ops) \
+                    else out.unpack()
+        elif isinstance(ops[0], JetField):
+            return _field_einsum1(spec, ops[0])
+    ops = [x.unpack() if isinstance(x, _Field) else x for x in ops]
     return _object_array(np.einsum(spec, *ops, optimize=True))
 
 

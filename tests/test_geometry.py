@@ -11,7 +11,8 @@ from curvlab.conformal import (ConformalFactor, _dual_context, clone_context,
                                linearize)
 from curvlab.errors import (ConfigError, DegenerateMetricError,
                             DimensionError, JetOrderError, ScalarKindError)
-from curvlab.fields import JetField, RationalField, _top
+from curvlab.fields import JetField
+from curvlab.rationals import RationalField, _top
 from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
                               cotton, bach, dual_ring, kulkarni_nomizu_pg,
                               product)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -99,7 +100,61 @@ class TestXi:
             xi_k(st, 2)
 
 
+def uncached_symmetrization(degree, terms):
+    """Oracle: each term (c, sigma) averaged over its conjugates tau sigma
+    tau^-1, tau running over S_degree in lexicographic order, as [(c,
+    images)] in the order the conjugates first appear, zeros dropped."""
+    acc = {}
+    for c, sigma in terms:
+        for tau in itertools.permutations(range(degree)):
+            conj = [0] * degree
+            for i in range(degree):     # conj(tau(i)) = tau(sigma(i))
+                conj[tau[i]] = tau[sigma[i]]
+            key = tuple(conj)
+            acc[key] = acc.get(key, 0) + Fraction(c) / math.factorial(degree)
+    return [(c, images) for images, c in acc.items() if c]
+
+
 class TestInvariantPolynomial:
+    @pytest.mark.parametrize("degree, terms", [
+        (2, [(Fraction(1, 2), (1, 0))]),            # pair_swap
+        (2, [(Fraction(1), (1, 0))]),               # trace_power(1)
+        (4, [(Fraction(1), (1, 0, 3, 2))]),         # trace_power(2)
+        (3, [(Fraction(1), (1, 2, 0))]),            # a 3-cycle
+        (3, [(Fraction(2), (1, 2, 0)), (Fraction(-1, 3), (0, 2, 1))]),
+    ])
+    def test_cached_symmetrization_matches_the_loop(self, degree, terms):
+        """The cached S_k average gives the loop's terms, in its order, as
+        a tuple shared by every polynomial of the same degree and terms."""
+        phi = InvariantPolynomial(degree, [(c, Permutation(images))
+                                           for c, images in terms])
+        got = [(c, sigma.images) for c, sigma in phi.terms]
+        assert got == uncached_symmetrization(degree, terms)
+        assert InvariantPolynomial(degree, terms).terms is phi.terms
+
+    @pytest.mark.parametrize("make, c, images", [
+        (InvariantPolynomial.pair_swap, Fraction(1, 2), (1, 0)),
+        (lambda: InvariantPolynomial.trace_power(1), Fraction(1), (1, 0)),
+        (lambda: InvariantPolynomial.trace_power(2), Fraction(1),
+         (1, 0, 3, 2)),
+    ])
+    def test_named_polynomials_match_the_loop(self, make, c, images):
+        phi = make()
+        assert [(x, s.images) for x, s in phi.terms] == \
+            uncached_symmetrization(len(images), [(c, images)])
+        assert make().terms is phi.terms
+
+    def test_terms_cannot_be_mutated(self):
+        phi = InvariantPolynomial.pair_swap()
+        with pytest.raises(TypeError):
+            phi.terms[0] = (Fraction(1), Permutation((0, 1)))
+        with pytest.raises(AttributeError):
+            phi.terms.append((Fraction(1), Permutation((0, 1))))
+        with pytest.raises(TypeError):
+            phi.terms[0][0] = Fraction(3)
+        assert InvariantPolynomial.pair_swap().terms == \
+            ((Fraction(1, 2), Permutation((1, 0))),)
+
     def test_pair_swap_evaluates_to_half_trace_square(self):
         phi = InvariantPolynomial.pair_swap()
         rng = np.random.default_rng(0)

@@ -23,8 +23,9 @@ from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              max_abs, perm_sign, raise_slot,
                              residual, signed_permutations, tensors_equal,
                              zeros)
-from curvlab import fields
-from curvlab.fields import JetField, RationalField, _rational_einsum
+from curvlab import fields, rationals, tensors
+from curvlab.fields import JetField
+from curvlab.rationals import RationalField, _rational_einsum
 
 
 def diag_ctx(n, diag):
@@ -671,6 +672,64 @@ class TestEinsumKernel:
         for x, y in zip(got.flat, ref.flat):
             assert x.valid == y.valid and np.array_equal(x.c, y.c)
 
+
+def dispatch_operands(spec, kinds, rng):
+    """The operands of ``spec`` at extent 3 of one kind pair, each as
+    ``einsum`` takes it and as numpy's object einsum takes it."""
+    alg = JetAlgebra.get(2, 3)
+    out = []
+    for shape, kind in zip(operand_shapes(spec, 3), kinds.split("-")):
+        if kind == "int":
+            k = rng.integers(-3, 4, size=shape)
+            out.append((k, k))
+        elif kind == "jet":
+            a = random_jets(alg, shape, rng, "jet")
+            out.append((JetField.pack(a), a))
+        else:
+            a = random_fractions(shape, rng)
+            out.append((RationalField.pack(a) if kind == "rational" else a,
+                        a))
+    return out
+
+
+class TestDispatch:
+    """Each ``einsum`` step reaches one kernel, chosen by its operands'
+    kinds, and gives the values numpy's object einsum gives."""
+
+    @pytest.mark.parametrize("spec", [
+        "ab,bc->ac", "abcd,de->abce", "abc,c->ab", "c,abc->ab", "ab,ab->",
+        "a,b->ab", "abb,bc->ac"])
+    @pytest.mark.parametrize("kinds", [
+        "rational-rational", "rational-int", "int-rational",
+        "rational-object", "jet-jet", "object-object"])
+    def test_kernel_by_operand_kind(self, spec, kinds):
+        rng = np.random.default_rng(17)
+        (a, ra), (b, rb) = dispatch_operands(spec, kinds, rng)
+        spies = {name: mock.patch.object(tensors, name,
+                                         wraps=getattr(tensors, name))
+                 for name in ("_rational_einsum", "_float_jet_einsum",
+                              "_constant_einsum")}
+        with spies["_rational_einsum"] as rat, \
+                spies["_float_jet_einsum"] as jet, \
+                spies["_constant_einsum"] as const:
+            got = einsum(spec, a, b)
+        ref = np.asarray(np.einsum(spec, ra, rb, optimize=False),
+                         dtype=object)
+        if "rational" in kinds:
+            # straight to the rational kernel, once, with no probe
+            assert (rat.call_count, jet.call_count, const.call_count) == \
+                (1, 0, 0)
+            assert isinstance(got, RationalField)
+        if kinds == "jet-jet":
+            assert isinstance(got, JetField) and rat.call_count == 0
+            for x, y in zip(got.unpack().flat, ref.flat):
+                assert_jets_close(x, y)
+        else:
+            assert_fractions_equal(got, ref)
+            if kinds == "object-object":
+                assert isinstance(got, np.ndarray)
+
+
 @st.composite
 def one_operand_specs(draw):
     """Explicit one-operand specs of rank <= 4: transposes, diagonals and
@@ -1085,8 +1144,8 @@ def assert_canonical(f):
     assert isinstance(f, RationalField) and f.den > 0
     assert math.gcd(f.den, *nums) == 1
     assert (f.num.dtype == np.int64) == (max(map(abs, nums)) < 2 ** 63)
-    assert fields._top(f.num) == max(map(abs, nums))
-    assert f.bound >= max(fields._top(f.num), 1)
+    assert rationals._top(f.num) == max(map(abs, nums))
+    assert f.bound >= max(rationals._top(f.num), 1)
 
 
 def loosened(f: RationalField) -> RationalField:
@@ -1191,7 +1250,8 @@ class TestRationalField:
         assert_fractions_equal(row, a[1, :])
         assert f[0, 1] == Fraction(1, 3) and type(f[0, 1]) is Fraction
         zero = f * 0
-        assert (zero.den, fields._top(zero.num)) == (1, 0)
+        assert (zero.den, rationals._top(zero.num)) == (1, 0)
+        assert (zero.bound, zero.num.dtype) == (1, np.int64)
         t = Tensor(2, ("d", "d"), f)
         with no_rational_unpacking():
             s = contract(Tensor(2, ("u", "d"), f), [(0, 1)])
@@ -1279,18 +1339,19 @@ class TestRationalField:
     @given(st.integers(0, 50), st.integers(0, 10 ** 6))
     @example(bits=14, seed=3)
     @example(bits=48, seed=5)
+    @example(bits=50, seed=1562)        # q = 0 on Python-int numerators
     def test_bound_after_every_op(self, bits, seed):
         """Each packed op, on operands whose propagated bounds are loose,
         leaves a bound of at least every |numerator|, and runs on int64
         exactly when the bound from its operands' exact tops is below
-        2**63 (the ``_numerators`` call it makes says which); gathers and
-        transposes make no such call."""
+        2**63 (the ``_numerators`` call it makes says which); gathers,
+        transposes and a scaling by zero make no such call."""
         rng = np.random.default_rng(seed)
         base = [RationalField.pack(random_fractions(shape, rng, 2 ** bits))
                 for shape in [(3, 3, 3), (3, 3, 3), (3, 3)]]
         k = rng.integers(-5, 6, size=3)
         q = Fraction(int(rng.integers(-9, 10)) << bits, int(rng.integers(1, 9)))
-        tops = [max(fields._top(f.num), 1) for f in base]
+        tops = [max(rationals._top(f.num), 1) for f in base]
         (x, y, m), (tx, ty, tm) = base, tops
         den = math.lcm(x.den, y.den)
         added = tx * (den // x.den) + ty * (den // y.den)
@@ -1299,7 +1360,7 @@ class TestRationalField:
         cases = [
             (lambda x, y, m, e: x + y, added),
             (lambda x, y, m, e: x - y, added),
-            (lambda x, y, m, e: x * q, tx * abs(q.numerator)),
+            (lambda x, y, m, e: x * q, tx * abs(q.numerator) if q else None),
             (lambda x, y, m, e: e("abb->a", x), 3 * tx),
             (lambda x, y, m, e: e("abc,cd->abd", x, m), 3 * tx * tm),
             (lambda x, y, m, e: e("abc,abc->c", x, y), 9 * tx * ty),
@@ -1309,7 +1370,7 @@ class TestRationalField:
             (lambda x, y, m, e: x.transpose(2, 0, 1), None),
             (lambda x, y, m, e: e("abc->cab", x), None),
         ]
-        numerators = fields._numerators
+        numerators = rationals._numerators
         for op, exact in cases:
             calls = []
 
@@ -1318,7 +1379,7 @@ class TestRationalField:
                 calls.append(out[1][0].dtype == object)
                 return out
             operands = [loosened(f) for f in base]
-            with mock.patch.object(fields, "_numerators", spy):
+            with mock.patch.object(rationals, "_numerators", spy):
                 got = op(*operands, einsum)
             assert_canonical(got)
             assert calls == ([] if exact is None else [exact >= 2 ** 63])
@@ -1340,7 +1401,7 @@ class TestRationalField:
         y = np.full((8, 8), Fraction(-2 ** 29), dtype=object)
         y[0, 0] = Fraction(0)
         z = RationalField.pack(x) + RationalField.pack(y)
-        assert (z.bound, fields._top(z.num)) == (2 ** 30, 2 ** 29)
+        assert (z.bound, rationals._top(z.num)) == (2 ** 30, 2 ** 29)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
             got = einsum("ab,bc->ac", z, z)
         assert spy.call_args.args[0].dtype == np.int64
@@ -1355,15 +1416,15 @@ class TestRationalField:
                 (random_fractions((4, 2), rng), random_fractions((2, 1), rng))]
         refs = [np.einsum("ab,bc->ac", a, b) for a, b in runs]
         for order in ([0, 1, 0, 1], [1, 0]):
-            fields._int_plan.cache_clear()
+            rationals._int_plan.cache_clear()
             for i in order:
                 a, b = (RationalField.pack(x) for x in runs[i])
                 assert_fractions_equal(einsum("ab,bc->ac", a, b), refs[i])
         shapes = [tuple(x.shape for x in run) for run in runs]
-        plans = [fields._int_plan("ab,bc->ac", sh) for sh in shapes]
+        plans = [rationals._int_plan("ab,bc->ac", sh) for sh in shapes]
         assert [p.gemm[1] for p in plans] == [(1, 2, 3), (1, 4, 2)]
         assert [p.terms for p in plans] == [3, 2]
-        assert fields._int_plan.cache_info().currsize == 2
+        assert rationals._int_plan.cache_info().currsize == 2
 
 
 class TestEpsilonHodge:
