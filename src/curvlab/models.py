@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConfigError, ExactnessError
 from .geometry import ChartContext, FrameContext, GeometryContext, product
 from .polys import Poly, RationalFunc
+from .rationals import entries_array
 from .scalars import FLOAT, rational_sqrt
 from .tensors import Tensor
 
@@ -104,11 +105,8 @@ def berger_product(t, exact: bool = True, *,
 def killing_field_T(ctx) -> Tensor:
     """The unit Killing field dual to theta on a Berger product."""
     idx = ctx.meta.get("killing_T_index", ctx.dim - 1)
-    comp = np.empty((ctx.dim,), dtype=object)
-    comp[...] = ctx.ring.zero()
-    one = ctx.ring.one()
-    comp[idx] = one
-    return Tensor(ctx.dim, ("u",), comp)
+    return Tensor(ctx.dim, ("u",), entries_array(
+        (ctx.dim,), {idx: ctx.ring.one()}, ctx.ring.zero()))
 
 
 def fs_cp2_chart(jet_order: int = 3, exact: bool = False,

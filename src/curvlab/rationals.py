@@ -48,14 +48,16 @@ class RationalField(_Field):
     @classmethod
     def reduced(cls, num: np.ndarray, den: int, bound: int) -> "RationalField":
         """The canonical field of the integer array num over den > 0, every
-        |numerator| at most bound."""
+        |numerator| at most bound.  A rank-0 num may come as the scalar
+        numpy arithmetic on a 0-d array gives."""
+        num = np.asarray(num)
         if den != 1:
             common = int(np.gcd.reduce(num, axis=None))
             g = math.gcd(den, common)
             if g > 1:
                 den //= g
                 if common:      # all-zero numerators only reset den to 1
-                    num = num // g
+                    num = np.asarray(num // g)
                     bound //= g
         if num.dtype == object:
             if bound >= _INT64_BOUND:
@@ -256,8 +258,8 @@ def _int_contract(spec: str, plan: _IntPlan, nums: list) -> np.ndarray:
     """``spec`` on numerator arrays: on int64 with a ``gemm`` (axes_a,
     shape_a, axes_b, shape_b, shape, axes), one ``np.matmul`` of the
     operands transposed and reshaped to (batch, free, summed) and (batch,
-    summed, free), the product reshaped and transposed to the output;
-    else ``np.einsum``."""
+    summed, free), or their product when nothing is summed, reshaped and
+    transposed to the output; else ``np.einsum``."""
     if plan.gemm is None or nums[0].dtype != np.int64 \
             or nums[1].dtype != np.int64:
         return np.asarray(np.einsum(spec, *nums),
@@ -268,7 +270,8 @@ def _int_contract(spec: str, plan: _IntPlan, nums: list) -> np.ndarray:
         x = x.transpose(axes_a)
     if axes_b is not None:
         y = y.transpose(axes_b)
-    prod = np.matmul(x.reshape(shape_a), y.reshape(shape_b)).reshape(shape)
+    x, y = x.reshape(shape_a), y.reshape(shape_b)
+    prod = (x * y if shape_a[2] == 1 else np.matmul(x, y)).reshape(shape)
     return prod if axes is None else prod.transpose(axes)
 
 
@@ -287,12 +290,13 @@ def _rational_einsum(spec: str, *ops):
     fields, constants = [], 0
     for x in ops:
         if type(x) is not RationalField:
-            if type(x) is not np.ndarray:
+            if not isinstance(x, np.ndarray):
                 return None
             if x.dtype.kind in "iu":
                 constants += 1
-                x = RationalField(x.astype(np.int64, copy=False), 1,
-                                  max(_top(x), 1))
+                top = max(_top(x), 1)
+                x = RationalField(x.astype(
+                    np.int64 if top < _INT64_BOUND else object), 1, top)
             else:
                 x = RationalField.pack(x)
                 if x is None:

@@ -1307,6 +1307,23 @@ class TestRationalField:
         for g, r in zip(got, refs):
             assert_fractions_equal(g, r)
 
+    def test_rank0_python_ints_reduce(self):
+        """A rank-0 result on Python-int numerators whose denominator
+        cancels (numpy gives a 0-d object op as a bare int) is reduced to
+        a canonical field, as is a constant past int64."""
+        a = np.empty(2, dtype=object)
+        a[:] = [Fraction(2 ** 70, 3), Fraction(2 ** 70 + 3, 3)]
+        three = np.full(2, Fraction(3), dtype=object)
+        pa, x = RationalField.pack(a), RationalField.pack(a[0:1].reshape(()))
+        big = np.array([2 ** 63 + 5, 1], dtype=np.uint64)
+        got = [einsum("a,a->", pa, RationalField.pack(three)), x + x, x * 3,
+               einsum("a,a->", pa, big)]
+        refs = [np.einsum("a,a->", a, three), a[0] + a[0], a[0] * 3,
+                np.einsum("a,a->", a, big.astype(object))]
+        for g, r in zip(got, refs):
+            assert g.shape == () and g.num.shape == ()
+            assert_fractions_equal(g, r)
+
     def test_berger_stack_stays_packed(self):
         """The exact Berger product at t = 4 runs from the metric through
         the raised Weyl and Cotton tensors and the Phi-chain without an
