@@ -254,47 +254,40 @@ def invariance_residual(ctx: GeometryContext, form: str,
 def verify_pfaffian_identity(ctx: GeometryContext, tol: float = 1e-8,
                              exact: bool | None = None) -> VerificationReport:
     """Check 2k xi = div(tf Omega) + grad Pf(Rm)/(2k) and its trace companion
-    tr Omega = Pf(Rm) - Pf(W) in dimension four (k = 2)."""
+    tr Omega = Pf(Rm) - Pf(W) in even dimension n = 2k."""
     from .invariants import (cotton_weyl_divergence_rhs, mixed_to_down, omega_k,
                              trace_mixed)
     from .jets import scalar_float
     from .tensors import tensors_equal
-    if ctx.dim != 4:
-        raise DimensionError("the Pfaffian identity check runs in dimension 4")
+    if ctx.dim % 2:
+        raise DimensionError("the Pfaffian identity check runs in even "
+                             f"dimension, context has {ctx.dim}")
     if exact is None:
         exact = ctx.ring.exact
     st = ctx.stack
-    k = 2
+    k = ctx.dim // 2
     rep = VerificationReport("thm_pfaffian", ctx.meta.get("name", "?"))
-    xi = xi_k(st, k).components
+
+    def check(name, a, b):      # two tensors equal at the point
+        a, b = a.at_point(), b.at_point()
+        rep.add(check_exact(name, tensors_equal(a, b)) if exact
+                else check_residual(name, tensor_residual(a, b), tol))
+
     om = omega_k(st, k, "dim2k")
     om_dd = mixed_to_down(st, om)
-    tfom = st.trace_free(om_dd)
-    div_tfom = st.div(tfom, 1)
-    grad_pf_rm = st.grad_scalar(pfaffian_of(st, k, "riemann"))
-    lhs = xi.scale(2 * k)
-    rhs = div_tfom + grad_pf_rm.scale(Fraction(1, 2 * k))
+    pf_rm = pfaffian_of(st, k, "riemann")
+    check("pfaffian split: 2k xi = div(tf Omega) + grad Pf(Rm)/(2k)",
+          xi_k(st, k).components.scale(2 * k),
+          st.div(st.trace_free(om_dd), 1)
+          + st.grad_scalar(pf_rm).scale(Fraction(1, 2 * k)))
     trom = trace_mixed(om)
-    pf_gap = trom - (pfaffian_of(st, k, "riemann") - pfaffian_of(st, k, "weyl"))
-    div_om = st.div(om_dd, 1)
-    rhs42 = cotton_weyl_divergence_rhs(st, k)
-    if exact:
-        rep.add(check_exact("pfaffian split: 2k xi = div(tf Omega) + grad Pf(Rm)/(2k)",
-                            tensors_equal(lhs.at_point(), rhs.at_point())))
-        rep.add(check_exact("trace identity: tr Omega = Pf(Rm) - Pf(W)",
-                            not ctx.point_value(pf_gap)))
-        rep.add(check_exact("divergence identity: div Omega = Cotton-Weyl contraction",
-                            tensors_equal(div_om.at_point(), rhs42.at_point())))
-    else:
-        rep.add(check_residual("pfaffian split: 2k xi = div(tf Omega) + grad Pf(Rm)/(2k)",
-                               tensor_residual(lhs.at_point(), rhs.at_point()),
-                               tol))
-        rep.add(check_residual("trace identity: tr Omega = Pf(Rm) - Pf(W)",
-                               abs(scalar_float(pf_gap))
-                               / max(1.0, abs(scalar_float(trom))), tol))
-        rep.add(check_residual("divergence identity: div Omega = Cotton-Weyl contraction",
-                               tensor_residual(div_om.at_point(),
-                                               rhs42.at_point()), tol))
+    gap = trom - (pf_rm - pfaffian_of(st, k, "weyl"))
+    name = "trace identity: tr Omega = Pf(Rm) - Pf(W)"
+    rep.add(check_exact(name, not ctx.point_value(gap)) if exact
+            else check_residual(name, abs(scalar_float(gap))
+                                / max(1.0, abs(scalar_float(trom))), tol))
+    check("divergence identity: div Omega = Cotton-Weyl contraction",
+          st.div(om_dd, 1), cotton_weyl_divergence_rhs(st, k))
     return rep
 
 

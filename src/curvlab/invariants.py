@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import DimensionError, SlotError
 from .tensors import (AltForm, Permutation, Tensor, _alt_product, _keys,
-                      _split_index, contract, contract_with, einsum,
-                      gkd_contract, lower_slot, raise_slot,
-                      signed_permutations)
+                      _wedge, contract, contract_with, einsum, gkd_contract,
+                      lower_slot, raise_slot, signed_permutations)
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,12 @@ def _symmetrized(degree: int, terms: tuple) -> tuple:
 def _cycles(sigma: Permutation):
     seen, cycles = set(), []
     for start in range(len(sigma.images)):
-        if start in seen:
-            continue
-        cyc, a = [], start
-        while a not in seen:
-            seen.add(a)
-            cyc.append(a)
-            a = sigma.images[a]
-        cycles.append(tuple(cyc))
+        if start not in seen:
+            cyc = [start]
+            while sigma.images[cyc[-1]] != start:
+                cyc.append(sigma.images[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
     return cycles
 
 
@@ -157,14 +154,6 @@ def cotton_weyl_divergence_rhs(stack, k: int) -> Tensor:
 # -- T^(k), Omega^(k), E^(k) ----------------------------------------------------
 
 
-def _chain_with_free_pair(stack, k: int, ell: int, which: str) -> Tensor:
-    """delta^{(1+k_top)} contraction with ell curvature factors and the rest
-    Schouten factors; free first lower and upper slots."""
-    factors = [_curvature_dduu(stack, which)] * ell \
-        + [stack.schouten_mixed] * (k - ell)
-    return gkd_contract(factors, stack.ring, free=("d", "u"))
-
-
 def T_k_W(stack, k: int) -> Tensor:
     """T^(k)(W)_i^j = (1/k!) delta-contraction of k Weyl factors; valence (d,u)."""
     return gkd_contract([stack.weyl_dduu] * k, stack.ring, free=("d", "u"),
@@ -200,8 +189,10 @@ def omega_k(stack, k: int, mode: str = "dim2k") -> Tensor:
     else:
         raise SlotError(f"unknown omega mode {mode!r}")
     total = None
-    for ell in range(k):
-        term = _chain_with_free_pair(stack, k, ell, "weyl").scale(coeffs[ell])
+    for ell in range(k):    # delta^(k+1) on ell W's and k - ell P's
+        term = gkd_contract(
+            [stack.weyl_dduu] * ell + [stack.schouten_mixed] * (k - ell),
+            stack.ring, free=("d", "u")).scale(coeffs[ell])
         total = term if total is None else total + term
     return total
 
@@ -219,47 +210,27 @@ def trace_mixed(t: Tensor):
 # -- Phi-chains: p_Phi, rho^Phi and relatives ------------------------------------
 
 
-def _matrix_two_form(stack, which: str = "weyl") -> Tensor:
-    """W_t^s_{ij}: all-down curvature with the second slot raised."""
-    return stack.weyl_dudd if which == "weyl" else stack.rm_dudd
-
-
 def _cycle_alt_form(factors, cycle, dim):
     """Alt of the matrix-trace chain over one Phi-cycle, as its components
     at the increasing keys of the total degree (``tensors._keys`` rows).
 
     Each factor is a matrix-valued form with valence (d, u, form...), read
     at its increasing form indices: shape (dim, dim, C(dim, d)).  The chain
-    is a matrix product in the exterior algebra (Chern-Weil): each step
-    gathers the chain and the next factor at every split of a key
-    (``tensors._split_index``) and sums the matrix products with the
-    split's sign, and the last step closes the trace.  A middle step sums
-    the even and the odd splits inside two products, as the sign would
-    otherwise multiply every gathered matrix entry; the last step takes one
-    trace per split and sums those with their signs.  The full
-    antisymmetrization meets each split once per ordering within its
-    groups, hence the weight prod(d_i!) / d!.
+    is a matrix product in the exterior algebra (Chern-Weil): each step is
+    the exterior product (``tensors._wedge``) of the chain and the next
+    factor with matrix entries multiplied, and the last step closes the
+    trace.  The full antisymmetrization meets each split once per ordering
+    within its groups, hence the weight prod(d_i!) / d!.
     """
-    mats = [factors[a] for a in cycle]
-    degs = [f.rank - 2 for f in mats]
-    forms = [m.data[(slice(None), slice(None)) + tuple(_keys(dim, d).T)]
-             for m, d in zip(mats, degs)]
-    chain, p = forms[0], degs[0]
-    if len(forms) == 1:
-        chain = einsum("aaK->K", chain)
+    degs = [factors[a].rank - 2 for a in cycle]
+    forms = [factors[a].data[(slice(None),) * 2 + tuple(_keys(dim, d).T)]
+             for a, d in zip(cycle, degs)]
+    chain = einsum("aaK->K", forms[0]) if len(forms) == 1 else forms[0]
     for j in range(1, len(forms)):
-        s, t, sign = _split_index(dim, p, degs[j])
-        if j < len(forms) - 1:
-            even, odd = (einsum("abKm,bcKm->acK", chain[..., s[:, sign == v]],
-                                forms[j][..., t[:, sign == v]])
-                         for v in (1, -1))
-            chain = even - odd
-        else:
-            chain = einsum("Km,m->K", einsum("abKm,baKm->Km", chain[..., s],
-                                             forms[j][..., t]), sign)
-        p += degs[j]
+        chain = _wedge(dim, "ab,bc->ac" if j < len(forms) - 1 else "ab,ba->",
+                       chain, (sum(degs[:j]),), forms[j], (degs[j],))
     return chain * Fraction(math.prod(map(math.factorial, degs)),
-                            math.factorial(p))
+                            math.factorial(sum(degs)))
 
 
 def _phi_chain_form(stack, phi: InvariantPolynomial, factors) -> AltForm:
@@ -303,7 +274,7 @@ def star_p_phi_form(stack, phi: InvariantPolynomial,
     k = phi.degree
     if 2 * k > stack.dim:
         raise DimensionError("form degree exceeds dimension")
-    M = _matrix_two_form(stack, which)
+    M = stack.weyl_dudd if which == "weyl" else stack.rm_dudd   # W_t^s_ij
     return _phi_chain_form(stack, phi, [M] * k)
 
 

@@ -79,11 +79,10 @@ Each step dispatches on its operands' scalars alone:
 Generalized Kronecker deltas are never materialized inside a larger
 contraction.  ``gkd_contract`` reads each factor as a double form, its
 components at increasing tuples of down and of up indices, multiplies the
-factors by the exterior product on both sides (the split tables
-``_split_index``, which the Phi-chain's matrix-valued forms and
-``AltForm.alt_mul`` also multiply through) and reads the contraction off
-the product's entries, each step a field gather or an ``einsum``;
-``generalized_delta`` materializes the delta as an oracle.
+factors by the exterior product on both sides (``_wedge``, the one blocked
+product the Phi-chain and ``AltForm.alt_mul`` also run) and reads the
+contraction off the product's entries; ``generalized_delta`` materializes
+the delta as an oracle.
 """
 
 from __future__ import annotations
@@ -97,7 +96,8 @@ import numpy as np
 
 from .errors import DimensionError, ScalarKindError, SlotError
 from .fields import (_LETTERS, JetField, _constant_einsum, _Field,
-                     _field_einsum1, _float_jet_einsum, _object_array)
+                     _field_einsum1, _float_jet_einsum, _object_array,
+                     _uniform)
 from .jets import Dual, Jet, field_value, scalar_float
 from .rationals import RationalField, _numerators, _rational_einsum
 
@@ -547,11 +547,8 @@ def generalized_delta(p: int, dim: int, ring) -> Tensor:
     one = ring.one()
     for subset in itertools.combinations(range(dim), p):
         for lower in itertools.permutations(subset):
-            pos = {v: i for i, v in enumerate(lower)}
             for upper, sign in signed_permutations(p):
-                target = tuple(lower[u] for u in upper)
-                rel = tuple(pos[v] for v in target)
-                t.a[lower + target] = perm_sign(rel) * one
+                t.a[lower + tuple(lower[u] for u in upper)] = sign * one
     return t
 
 
@@ -591,55 +588,112 @@ def _split_index(dim: int, p: int, q: int) -> tuple:
     the sign of the permutation that sorts the two into K."""
     splits = [(x, tuple(i for i in range(p + q) if i not in x))
               for x in itertools.combinations(range(p + q), p)]
-    keys = list(itertools.combinations(range(dim), p + q))
-
-    def rows(side, d):
-        at = _key_rows(dim, d)
-        return np.array([[at[tuple(k[i] for i in x[side])] for x in splits]
-                         for k in keys], dtype=np.intp).reshape(
-                             len(keys), len(splits))
-
-    return rows(0, p), rows(1, q), np.array([perm_sign(x + y)
-                                             for x, y in splits])
+    rows = np.array([[[_key_rows(dim, len(part))[tuple(k[i] for i in part)]
+                       for part in x] for x in splits]
+                     for k in itertools.combinations(range(dim), p + q)],
+                    dtype=np.intp)
+    return rows[..., 0], rows[..., 1], np.array([perm_sign(x + y)
+                                                 for x, y in splits])
 
 
-def _alt_product(dim: int, x, p: int, y, q: int):
-    """Alt(x (x) y) of the forms x and y of degrees p and q, each an object
-    array or a field of its components at the increasing keys (``_keys``
-    rows): component K sums sign x[S] y[T] over the splits (S, T) of K,
-    times p! q! / (p + q)!."""
-    s, t, sign = _split_index(dim, p, q)
-    return einsum("Km,m->K", einsum("Km,Km->Km", x[s], y[t]), sign) \
-        * Fraction(math.factorial(p) * math.factorial(q),
-                   math.factorial(p + q))
+_WEDGE_FLOATS = 1 << 22    # floats both operands of one product block gather
 
 
 @lru_cache(maxsize=None)
-def _wedge_index(dim: int, tx: tuple, ty: tuple) -> tuple:
-    """(xd, yd, xu, yu, sign) for the product of double forms of types tx
-    and ty: term m of output entry (K, L) is sign[m] x[xd[K, m], xu[L, m]]
-    y[yd[K, m], yu[L, m]], one term per pair of down and up splits."""
-    (sd, td, gd), (su, tu, gu) = (_split_index(dim, tx[i], ty[i])
-                                  for i in (0, 1))
-    md, mu = np.divmod(np.arange(len(gd) * len(gu)), len(gu))
-    return sd[:, md], td[:, md], su[:, mu], tu[:, mu], gd[md] * gu[mu]
+def _splits(dim: int, tx: tuple, ty: tuple, readout=None) -> tuple:
+    """(shape, even, xs, ys, sign): the splits (``_split_index``) of the
+    exterior product of forms of degrees tx and ty, a degree >= 1 per key
+    axis, at each output key: every key, each axis on its own array axis,
+    or with ``readout`` = (p, free) the entries delta^(p) reads.  xs and ys
+    hold per key axis the key rows of x and of y, broadcasting to ``shape``
+    plus a split axis, the ``even`` even splits first; ``sign`` is +1 on
+    them and -1 after.  A split on two axes signs as the product of both."""
+    tables = [_split_index(dim, p, q) for p, q in zip(tx, ty)]
+    m = np.indices([len(g) for _, _, g in tables]).reshape(len(tables), -1)
+    sign = math.prod(g[i] for (_, _, g), i in zip(tables, m))
+    order = np.argsort(-sign, kind="stable")
+    keys = np.ix_(*(np.arange(len(s)) for s, _, _ in tables)) \
+        if readout is None else _readout(dim, *readout)[:2]
+    xs, ys = (tuple(table[side][k][..., i[order]]
+                    for table, k, i in zip(tables, keys, m))
+              for side in (0, 1))
+    return (np.broadcast_shapes(*(k.shape for k in keys)),
+            int((sign > 0).sum()), xs, ys, sign[order])
 
 
-def _wedge_terms(dim, x, tx, y, ty, rows, cols) -> tuple:
-    """(xs, ys, sign): the terms of the exterior product on both sides of
-    the double forms x and y at the product keys ``rows`` (down) and
-    ``cols`` (up), index arrays of one broadcast shape; term m of an entry
-    is sign[m] xs[..., m] ys[..., m], and the entry, with no normalizing
-    factor, is their sum."""
-    xd, yd, xu, yu, sign = _wedge_index(dim, tx, ty)
-    return x[xd[rows], xu[cols]], y[yd[rows], yu[cols]], sign
+def _wedge(dim: int, spec: str, x, tx: tuple, y, ty: tuple, readout=None):
+    """The exterior product of x and y at the output keys of ``_splits``,
+    their entries multiplied by the einsum ``spec``.
+
+    x and y, object arrays or fields, hold entry axes (``spec``'s letters),
+    then a key axis (``_keys`` rows) per degree in tx and ty, one for a
+    form, a down and an up one for a double form; so does the result.  An
+    entry sums sign x[S] y[T] over the splits (S, T) of its keys, with no
+    normalizing factor, the signs entering after the products: two rational
+    fields, or keys in one row, keep the split axis (terms, then a signed
+    sum: two steps); the rest sum the even and the odd splits inside one
+    product each (a float-jet kernel sums in its GEMM) and subtract.  The
+    keys run in blocks along their first axis, each gathering at most
+    ``_WEDGE_FLOATS`` floats or one key row; blocks leave the terms of an
+    entry and their grouping as they are (numpy may still run a one-row
+    block's float matmul through another BLAS routine)."""
+    shape, even, xs, ys, sign = _splits(dim, tx, ty, readout)
+    ins, eo = spec.split("->")
+    ex, ey = ins.split(",")
+    at = "KLM"[:len(shape)]
+    step = f"{ex}{at}Z,{ey}{at}Z->{eo}{at}"
+    keep = shape[0] == 1 or type(x) is type(y) is RationalField
+
+    def block(bx, by):      # the key axes are x's and y's last axes
+        if keep:
+            return einsum(f"{eo}{at}Z,Z->{eo}{at}", einsum(
+                step + "Z", x[(...,) + bx], y[(...,) + by]), sign)
+        plus, minus = (einsum(step, x[(...,) + tuple(t[..., s] for t in bx)],
+                              y[(...,) + tuple(t[..., s] for t in by)])
+                       for s in (slice(None, even), slice(even, None)))
+        return plus - minus
+
+    if shape[0] == 1:
+        return block(xs, ys)
+    width = sum(math.prod(a.shape[:len(e)]) * (sum(
+        len(c) for c, _, _ in a._parts()) if isinstance(a, JetField) else 1)
+        for a, e in ((x, ex), (y, ey)))
+    n = max(1, _WEDGE_FLOATS // (math.prod(shape[1:]) * len(sign) * width))
+    blocks = [block(*(tuple(t if len(t) == 1 else t[a:a + n] for t in ts)
+                      for ts in (xs, ys))) for a in range(0, shape[0], n)]
+    return blocks[0] if len(blocks) == 1 else _joined(blocks, len(eo))
+
+
+def _joined(blocks: list, axis: int):
+    """Blocks of one product joined along ``axis``: float-jet fields with
+    their rows padded by zeros to the most a block holds, anything else as
+    object arrays, repacked for rational fields."""
+    if all(isinstance(b, JetField) for b in blocks):
+        parts = []
+        for group in zip(*(b._parts() for b in blocks)):
+            rows = max(len(c) for c, _, _ in group)
+            v = np.concatenate([v for _, v, _ in group], axis)
+            parts.append((np.concatenate([np.pad(c, [(0, rows - len(c))] + [
+                (0, 0)] * v.ndim) for c, _, _ in group], axis + 1), v,
+                _uniform(v)))
+        return blocks[0]._with(parts)
+    a = np.concatenate([b.unpack() if isinstance(b, _Field) else b
+                        for b in blocks], axis)
+    return RationalField.pack(a) if all(type(b) is RationalField
+                                        for b in blocks) else a
+
+
+def _alt_product(dim: int, x, p: int, y, q: int):
+    """Alt(x (x) y) of forms of degrees p and q on their increasing keys."""
+    return _wedge(dim, ",->", x, (p,), y, (q,)) * Fraction(
+        math.factorial(p) * math.factorial(q), math.factorial(p + q))
 
 
 @lru_cache(maxsize=None)
 def _readout(dim: int, p: int, free: tuple) -> tuple:
     """(rows, cols, signs): the product entries (down and up key rows)
     that each output of delta^(p), () or (i,) or (i, j), reads, and their
-    signs, arrays of shape (dim,)*len(free) + (T,).
+    signs, arrays of shape (T,) + (dim,)*len(free).
 
     For each increasing p-key U and positions r, s in it, a free lower
     index i = U[r] drops U[r] from the up key and a free upper index
@@ -658,27 +712,10 @@ def _readout(dim: int, p: int, free: tuple) -> tuple:
                      _key_rows(dim, len(up))[up],
                      (-1) ** ((r or 0) + (s or 0))))
     most = max(len(x) for x in reads.values())
-    table = np.zeros((dim,) * len(free) + (most, 3), dtype=np.intp)
+    table = np.zeros((most,) + (dim,) * len(free) + (3,), dtype=np.intp)
     for out, x in reads.items():
-        table[out] = x + [x[0][:2] + (0,)] * (most - len(x))
+        table[(slice(None),) + out] = x + [x[0][:2] + (0,)] * (most - len(x))
     return table[..., 0], table[..., 1], table[..., 2]
-
-
-def _product(dim, products: dict, ids: tuple) -> tuple:
-    """(x, type): the product of the double forms ``products[i,]``, i in
-    ``ids``, at every key pair, from the products of its two halves; each
-    is kept in ``products``, so equal halves are multiplied once."""
-    if ids not in products:
-        h = len(ids) // 2
-        (x, tx), (y, ty) = (_product(dim, products, ids[:h]),
-                            _product(dim, products, ids[h:]))
-        tz = (tx[0] + ty[0], tx[1] + ty[1])
-        xs, ys, sign = _wedge_terms(
-            dim, x, tx, y, ty, np.arange(math.comb(dim, tz[0]))[:, None],
-            np.arange(math.comb(dim, tz[1])))
-        products[ids] = einsum("KLm,KLm->KL", xs,
-                               einsum("KLm,m->KLm", ys, sign)), tz
-    return products[ids]
 
 
 def gkd_contract(factors, ring, *, free=(), coeff=Fraction(1)) -> Tensor:
@@ -696,20 +733,17 @@ def gkd_contract(factors, ring, *, free=(), coeff=Fraction(1)) -> Tensor:
 
     Antisymmetrizing the product on both sides is all the delta does, so
     the result is prod(a! b!) over the factors times a signed sum of
-    entries of x_1 ^ ... ^ x_k, the exterior product on both sides with the
-    split tables ``_split_index``: the diagonal (U, U) of each
-    increasing p-key U, or (U, U - i) and (U - j, U - i) (``_readout``).
-    The factors are multiplied as two halves, each computed in full
-    (``_product``), and the halves at those entries only.
+    entries of x_1 ^ ... ^ x_k, the exterior product on both sides
+    (``_wedge``): the diagonal (U, U) of each increasing p-key U, or
+    (U, U - i) and (U - j, U - i) (``_readout``).  The factors are
+    multiplied as two halves, each computed in full at every key pair
+    (equal halves once), and the halves at those entries only.
     """
-    types = []
-    for f in factors:
-        a = f.valence.count("d")
-        if f.valence != ("d",) * a + ("u",) * (f.rank - a) \
-                or not 0 < a < f.rank:
+    types = [(f.valence.count("d"), f.valence.count("u")) for f in factors]
+    for f, (a, b) in zip(factors, types):
+        if f.valence != ("d",) * a + ("u",) * b or not a or not b:
             raise SlotError(f"delta factor valence {f.valence} is not "
                             "down slots then up slots, both present")
-        types.append((a, f.rank - a))
     if free not in ((), ("d",), ("d", "u")):
         raise SlotError(f"bad free delta indices {free}")
     p = sum(b for _, b in types) + ("d" in free)
@@ -719,22 +753,26 @@ def gkd_contract(factors, ring, *, free=(), coeff=Fraction(1)) -> Tensor:
     if p > dim:
         return zeros(dim, free, ring)
     rows, cols, signs = _readout(dim, p, free)
-    products = {}
+    forms = {}
     for f, t in zip(factors, types):
-        if (id(f),) not in products:
-            products[(id(f),)] = _double_form(f), t
-    ids, o = tuple(id(f) for f in factors), _LETTERS[:len(free)]
-    if len(ids) == 1:
-        x = products[ids][0][rows, cols]
-    else:   # the last product's terms, summed by the read-out
+        if (id(f),) not in forms:
+            forms[id(f),] = _double_form(f), t
+
+    def product(ids, readout=None):
+        if ids in forms:
+            x, t = forms[ids]
+            return (x if readout is None else x[rows, cols]), t
         h = len(ids) // 2
-        (x, tx), (y, ty) = (_product(dim, products, ids[:h]),
-                            _product(dim, products, ids[h:]))
-        xs, ys, sign = _wedge_terms(dim, x, tx, y, ty, rows, cols)
-        x, signs = einsum(f"{o}TM,{o}TM->{o}TM", xs, ys), \
-            signs[..., None] * sign
-    e = o + "TM"[:signs.ndim - len(free)]
-    out = einsum(f"{e},{e}->{o}", signs, x)
+        (x, tx), (y, ty) = product(ids[:h]), product(ids[h:])
+        z = _wedge(dim, ",->", x, tx, y, ty, readout), (tx[0] + ty[0],
+                                                       tx[1] + ty[1])
+        if readout is None:
+            forms[ids] = z
+        return z
+
+    o = _LETTERS[:len(free)]
+    out = einsum(f"T{o},T{o}->{o}", signs,
+                 product(tuple(id(f) for f in factors), (p, free))[0])
     scale = coeff * math.prod(math.factorial(a) * math.factorial(b)
                               for a, b in types)
     return Tensor(dim, free, _object_array(out * scale))
@@ -875,12 +913,9 @@ class AltForm:
         """The form whose components at the increasing keys (``_keys``
         rows) are ``data``, an object array or a field, read one key at a
         time; zeros are left out."""
-        comps = {}
-        for i, key in enumerate(itertools.combinations(range(dim), degree)):
-            x = data[i]
-            if x:
-                comps[key] = x
-        return cls(dim, degree, comps)
+        keys = itertools.combinations(range(dim), degree)
+        return cls(dim, degree, {key: x for key, x in zip(
+            keys, (data[i] for i in range(math.comb(dim, degree)))) if x})
 
     def rows(self) -> np.ndarray:
         """The components at the increasing keys, in ``_keys`` order, as an

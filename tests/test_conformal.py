@@ -135,9 +135,15 @@ class TestPfaffianAndAc:
         rep = verify_pfaffian_identity(berger_product(Fraction(4)))
         assert rep.passed and all(c.exact for c in rep.checks)
 
-    def test_pfaffian_needs_dim4(self):
+    def test_pfaffian_identity_dim6(self):
+        """k = n/2 = 3: Pf_3, xi^(3) and Omega^(3) on a random 6-chart."""
+        rep = verify_pfaffian_identity(random_chart(6, seed=0, jet_order=3),
+                                       tol=1e-8)
+        assert rep.passed and len(rep.checks) == 3
+
+    def test_pfaffian_needs_even_dim(self):
         with pytest.raises(DimensionError):
-            verify_pfaffian_identity(random_chart(6, seed=0, jet_order=2))
+            verify_pfaffian_identity(random_chart(5, seed=0, jet_order=3))
 
     def test_ac_identities(self):
         ctx = random_chart(6, seed=29, jet_order=3)
