@@ -45,7 +45,8 @@ def _tiny_budget(monkeypatch):
     monkeypatch.setattr(tensors, "_WEDGE_FLOATS", 1)
 
 
-def _exact_berger_values():
+def _exact_values():
+    """Berger-product invariants and an ``alt_mul`` at n = 5, exact."""
     st = berger_product(Fraction(4)).stack
     phi = InvariantPolynomial.pair_swap()
     rng = np.random.default_rng(3)
@@ -58,10 +59,10 @@ def _exact_berger_values():
 
 
 def test_tiny_blocks_give_identical_exact_results(monkeypatch, joins):
-    normal = _exact_berger_values()
+    normal = _exact_values()
     assert joins[0] == 0
     _tiny_budget(monkeypatch)
-    tiny = _exact_berger_values()
+    tiny = _exact_values()
     assert joins[0] > 0
     assert normal[0] == tiny[0]
     assert np.all(normal[1] == tiny[1]) and np.all(normal[2] == tiny[2])
@@ -76,6 +77,7 @@ def _bits(x):
 def _float_chart_values():
     st = random_chart(6, seed=0, jet_order=3).stack
     return (_bits(pfaffian_of(st, 3, "weyl")),
+            _bits(pfaffian_of(st, 3, "riemann")),
             _bits(_xi_first_term(st, 3).a))
 
 
