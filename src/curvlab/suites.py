@@ -18,7 +18,7 @@ from .conformal import (ConformalFactor, _hess_j, _w_check_sq, _wp,
                         verify_ac_identities, verify_pfaffian_identity)
 from .config import check_jet_order
 from .errors import ConfigError, ExactnessError
-from .geometry import GeometryContext
+from .geometry import FrameContext
 from .invariants import (InvariantPolynomial, conformal_killing_K,
                          functional_density)
 from . import invariants as inv
@@ -26,12 +26,13 @@ from .jets import scalar_float
 from .models import (MODEL_BUILDERS, berger_product, flat_chart,
                      fs_cp2_chart, killing_field_T, product_8d, random_chart,
                      random_conformal_factor, round_sphere_chart)
+from .rationals import entries_array
 from .report import Check, VerificationReport, check_exact, check_residual
 from .scalars import RATIONAL, rational_sqrt
 from .tensors import (AltForm, Tensor, antisymmetrize, contract, contract_with,
                       einsum, epsilon_form, generalized_delta, gkd_contract,
                       hodge_star, is_zero_tensor, max_abs, raise_slot,
-                      residual, tensors_equal, zeros)
+                      residual, tensors_equal)
 
 
 _MODEL_DIMS = {"flat": 4, "flat2": 2, "flat4": 4, "flat6": 6, "random4": 4,
@@ -93,29 +94,23 @@ def _ctx_for_model(model: str, *, seed: int, jet_order: int,
 # -- core identities -------------------------------------------------------------
 
 
+def _exact(n: int, valence: str, entries: dict) -> Tensor:
+    """The packed exact tensor holding ``entries`` and zeros elsewhere."""
+    return Tensor(n, valence, entries_array((n,) * len(valence), entries,
+                                            Fraction(0)))
+
+
 def _diag_ctx(n, diag):
-    """Bare constant-metric context for algebraic identity checks."""
-    c = GeometryContext.__new__(GeometryContext)
-    c.dim = n
-    c.ring = RATIONAL
-    c.orientation = 1
-    g = np.empty((n, n), dtype=object)
-    g[...] = Fraction(0)
-    for i in range(n):
-        g[i, i] = Fraction(diag[i])
-    c.metric = Tensor(n, ("d", "d"), g)
-    c.structure = None
-    c.var_of_direction = [None] * n
-    c.var_base_point = ()
-    c.meta = {"name": f"diag{n}"}
-    return c
+    """Flat frame with a constant diagonal metric, for algebraic identity
+    checks."""
+    return FrameContext(n, {}, [[Fraction(diag[i] if i == j else 0)
+                                 for j in range(n)] for i in range(n)],
+                        name=f"diag{n}")
 
 
 def _delta_trace_kernel(p: int, n: int):
     """Full delta self-trace through the double-form kernel."""
-    idm = zeros(n, ("d", "u"), RATIONAL)
-    for i in range(n):
-        idm.a[i, i] = Fraction(1)
+    idm = _exact(n, "du", {(i, i): Fraction(1) for i in range(n)})
     return gkd_contract([idm] * p, RATIONAL).item()
 
 
@@ -168,9 +163,9 @@ def suite_core_identities(seed: int = 0,
         for diag in ([1] * n, [Fraction(1, 4)] * n):
             c = _diag_ctx(n, diag)
             for k in range(0, n + 1):
-                raw = zeros(n, ("d",) * k, RATIONAL)
-                for idx in np.ndindex(raw.a.shape):
-                    raw.a[idx] = Fraction(int(rng.integers(-5, 6)))
+                raw = _exact(n, "d" * k, {
+                    idx: Fraction(int(x)) for idx, x in
+                    np.ndenumerate(rng.integers(-5, 6, size=(n,) * k))})
                 form = antisymmetrize(raw, list(range(k))) if k >= 2 else raw
                 ss = hodge_star(c, hodge_star(c, form))
                 ok_star &= tensors_equal(
@@ -222,29 +217,22 @@ def suite_core_identities(seed: int = 0,
 # -- Berger suite ---------------------------------------------------------------
 
 
+def _basis_one_form(n, k):
+    return _exact(n, "d", {(k,): Fraction(1)})
+
+
 def _basis_two_form(n, i, j):
-    t = zeros(n, ("d", "d"), RATIONAL)
-    t.a[i, j] = Fraction(1)
-    t.a[j, i] = Fraction(-1)
-    return t
+    return _exact(n, "dd", {(i, j): Fraction(1), (j, i): Fraction(-1)})
 
 
 def _berger_displays(t: Fraction):
     """The four connection/curvature displays in the invariant coframe."""
     n = 4
-    na = zeros(n, ("d", "d"), RATIONAL)
-    na.a[1, 2] = Fraction(-1)
-    na.a[2, 1] = Fraction(1)
-    nb = zeros(n, ("d", "d"), RATIONAL)
-    nb.a[0, 2] = -(t - 2)
-    nb.a[2, 0] = -t
-    ng = zeros(n, ("d", "d"), RATIONAL)
-    ng.a[0, 1] = t - 2
-    ng.a[1, 0] = t
-    ric = zeros(n, ("d", "d"), RATIONAL)
-    ric.a[0, 0] = 2 * t * t
-    ric.a[1, 1] = 2 * (2 - t)
-    ric.a[2, 2] = 2 * (2 - t)
+    na = _exact(n, "dd", {(1, 2): Fraction(-1), (2, 1): Fraction(1)})
+    nb = _exact(n, "dd", {(0, 2): -(t - 2), (2, 0): -t})
+    ng = _exact(n, "dd", {(0, 1): t - 2, (1, 0): t})
+    ric = _exact(n, "dd", {(0, 0): 2 * t * t, (1, 1): 2 * (2 - t),
+                           (2, 2): 2 * (2 - t)})
     w = Fraction(2) * (t - 1) / 3
     wey = None
     for coef, (i, j) in ((t, (0, 1)), (t, (0, 2)), (Fraction(-2), (1, 2)),
@@ -256,9 +244,7 @@ def _berger_displays(t: Fraction):
     c1 = 2 * t * (t - 1)
     for coef, (i, j), k in ((c1, (0, 1), 2), (-c1, (0, 2), 1),
                             (-2 * c1, (1, 2), 0)):
-        basis = zeros(n, ("d",), RATIONAL)
-        basis.a[k] = Fraction(1)
-        term = _basis_two_form(n, i, j).tp(basis).scale(coef)
+        term = _basis_two_form(n, i, j).tp(_basis_one_form(n, k)).scale(coef)
         cot = term if cot is None else cot + term
     return na, nb, ng, ric, wey, cot
 
@@ -282,8 +268,7 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
                                 ("[X,Y]=Z", Fraction(1))):
         ctx = berger_product(t, exact=True, bracket_scale=bracket)
         st = ctx.stack
-        alpha = zeros(4, ("d",), RATIONAL)
-        alpha.a[0] = Fraction(1)
+        alpha = _basis_one_form(4, 0)
         na, nb, ng, ric, wey, cot = _berger_displays(t)
         if tensors_equal(st.nabla(alpha), na):
             chosen = scale_name
@@ -292,10 +277,7 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
     rep.add(check_exact("frame normalization reproduces nabla(alpha) display",
                         chosen is not None,
                         note=f"convention {chosen}"))
-    beta = zeros(4, ("d",), RATIONAL)
-    beta.a[1] = Fraction(1)
-    gam = zeros(4, ("d",), RATIONAL)
-    gam.a[2] = Fraction(1)
+    beta, gam = _basis_one_form(4, 1), _basis_one_form(4, 2)
     rep.add(check_exact("nabla(beta), nabla(gamma) displays",
                         tensors_equal(st.nabla(beta), nb)
                         and tensors_equal(st.nabla(gam), ng)))
@@ -305,12 +287,11 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
                         tensors_equal(st.weyl, wey)))
     rep.add(check_exact("Cotton display with factor 2t(t-1)",
                         tensors_equal(st.cotton, cot)))
-    mixed = raise_slot(ctx, st.ric, 0)
-    diag_expect = [2 * t, 2 * (2 - t), 2 * (2 - t), Fraction(0)]
+    diag_expect = [2 * t, 2 * (2 - t), 2 * (2 - t)]
     rep.add(check_exact("raised Ricci diag(2t, 2(2-t), 2(2-t), 0)",
-                        all(mixed.a[i, i] == diag_expect[i] for i in range(4))
-                        and all(not mixed.a[i, j] for i in range(4)
-                                for j in range(4) if i != j)))
+                        tensors_equal(raise_slot(ctx, st.ric, 0), _exact(
+                            4, "ud", {(i, i): x for i, x in
+                                      enumerate(diag_expect)}))))
     phi = InvariantPolynomial.pair_swap()
     rep.add(check_exact("p_Phi(W) = 0 and p_Phi(Rm) = 0",
                         not inv.p_phi_scalar(st, phi, "weyl")
@@ -330,8 +311,7 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
     xi = inv.xi_k(st, 2)
     rep.add(check_exact("xi density on T = 0 (Killing pairing, pointwise)",
                         not functional_density(ctx, xi, T)))
-    theta = zeros(4, ("d",), RATIONAL)
-    theta.a[3] = Fraction(1)
+    theta = _basis_one_form(4, 3)
     rep.add(check_exact("K(theta) = 0 for the Killing coframe leg",
                         is_zero_tensor(conformal_killing_K(st, theta))))
     # orientation reversal flips the density sign
@@ -485,9 +465,8 @@ def _lemma_checks(ctx, ups: ConformalFactor, tol: float,
         lhs.at_point(), st.cotton.at_point())
     wup = raise_slot(ctx, raise_slot(ctx, st.weyl, 2), 3)
     lhs2 = antisymmetrize(st.nabla(wup), [0, 1, 2])
-    idm = zeros(n, ("d", "u"), ctx.ring)
-    for i in range(n):
-        idm.a[i, i] = ctx.ring.one()
+    idm = Tensor(n, "du", entries_array(
+        (n, n), {(i, i): ctx.ring.one() for i in range(n)}, ctx.ring.zero()))
     big = st.cotton_ddu.tp(idm).permuted((0, 1, 3, 2, 4))
     rhs2 = antisymmetrize(antisymmetrize(big, [0, 1, 2]), [3, 4]).scale(-2)
     out["weyl curl: grad_[i W_jk]^lm = -2 C_[ij^[l delta_k]^m]"] = residual(

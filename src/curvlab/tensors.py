@@ -19,8 +19,12 @@ packed in a field (``curvlab.fields`` and ``curvlab.rationals``):
   int64 when every one fits and Python ints in an object array otherwise.
 
 Chart metrics, exact frame and product metrics, their inverses and exact
-structure constants are packed once, and every packed operation returns a
-packed result: ``+``, ``-``, negation, ``scale``, ``permuted``, indexing,
+structure constants are packed once; the exact ``generalized_delta``,
+``epsilon_form``, ``AltForm.to_tensor`` and ``hodge_star`` are packed from
+their nonzero entries (``rationals.entries_array``, an object array for
+other scalars), and ``tensors_equal`` and ``max_abs`` read a
+``RationalField``'s numerators.  Every packed operation returns a packed
+result: ``+``, ``-``, negation, ``scale``, ``permuted``, indexing,
 derivatives (a gather through the jet algebra's diff tables; zeros for
 rationals), ``contract`` and two-operand ``einsum`` steps, with the
 ``valid`` orders a chain of ``Jet``/``Dual`` operations would give.  None of
@@ -99,7 +103,8 @@ from .fields import (_LETTERS, JetField, _constant_einsum, _Field,
                      _field_einsum1, _float_jet_einsum, _object_array,
                      _uniform)
 from .jets import Dual, Jet, field_value, scalar_float
-from .rationals import RationalField, _numerators, _rational_einsum
+from .rationals import (RationalField, _numerators, _rational_einsum, _top,
+                        entries_array)
 
 # every valence up to rank 8; a longer one is checked slot by slot
 _VALENCES = frozenset(v for r in range(9)
@@ -537,19 +542,19 @@ def antisymmetrize(t: Tensor, slots) -> Tensor:
 
 
 def generalized_delta(p: int, dim: int, ring) -> Tensor:
-    """Materialized generalized Kronecker delta, lower slots then upper slots."""
+    """Materialized generalized Kronecker delta, lower slots then upper
+    slots: sign(s) at (I, I o s) for each p-tuple I of distinct indices and
+    each permutation s, the C(dim, p) p! p! nonzero entries (none when
+    p > dim)."""
     if p < 1:
         raise SlotError("generalized delta needs p >= 1")
-    valence = ("d",) * p + ("u",) * p
-    t = zeros(dim, valence, ring)
-    if p > dim:
-        return t
     one = ring.one()
-    for subset in itertools.combinations(range(dim), p):
-        for lower in itertools.permutations(subset):
-            for upper, sign in signed_permutations(p):
-                t.a[lower + tuple(lower[u] for u in upper)] = sign * one
-    return t
+    entries = {lower + tuple(lower[u] for u in upper): sign * one
+               for subset in itertools.combinations(range(dim), p)
+               for lower in itertools.permutations(subset)
+               for upper, sign in signed_permutations(p)}
+    return Tensor(dim, ("d",) * p + ("u",) * p,
+                  entries_array((dim,) * (2 * p), entries, ring.zero()))
 
 
 # -- double forms and the generalized Kronecker delta ----------------------------
@@ -808,11 +813,7 @@ def epsilon_form(ctx) -> Tensor:
     n = ctx.dim
     if n > 7:
         raise DimensionError("dense volume form is limited to dim <= 7")
-    s = ctx.volume[0]
-    t = zeros(n, ("d",) * n, ctx.ring)
-    for perm, sign in signed_permutations(n):
-        t.a[perm] = s if sign > 0 else -s
-    return t
+    return AltForm(n, n, {tuple(range(n)): ctx.volume[0]}).to_tensor(ctx.ring)
 
 
 def is_antisymmetric(t: Tensor, tol: float = 1e-10) -> bool:
@@ -856,7 +857,7 @@ def hodge_star(ctx, alpha: Tensor) -> Tensor:
     vol, comps = ctx.volume[0], {}
     for idx in itertools.combinations(range(n), k):
         rest = tuple(j for j in range(n) if j not in idx)
-        x = vol * up.a[idx]
+        x = vol * up.data[idx]
         comps[rest] = x if perm_sign(idx + rest) > 0 else -x
     return AltForm(n, n - k, comps).to_tensor(ctx.ring)
 
@@ -865,7 +866,10 @@ def hodge_star(ctx, alpha: Tensor) -> Tensor:
 
 
 def max_abs(t: Tensor) -> float:
-    """Largest |component| at the base point."""
+    """Largest |component| at the base point; of a ``RationalField``, the
+    largest |numerator| over the denominator."""
+    if isinstance(t.field, RationalField):
+        return _top(t.field.num) / t.field.den
     if t.rank == 0:
         return abs(scalar_float(t.item()))
     return max(abs(scalar_float(x)) for x in t.a.flat)
@@ -879,9 +883,17 @@ def residual(a: Tensor, b: Tensor, scale: float = 1.0) -> float:
 
 
 def tensors_equal(a: Tensor, b: Tensor) -> bool:
-    """Exact componentwise equality (use in exact modes only)."""
+    """Exact componentwise equality (use in exact modes only); canonical
+    ``RationalField``s on (den, num), one and an array on num = array * den."""
     if a.valence != b.valence or a.dim != b.dim:
         return False
+    if isinstance(b.field, RationalField):
+        a, b = b, a
+    f = a.field
+    if isinstance(f, RationalField):
+        if isinstance(b.field, RationalField):
+            return f.den == b.field.den and np.array_equal(f.num, b.field.num)
+        return np.array_equal(f.num, b.a * f.den)
     if a.rank == 0:
         return a.item() == b.item()
     return bool(np.all(a.a == b.a))
@@ -926,11 +938,14 @@ class AltForm:
             dtype=object, count=math.comb(self.dim, self.degree))
 
     def to_tensor(self, ring) -> Tensor:
-        t = zeros(self.dim, ("d",) * self.degree, ring)
-        for idx, x in self.comps.items():
-            for perm, sign in signed_permutations(self.degree):
-                t.a[tuple(idx[q] for q in perm)] = x if sign > 0 else -x
-        return t
+        """The dense form, packed for Fractions: each key's component at
+        its signed permutations, ``ring``'s zero elsewhere."""
+        return Tensor(self.dim, ("d",) * self.degree, entries_array(
+            (self.dim,) * self.degree,
+            {tuple(idx[q] for q in perm): x if sign > 0 else -x
+             for idx, x in self.comps.items()
+             for perm, sign in signed_permutations(self.degree)},
+            ring.zero()))
 
     def get(self, idx, zero):
         """Component at an arbitrary index tuple (with sign)."""

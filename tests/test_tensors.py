@@ -23,7 +23,7 @@ from curvlab.tensors import (AltForm, Permutation, Tensor, antisymmetrize,
                              max_abs, perm_sign, raise_slot,
                              residual, signed_permutations, tensors_equal,
                              zeros)
-from curvlab import fields, rationals, tensors
+from curvlab import fields, rationals, suites, tensors
 from curvlab.fields import JetField
 from curvlab.rationals import RationalField, _rational_einsum
 
@@ -1538,6 +1538,134 @@ class TestEpsilonHodge:
                 assert not is_antisymmetric(t)
 
 
+def delta_by_elements(p, dim):
+    """The generalized delta as an object array filled one element at a
+    time: sign(s) at (I, I o s) for each p-tuple I of distinct indices."""
+    t = zeros(dim, ("d",) * p + ("u",) * p, RATIONAL)
+    for subset in itertools.combinations(range(dim), p):
+        for lower in itertools.permutations(subset):
+            for upper, sign in signed_permutations(p):
+                t.a[lower + tuple(lower[u] for u in upper)] = Fraction(sign)
+    return t.a
+
+
+def alt_form_by_elements(form):
+    """An AltForm's dense components filled one element at a time."""
+    t = zeros(form.dim, ("d",) * form.degree, RATIONAL)
+    for idx, x in form.comps.items():
+        for perm in itertools.permutations(range(form.degree)):
+            t.a[tuple(idx[q] for q in perm)] = x * perm_sign(perm)
+    return t.a
+
+
+def epsilon_by_elements(n, s):
+    """eps_{i_1..i_n} = sign(i) s, filled one element at a time."""
+    return alt_form_by_elements(AltForm(n, n, {tuple(range(n)): s}))
+
+
+def random_alt_form(n, k, rng):
+    """An AltForm with random Fraction components at some of its keys."""
+    return AltForm(n, k, {
+        key: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+        for key in itertools.combinations(range(n), k)
+        if rng.random() < 0.7})
+
+
+# (p, n) with n = 2..5 whose delta has fewer than 4^10 components: every
+# p <= n but p = 5 at n = 5, and p = n + 1 at n = 2 and 3
+DELTA_SIZES = [(p, n) for n in range(2, 6) for p in range(1, n + 2)
+               if n ** (2 * p) < 4 ** 10]
+
+
+class TestPackedExactTensors:
+    """Exact deltas, volume forms, dense AltForms and Hodge stars are built
+    packed from their entries and equal the element-by-element fills;
+    equality, zero tests and max_abs read numerators, packed or not."""
+
+    @pytest.mark.parametrize("p, n", DELTA_SIZES)
+    def test_delta_is_packed_and_matches_fill(self, p, n):
+        d = generalized_delta(p, n, RATIONAL)
+        assert isinstance(d.data, RationalField)
+        assert d.valence == ("d",) * p + ("u",) * p
+        assert_fractions_equal(d.data, delta_by_elements(p, n))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_epsilon_is_packed_and_matches_fill(self, n):
+        for diag, s in (([1] * n, Fraction(1)),
+                        ([Fraction(9, 4)] + [4] * (n - 1),
+                         Fraction(3, 2) * 2 ** (n - 1))):
+            for ctx in (diag_ctx(n, diag), suites._diag_ctx(n, diag)):
+                eps = epsilon_form(ctx)
+                assert isinstance(eps.data, RationalField)
+                assert_fractions_equal(eps.data, epsilon_by_elements(n, s))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_alt_form_to_tensor_is_packed_and_matches_fill(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            form = random_alt_form(n, k, rng)
+            got = form.to_tensor(RATIONAL)
+            assert isinstance(got.data, RationalField)
+            assert got.valence == ("d",) * k
+            assert_fractions_equal(got.data, alt_form_by_elements(form))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_hodge_star_is_packed_and_matches_epsilon_oracle(self, n):
+        """star(alpha)_J = (1/k!) alpha^I eps_{IJ}, with alpha^I raised by
+        the diagonal metric and eps filled one element at a time."""
+        rng = np.random.default_rng(10 + n)
+        diag = [Fraction(1, 4), 9] + [1] * (n - 2)
+        ctx, s = suites._diag_ctx(n, diag), Fraction(3, 2)
+        eps = epsilon_by_elements(n, s)
+        for k in range(n + 1):
+            form = random_alt_form(n, k, rng)
+            alpha = alt_form_by_elements(form)
+            up = alpha.copy()
+            for idx in np.ndindex(up.shape):
+                up[idx] = up[idx] / math.prod(Fraction(diag[i]) for i in idx)
+            ref = np.tensordot(up, eps, axes=(list(range(k)), list(range(k)))) \
+                / math.factorial(k)
+            got = hodge_star(ctx, Tensor(n, ("d",) * k, alpha).pack())
+            assert isinstance(got.data, RationalField)
+            assert_fractions_equal(got.data, ref)
+
+    @pytest.mark.parametrize("case", ["equal", "one-entry", "other-dens",
+                                      "zero", "rank0", "rank0-zero",
+                                      "past-int64", "past-int64-off"])
+    def test_equality_zero_and_max_abs_packed_or_not(self, case):
+        """tensors_equal, is_zero_tensor and max_abs give the same answer
+        on every mix of packed and object operands, and read a packed
+        operand without unpacking it."""
+        rng = np.random.default_rng(5)
+        shape = () if case.startswith("rank0") else (3, 3)
+        x = random_fractions(shape, rng)
+        if case.endswith("zero"):
+            x = np.full(shape, Fraction(0), dtype=object)
+        if case.startswith("past-int64"):
+            x = x * Fraction(2 ** 70, 7)
+        y = x.copy()
+        if case in ("one-entry", "past-int64-off"):
+            y[1, 2] += Fraction(1, 3)
+        elif case == "other-dens":
+            y = x / 5       # every denominator changes
+        elif case == "rank0":
+            y[()] += Fraction(1, 11)
+        val = ("d",) * len(shape)
+        tx, ty = Tensor(3, val, x), Tensor(3, val, y)
+        equal = bool(np.all(x == y))
+        assert equal == (case in ("equal", "zero", "past-int64",
+                                  "rank0-zero"))
+        top = max(abs(float(v)) for v in x.flat)
+        for a in (tx, tx.pack()):
+            for b in (ty, ty.pack()):
+                with no_rational_unpacking():
+                    assert tensors_equal(a, b) == equal
+                    assert tensors_equal(b, a) == equal
+                    assert tensors_equal(a, a)
+                    assert is_zero_tensor(a) == (top == 0)
+                    assert max_abs(a) == top
+
+
 class TestRaiseLower:
     def test_lower_identity_gives_metric(self):
         ctx = diag_ctx(3, [2, 3, 5])
@@ -1600,8 +1728,11 @@ class TestAltForm:
         t = antisymmetrize(rational_tensor(4, ("d",) * 3, rng), [0, 1, 2])
         f = alt_form_of(t)
         assert tensors_equal(f.to_tensor(RATIONAL), t)
-        assert f.get((2, 1, 0), Fraction(0)) == -t.a[0, 1, 2] * -1 ** 0 or True
+        # (2, 1, 0) is an odd permutation of the key (0, 1, 2)
+        assert f.get((2, 1, 0), Fraction(0)) == -t.a[0, 1, 2]
         assert f.get((2, 1, 0), Fraction(0)) == t.a[2, 1, 0]
+        assert f.get((1, 0, 1), Fraction(0)) == 0
+        assert f.get((2, 2, 2), Fraction(0)) == 0
 
     def test_alt_mul_matches_dense_antisymmetrization(self):
         rng = np.random.default_rng(13)
