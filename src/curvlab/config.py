@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import ConfigError
 from .geometry import ChartContext, FrameContext, GeometryContext, product
 from .polys import Poly, RationalFunc
-from .scalars import FLOAT
+from .scalars import FLOAT, RATIONAL
 
 
 def _fraction(value) -> Fraction:
@@ -97,13 +97,11 @@ def _context(cfg: dict) -> GeometryContext:
             if not all(0 <= x < dim for x in (e, a, b)):
                 raise ConfigError(f"structure index ({e}, {a}, {b}) is out "
                                   f"of range for dim {dim}")
-            sc[(e, a, b)] = v if exact else float(v)
-            sc[(e, b, a)] = -v if exact else -float(v)
-        g = [[_fraction(x) if exact else float(_fraction(x)) for x in row]
-             for row in _metric_rows(cfg, dim)]
-        kwargs = {} if exact else {"ring": FLOAT}
-        return FrameContext(dim, sc, g, orientation=orientation,
-                            name=cfg.get("name", "frame"), **kwargs)
+            sc[(e, a, b)], sc[(e, b, a)] = v, -v
+        g = [[_fraction(x) for x in row] for row in _metric_rows(cfg, dim)]
+        return FrameContext(dim, sc, g, ring=RATIONAL if exact else FLOAT,
+                            orientation=orientation,
+                            name=cfg.get("name", "frame"))
     if kind == "product":
         factors = [_context(f) for f in cfg["factors"]]
         return product(factors, name=cfg.get("name", "product"))

@@ -66,7 +66,7 @@ class ConformalFactor:
         """Upsilon as a field scalar on the context."""
         alg = ctx.jet_algebra
         exact = ctx.ring.exact
-        if alg is None:
+        if ctx.is_homogeneous:
             if not self.is_constant:
                 raise DimensionError(
                     "frame contexts admit only constant conformal factors")
@@ -98,7 +98,7 @@ class ConformalFactor:
 
 def rescale(ctx: GeometryContext, ups: ConformalFactor) -> GeometryContext:
     """Context for the metric e^{2 Upsilon} g."""
-    if ctx.jet_algebra is None:
+    if ctx.is_homogeneous:
         if not ups.is_constant:
             raise DimensionError(
                 "frame contexts admit only constant conformal factors")

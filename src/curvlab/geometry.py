@@ -1,7 +1,8 @@
 """Geometry contexts and the pointwise curvature stack.
 
 A context supplies, at a single base point, the metric as a tensor of field
-scalars (plain constants on homogeneous frames, truncated jets on charts),
+scalars (constants on homogeneous frames: Fractions, or float jets over no
+variables; truncated jets on charts),
 directional derivatives of field scalars, and commutation coefficients of the
 underlying basis.  Charts use coordinate bases (commutators vanish, metric
 varies); homogeneous frames use invariant bases (metric constant, commutators
@@ -253,10 +254,9 @@ class GeometryContext:
         values."""
         if isinstance(self.metric.field, RationalField):
             return _fraction_free_inverse(self.metric.field)
-        g = self.metric if self.jet_algebra is None else self.metric.at_point()
         ring = Ring(self.ring.name, field_value(self.ring.zero()),
                     field_value(self.ring.one()), self.ring.exact)
-        inv, det = _invert_with_det(g.a, ring)
+        inv, det = _invert_with_det(self.metric.at_point().a, ring)
         if scalar_float(det) == 0.0:
             raise DegenerateMetricError("metric is singular at the base point")
         return inv, det
@@ -338,55 +338,73 @@ class GeometryContext:
 
 
 class FrameContext(GeometryContext):
-    """Homogeneous frame: constant metric, constant structure coefficients."""
+    """Homogeneous frame: constant metric, constant structure coefficients.
+
+    Every entry is read as a rational, ``Fraction(x)``, exact for floats
+    too, and validated on the integer numerators.  An exact ring stores the
+    metric and the structure constants as ``RationalField``s; a float ring
+    stores float() of each Fraction in a ``JetField`` over no jet
+    variables, so float frames run on the float-jet kernel."""
 
     def __init__(self, dim, structure_constants, metric_entries, *,
                  ring=RATIONAL, orientation=1, name="frame"):
         self.dim = dim
-        self.ring = ring
         self.orientation = orientation
         self.var_of_direction = [None] * dim
         self.var_base_point = ()
         self.meta = {"name": name}
-        self.structure = entries_array((dim,) * 3, structure_constants,
-                                       ring.zero())
-        self.metric = Tensor(dim, ("d", "d"), entries_array(
-            (dim, dim), {(i, j): metric_entries[i][j] for i in range(dim)
-                         for j in range(dim)})).pack()
-        self._validate()
-
-    def _validate(self):
-        """c^e_ab = -c^e_ba, the Jacobi identity and g = g^T; packed, on the
-        integer numerators over their one denominator, int64 when the Jacobi
-        sums (three of n products each) are proven below 2**63."""
-        c, g, n = self.structure, self.metric.data, self.dim
-        if isinstance(c, RationalField):
-            c = c.num.astype(object) if 3 * n * c.bound ** 2 >= _INT64_BOUND \
-                else c.num
-        if isinstance(g, RationalField):
-            g = g.num
-        if (c + c.transpose(0, 2, 1)).any():
-            raise ValueError("structure constants not antisymmetric")
-        # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
-        m = np.matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape(
-            (n,) * 4)
-        if (m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).any():
-            raise ValueError("Jacobi identity fails")
-        if (g != g.transpose()).any():
-            raise ValueError("frame metric not symmetric")
+        c = entries_array((dim,) * 3, {k: _rational(v) for k, v in
+                                       structure_constants.items()},
+                          Fraction(0))
+        g = entries_array((dim, dim), {(i, j): _rational(metric_entries[i][j])
+                                       for i in range(dim)
+                                       for j in range(dim)})
+        _validate_frame(c, g)
+        self.ring = ring
+        if not ring.exact:
+            self.ring = jet_ring(JetAlgebra.get(0, 0), False)
+            c, g = _float_field(c), _float_field(g)
+        self.structure = c
+        self.metric = Tensor(dim, ("d", "d"), g)
 
     def to_float(self) -> "FrameContext":
-        sc = {}
-        n = self.dim
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    v = self.structure[e, a, b]
-                    if v:
-                        sc[(e, a, b)] = float(v)
-        g = [[float(self.metric.a[i, j]) for j in range(n)] for i in range(n)]
-        return FrameContext(n, sc, g, ring=FLOAT, orientation=self.orientation,
+        """The float frame of this exact frame."""
+        return FrameContext(self.dim,
+                            dict(np.ndenumerate(self.structure.unpack())),
+                            self.metric.a.tolist(), ring=FLOAT,
+                            orientation=self.orientation,
                             name=self.meta["name"])
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction, exactly: floats and ints included."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _validate_frame(c: RationalField, g: RationalField):
+    """c^e_ab = -c^e_ba, the Jacobi identity and g = g^T, on the integer
+    numerators over their one denominator, int64 when the Jacobi sums
+    (three of n products each) are proven below 2**63."""
+    n = g.shape[0]
+    c = c.num.astype(object) if 3 * n * c.bound ** 2 >= _INT64_BOUND \
+        else c.num
+    if (c + c.transpose(0, 2, 1)).any():
+        raise ValueError("structure constants not antisymmetric")
+    # Jacobi: c^e_ad c^d_bf summed over d, cyclic in (a, b, f), is zero
+    m = np.matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape((n,) * 4)
+    if (m + m.transpose(0, 3, 1, 2) + m.transpose(0, 2, 3, 1)).any():
+        raise ValueError("Jacobi identity fails")
+    if (g.num != g.num.transpose()).any():
+        raise ValueError("frame metric not symmetric")
+
+
+def _float_field(f: RationalField) -> JetField:
+    """float() of each Fraction of f, one correctly rounded int division
+    each (dividing by the shared denominator in floats could round twice),
+    as constants over no jet variables."""
+    c = np.array([x / f.den for x in f.num.ravel().tolist()])
+    return JetField(JetAlgebra.get(0, 0), c.reshape((1,) + f.shape),
+                    np.zeros(f.shape, dtype=int))
 
 
 class ChartContext(GeometryContext):
@@ -524,73 +542,79 @@ class ProductContext(GeometryContext):
             self.orientation *= (f.orientation or 1)
         self.var_of_direction = []
         self.var_base_point = ()
-        var_off = 0
+        var_offsets, var_off = [], 0
         for f in factors:
             for v in f.var_of_direction:
                 self.var_of_direction.append(None if v is None else var_off + v)
+            var_offsets.append(var_off)
             var_off += f.nvars
             self.var_base_point = self.var_base_point + \
                 tuple(getattr(f, "var_base_point", ()))
-        if nvars == 0:
-            self.ring = factors[0].ring
-            lift = lambda s, f: s
+        n, alg = self.dim, JetAlgebra.get(nvars, self.jet_order or 0)
+        if not exact:
+            self.ring, build = jet_ring(alg, False), _block_jets
+        elif nvars == 0:
+            self.ring, build = factors[0].ring, _block_field
         else:
-            order = min(chart_orders)
-            alg = JetAlgebra.get(nvars, order)
-            self.ring = jet_ring(alg, exact)
-            fvar_off = {}
-            acc = 0
-            for f in factors:
-                fvar_off[id(f)] = acc
-                acc += f.nvars
-
-            def lift(s, f):
-                if isinstance(s, Jet):
-                    return _embed_jet(s, alg, fvar_off[id(f)], exact)
-                return Jet.const(alg, s, exact)
-        n = self.dim
-        blocks = [(f.metric.data, f.structure, off)
-                  for f, off in zip(factors, offsets)]
-        if nvars == 0 and exact and all(
-                isinstance(g, RationalField)
-                and (c is None or isinstance(c, RationalField))
-                for g, c, _ in blocks):
-            self.metric = Tensor(n, ("d", "d"), _block_field(
-                (n, n), [(g, off) for g, _, off in blocks]))
-            self.structure = _block_field(
-                (n, n, n), [(c, off) for _, c, off in blocks if c is not None])
-            return
-        g = np.empty((self.dim, self.dim), dtype=object)
-        g[...] = self.ring.zero()
-        c = np.empty((self.dim, self.dim, self.dim), dtype=object)
-        c[...] = self.ring.zero()
-        for f, off in zip(factors, offsets):
-            for i in range(f.dim):
-                for j in range(f.dim):
-                    g[off + i, off + j] = lift(f.metric.a[i, j], f)
-            if f.structure is not None:
-                for e in range(f.dim):
-                    for a in range(f.dim):
-                        for b in range(f.dim):
-                            v = f.structure[e, a, b]
-                            if v:
-                                c[off + e, off + a, off + b] = lift(v, f)
-        self.metric = Tensor(self.dim, ("d", "d"), g).pack()
-        self.structure = RationalField.pack(c) or c
+            self.ring, build = jet_ring(alg, True), _block_exact_jets
+        blocks = list(zip(factors, offsets, var_offsets))
+        self.metric = Tensor(n, ("d", "d"), build(
+            alg, (n, n), [(f.metric.data, off, v) for f, off, v in blocks]))
+        self.structure = build(alg, (n, n, n), [
+            (f.structure, off, v) for f, off, v in blocks
+            if f.structure is not None])
 
 
-def _block_field(shape: tuple, blocks: list) -> RationalField:
-    """The block-diagonal field of ``shape`` holding each (field, offset) of
-    ``blocks`` at offset on every axis, its numerators rescaled to the lcm
-    of the blocks' denominators."""
-    den = math.lcm(*(f.den for f, _ in blocks))
-    bound = max((f.bound * (den // f.den) for f, _ in blocks), default=1)
+def _block_field(alg, shape: tuple, blocks: list) -> RationalField:
+    """The block-diagonal field of ``shape`` holding each (field, offset,
+    variable offset) of ``blocks`` at offset on every axis, its numerators
+    rescaled to the lcm of the blocks' denominators."""
+    den = math.lcm(*(f.den for f, *_ in blocks))
+    bound = max((f.bound * (den // f.den) for f, *_ in blocks), default=1)
     wide = bound >= _INT64_BOUND
     num = np.zeros(shape, dtype=object if wide else np.int64)
-    for f, off in blocks:       # widened before the rescaling multiply
-        num[tuple(slice(off, off + d) for d in f.shape)] = \
+    for f, off, _ in blocks:    # widened before the rescaling multiply
+        num[_block_at(f, off)] = \
             (f.num.astype(object) if wide else f.num) * (den // f.den)
     return RationalField.reduced(num, den, bound)
+
+
+def _block_jets(alg: JetAlgebra, shape: tuple, blocks: list) -> JetField:
+    """The block-diagonal float-jet field of ``shape`` over ``alg`` holding
+    each (field, offset, variable offset) of ``blocks`` at offset on every
+    axis, its jet variables moved to start at the variable offset.  A block
+    over no variables holds constants, valid through ``alg``'s order, as
+    are the zeros between the blocks."""
+    c = np.zeros((alg.N,) + shape)
+    v = np.full(shape, alg.order)
+    for f, off, var_off in blocks:
+        src, dst = _embed_table((f.alg.nvars, f.alg.order),
+                                (alg.nvars, alg.order), var_off)
+        rows = src < len(f.c)       # the rows after f's are zero
+        c[(dst[rows],) + _block_at(f, off)] = f.c[src[rows]]
+        if f.alg.nvars:
+            v[_block_at(f, off)] = np.minimum(f.v, alg.order)
+    return JetField(alg, c, v)
+
+
+def _block_exact_jets(alg: JetAlgebra, shape: tuple,
+                      blocks: list) -> np.ndarray:
+    """The block-diagonal object array of exact jets over ``alg`` holding
+    each (entries, offset, variable offset) of ``blocks``: Fractions as
+    constants, jets with their variables moved to the variable offset."""
+    def lift(s, var_off):
+        return _embed_jet(s, alg, var_off) if isinstance(s, Jet) \
+            else Jet.const(alg, s, True)
+    out = np.full(shape, Jet.const(alg, Fraction(0), True), dtype=object)
+    for x, off, var_off in blocks:
+        x = x.unpack() if isinstance(x, RationalField) else x
+        out[_block_at(x, off)] = np.frompyfunc(lift, 2, 1)(x, var_off)
+    return out
+
+
+def _block_at(x, off: int) -> tuple:
+    """The slices that place x at offset off on every axis."""
+    return tuple(slice(off, off + d) for d in x.shape)
 
 
 @lru_cache(maxsize=None)
@@ -609,18 +633,13 @@ def _embed_table(src_key, dst_key, offset):
     return np.array(src_idx), np.array(dst_idx)
 
 
-def _embed_jet(j: Jet, alg: JetAlgebra, offset: int, exact: bool) -> Jet:
+def _embed_jet(j: Jet, alg: JetAlgebra, offset: int) -> Jet:
+    """An exact jet with its variables moved to start at offset in alg."""
     src_idx, dst_idx = _embed_table((j.alg.nvars, j.alg.order),
                                     (alg.nvars, alg.order), offset)
-    if exact:
-        c = np.empty(alg.N, dtype=object)
-        c[...] = Fraction(0)
-        c[dst_idx] = j.c[src_idx]
-    else:
-        c = np.zeros(alg.N)
-        c[dst_idx] = j.c[src_idx]
-    valid = min(j.valid, alg.order)
-    return Jet(alg, c, valid, exact)
+    c = np.full(alg.N, Fraction(0), dtype=object)
+    c[dst_idx] = j.c[src_idx]
+    return Jet(alg, c, min(j.valid, alg.order), True)
 
 
 def product(contexts, *, name="product") -> ProductContext:

@@ -13,7 +13,7 @@ from .errors import ConfigError, ExactnessError
 from .geometry import ChartContext, FrameContext, GeometryContext, product
 from .polys import Poly, RationalFunc
 from .rationals import entries_array
-from .scalars import FLOAT, rational_sqrt
+from .scalars import FLOAT, RATIONAL, rational_sqrt
 from .tensors import Tensor
 
 
@@ -56,31 +56,19 @@ def berger_frame(t, exact: bool = True) -> FrameContext:
 def _su2_frame(t: Fraction, bracket_scale: Fraction,
                exact: bool) -> FrameContext:
     sc = {}
-
-    def setc(e, a, b, v):
-        sc[(e, a, b)] = v
-        sc[(e, b, a)] = -v
-
-    v = bracket_scale if exact else float(bracket_scale)
-    setc(2, 0, 1, v)
-    setc(0, 1, 2, v)
-    setc(1, 2, 0, v)
-    if exact:
-        g = [[Fraction(x) for x in row]
-             for row in [[t, 0, 0], [0, 1, 0], [0, 0, 1]]]
-        ctx = FrameContext(3, sc, g, name=f"berger_t={t}")
-    else:
-        g = [[float(t), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        ctx = FrameContext(3, sc, g, ring=FLOAT, name=f"berger_t={float(t)}")
+    for e, a, b in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):
+        sc[e, a, b], sc[e, b, a] = bracket_scale, -bracket_scale
+    ctx = FrameContext(3, sc, [[t, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       ring=RATIONAL if exact else FLOAT,
+                       name=f"berger_t={t if exact else float(t)}")
     ctx.meta["t"] = t
     ctx.meta["bracket_scale"] = bracket_scale
     return ctx
 
 
 def circle_frame(exact: bool = True) -> FrameContext:
-    if exact:
-        return FrameContext(1, {}, [[Fraction(1)]], name="s1")
-    return FrameContext(1, {}, [[1.0]], ring=FLOAT, name="s1")
+    return FrameContext(1, {}, [[1]], ring=RATIONAL if exact else FLOAT,
+                        name="s1")
 
 
 def berger_product(t, exact: bool = True, *,

@@ -18,7 +18,7 @@ from .conformal import (ConformalFactor, _hess_j, _w_check_sq, _wp,
                         verify_ac_identities, verify_pfaffian_identity)
 from .config import check_jet_order
 from .errors import ConfigError, ExactnessError
-from .geometry import FrameContext
+from .geometry import FrameContext, jet_ring
 from .invariants import (InvariantPolynomial, conformal_killing_K,
                          functional_density)
 from . import invariants as inv
@@ -61,7 +61,9 @@ def _coerce_model_dim(model: str, want: int) -> str:
 def _ctx_for_model(model: str, *, seed: int, jet_order: int,
                    exact: bool = False, t=Fraction(4), dim: int | None = None,
                    charts_only: bool = False):
-    """Resolve a model name (or config path) into a context builder."""
+    """Resolve a model name (or config path) into a context builder.  With
+    ``charts_only`` the model must be a chart, and an exact one (from a
+    config) is demoted to floats once."""
     from . import config as config_mod
 
     def _guard(ctx):
@@ -69,14 +71,16 @@ def _ctx_for_model(model: str, *, seed: int, jet_order: int,
             raise ConfigError(
                 f"model {model!r} is homogeneous; this suite differentiates "
                 "polynomial conformal factors and needs a chart model")
-        return ctx
+        if charts_only and ctx.ring.exact:
+            ctx = _to_float_ctx(ctx)
+        return lambda i: ctx
 
     if model.endswith(".json"):
         fixed = config_mod.load_model_file(model)
         if dim is not None and fixed.dim != dim:
             raise ConfigError(f"model config has dimension {fixed.dim}, "
                               f"but this suite runs in dimension {dim}")
-        return lambda i: _guard(fixed)
+        return _guard(fixed)
     if dim is not None:
         model = _coerce_model_dim(model, dim)
     if model not in MODEL_BUILDERS:
@@ -86,9 +90,8 @@ def _ctx_for_model(model: str, *, seed: int, jet_order: int,
         rdim = int(model[len("random"):])
         return lambda i: random_chart(rdim, seed=seed * 1009 + i,
                                       jet_order=jet_order)
-    fixed = MODEL_BUILDERS[model](jet_order=jet_order, exact=exact,
-                                  seed=seed, t=t)
-    return lambda i: _guard(fixed)
+    return _guard(MODEL_BUILDERS[model](jet_order=jet_order, exact=exact,
+                                        seed=seed, t=t))
 
 
 # -- core identities -------------------------------------------------------------
@@ -364,8 +367,6 @@ def suite_thm_invariance(model: str = "random4", trials: int = 20,
     worst_xi = worst_rho = 0.0
     for i in range(trials):
         ctx = build(i)
-        if ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
         ups = ConformalFactor.from_poly(
             random_conformal_factor(ctx.nvars or ctx.dim, seed * 1009 + i))
         st = ctx.stack
@@ -389,9 +390,8 @@ def suite_thm_invariance(model: str = "random4", trials: int = 20,
 
 
 def _to_float_ctx(ctx):
-    """Demote an exact chart context to floats (for invariance trials)."""
-    metric = ctx.metric.map(lambda j: j.to_float())
-    from .geometry import jet_ring
+    """Demote an exact chart context to floats, its metric packed."""
+    metric = ctx.metric.map(lambda j: j.to_float()).pack()
     return clone_context(ctx, metric, ring=jet_ring(ctx.jet_algebra, False))
 
 
@@ -406,8 +406,6 @@ def suite_thm_pfaffian(model: str = "random4", trials: int = 20,
     sub_worst = {}
     for i in range(trials):
         ctx = build(i)
-        if ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
         r = verify_pfaffian_identity(ctx, tol=tol, exact=False)
         for c in r.checks:
             sub_worst[c.name] = max(sub_worst.get(c.name, 0.0), c.residual)
@@ -430,8 +428,6 @@ def suite_ac_identities(model: str = "random6", trials: int = 10,
     sub_worst = {}
     for i in range(trials):
         ctx = build(i)
-        if ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
         ups = ConformalFactor.from_poly(
             random_conformal_factor(ctx.nvars or ctx.dim, seed * 211 + i))
         r = verify_ac_identities(ctx, k, ups=ups, tol=tol)
@@ -547,8 +543,6 @@ def suite_lemmas(trials: int = 10, seed: int = 5, tol: float = 1e-7,
     sub_worst = {}
     for i in range(trials):
         ctx = build(i)
-        if ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
         ups = ConformalFactor.from_poly(
             random_conformal_factor(ctx.nvars or ctx.dim, seed * 499 + i))
         for name, res in _lemma_checks(ctx, ups, tol).items():
@@ -582,8 +576,6 @@ def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
              "lin_hj": 0.0}
     for i in range(trials):
         ctx = build(i)
-        if ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
         if getattr(ctx, "jet_order", None) is not None \
                 and ctx.jet_order < 4:
             raise ConfigError("the naturality suite needs jet order >= 4")
@@ -672,8 +664,6 @@ def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
     worst_div = 0.0
     for i in range(3):
         ctx5 = build5(i)
-        if ctx5.ring.exact:
-            ctx5 = _to_float_ctx(ctx5)
         st5 = ctx5.stack
         b5 = st5.bach
         worst_div = max(worst_div,

@@ -18,8 +18,8 @@ packed in a field (``curvlab.fields`` and ``curvlab.rationals``):
   unpacks to the very Fraction the object path gives.  The numerators are
   int64 when every one fits and Python ints in an object array otherwise.
 
-Chart metrics, exact frame and product metrics, their inverses and exact
-structure constants are packed once; the exact ``generalized_delta``,
+Chart, frame and product metrics, their inverses and frame structure
+constants are packed once; the exact ``generalized_delta``,
 ``epsilon_form``, ``AltForm.to_tensor`` and ``hodge_star`` are packed from
 their nonzero entries (``rationals.entries_array``, an object array for
 other scalars), and ``tensors_equal`` and ``max_abs`` read a

@@ -1,11 +1,13 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from curvlab import geometry
+from curvlab import invariants
 from curvlab.config import context_from_config
 from curvlab.conformal import (ConformalFactor, _dual_context, clone_context,
                                linearize)
@@ -18,9 +20,9 @@ from curvlab.geometry import (ChartContext, FrameContext, _invert_with_det,
                               product)
 from curvlab.jets import Dual, Jet
 from curvlab.models import (_su2_frame, berger_frame, berger_product,
-                            circle_frame, flat_chart, fs_cp2_chart, product_8d,
-                            random_chart, random_conformal_factor,
-                            round_sphere_chart)
+                            circle_frame, flat_chart, fs_cp2_chart,
+                            killing_field_T, product_8d, random_chart,
+                            random_conformal_factor, round_sphere_chart)
 from curvlab.polys import Poly
 from curvlab.scalars import FLOAT, RATIONAL
 from curvlab.tensors import (Tensor, antisymmetrize, is_zero_tensor, max_abs,
@@ -706,7 +708,7 @@ SU2 = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 class TestFrameValidation:
-    """``FrameContext._validate`` on the integer numerators: each of its
+    """``geometry._validate_frame`` on the integer numerators: each of its
     errors on int64 numerators, on int64 numerators whose Jacobi products
     pass 2**63, and on numerators past 2**63, with no field operation."""
 
@@ -777,3 +779,79 @@ class TestFractionFreeInverse:
         for attr in ("metric_inv", "det_metric"):
             with pytest.raises(DegenerateMetricError, match=str(ref.value)):
                 getattr(ctx, attr)
+
+
+def _assert_matches_exact(got, want, tol=1e-12):
+    """Float components, a ``JetField`` over no jet variables, within tol of
+    float() of the exact ones, relative to the largest of those."""
+    assert isinstance(got.field, JetField) and got.field.alg.nvars == 0
+    w = np.array([float(x) for x in want.a.ravel()]).reshape(want.a.shape)
+    assert np.abs(got.field.c[0] - w).max() <= tol * np.abs(w).max()
+
+
+class TestFloatFrames:
+    """A float frame is the exact frame's rationals stored as floats in
+    ``JetField``s over no jet variables, and runs on the float-jet kernel."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: berger_frame(Fraction(9, 4), exact=False),
+        lambda: berger_product(Fraction(9, 4), exact=False),
+        lambda: product_8d(jet_order=2)],
+        ids=["frame", "berger_product", "product_8d"])
+    def test_metric_and_structure_packed(self, build):
+        ctx = build()
+        assert isinstance(ctx.metric.field, JetField)
+        assert isinstance(ctx.structure, JetField)
+        assert ctx.structure.alg is ctx.metric.field.alg is ctx.jet_algebra
+
+    def test_invariants_run_packed(self):
+        st = berger_product(Fraction(9, 4), exact=False).stack
+        phi = invariants.InvariantPolynomial.pair_swap()
+        with mock.patch.object(JetField, "unpack",
+                               side_effect=AssertionError("unpacked")):
+            xi = invariants.xi_k(st, 2).components
+            rho = invariants.rho_phi(st, phi)
+            pf2 = invariants.pfaffian_of(st, 2, "riemann")
+        assert isinstance(xi.field, JetField)
+        assert isinstance(rho.components.field, JetField)
+        assert isinstance(pf2, Jet) and pf2.alg.nvars == 0
+
+    def test_floats_read_as_their_fractions(self):
+        """A frame of floats is, bit for bit, the frame of the Fractions
+        those floats are, and stores each float as it came."""
+        sc = _brackets(SU2, 0.1)          # neither 0.1 nor 1/3 is dyadic
+        g = [[1 / 3, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.7]]
+        a = FrameContext(3, {k: float(v) for k, v in sc.items()}, g,
+                         ring=FLOAT)
+        b = FrameContext(3, sc, [[Fraction(x) for x in row] for row in g],
+                         ring=FLOAT)
+        for x, y in ((a.metric.field, b.metric.field),
+                     (a.structure, b.structure),
+                     (a.metric_inv.field, b.metric_inv.field)):
+            assert np.array_equal(x.c, y.c) and np.array_equal(x.v, y.v)
+        assert a.metric.field.c[0].tolist() == g
+        assert a.structure.c[0, 2, 0, 1] == 0.1
+
+    @pytest.mark.parametrize("t", [Fraction(4), Fraction(9, 4),
+                                   Fraction(1, 4)], ids=["t4", "t9_4", "t1_4"])
+    def test_density_matches_exact(self, t):
+        phi = invariants.InvariantPolynomial.pair_swap()
+        fl, ex = (berger_product(t, exact) for exact in (False, True))
+        rho_f, rho_e = (invariants.rho_phi(c.stack, phi) for c in (fl, ex))
+        _assert_matches_exact(rho_f.components, rho_e.components)
+        got, want = (invariants.functional_density(c, r, killing_field_T(c))
+                     for c, r in ((fl, rho_f), (ex, rho_e)))
+        assert want and abs(got - float(want)) <= 1e-12 * abs(float(want))
+
+    def test_product_matches_exact_at_n8(self):
+        fl, ex = (product([f for t in (Fraction(9, 4), Fraction(1, 4))
+                           for f in berger_product(t, exact).factors])
+                  for exact in (False, True))
+        _assert_matches_exact(fl.stack.weyl, ex.stack.weyl)
+        phi = invariants.InvariantPolynomial.pair_swap()
+        got, want = (invariants.phi_w_c_form(c.stack, phi).comps
+                     for c in (fl, ex))
+        assert want and set(got) == set(want)
+        top = max(abs(float(x)) for x in want.values())
+        for key, x in want.items():
+            assert abs(got[key].val() - float(x)) <= 1e-12 * top
