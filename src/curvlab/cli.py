@@ -17,8 +17,7 @@ import traceback
 from fractions import Fraction
 
 from .errors import CurvLabError
-from .models import MODEL_BUILDERS
-from .suites import SUITES, run_suite
+from .suites import MODELS, SUITES, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,8 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True,
                    help=f"one of {sorted(SUITES) + ['all']}")
     v.add_argument("--model", default=None,
-                   help=f"model name ({', '.join(sorted(MODEL_BUILDERS))}) "
-                        "or a JSON config path")
+                   help=f"model name ({', '.join(sorted(MODELS))}; flat "
+                        "and random take the suite's dimension) or a JSON "
+                        "config path")
     v.add_argument("--t", default=None,
                    help="Berger parameter as a rational, e.g. 4 or 1/4")
     v.add_argument("--seed", type=int, default=None)

@@ -194,29 +194,3 @@ def random_conformal_factor(dim: int, seed: int, scale: float = 0.5) -> Poly:
     rng = np.random.default_rng(seed + 10 ** 9)
     return _random_poly(dim, rng, scale)
 
-
-# -- registry ------------------------------------------------------------------
-
-MODEL_BUILDERS = {
-    "flat2": lambda jet_order=3, exact=True, seed=0, t=None:
-        flat_chart(2, jet_order, exact),
-    "flat4": lambda jet_order=3, exact=True, seed=0, t=None:
-        flat_chart(4, jet_order, exact),
-    "flat6": lambda jet_order=3, exact=True, seed=0, t=None:
-        flat_chart(6, jet_order, exact),
-    "round_s4": lambda jet_order=3, exact=True, seed=0, t=None:
-        round_sphere_chart(4, jet_order, exact),
-    "berger": lambda jet_order=3, exact=True, seed=0, t=Fraction(4):
-        berger_frame(t, exact),
-    "berger_product": lambda jet_order=3, exact=True, seed=0, t=Fraction(4):
-        berger_product(t, exact),
-    "fs_cp2": lambda jet_order=3, exact=False, seed=0, t=None:
-        fs_cp2_chart(jet_order, exact),
-    "prod8": lambda jet_order=3, exact=False, seed=0, t=Fraction(4):
-        product_8d(t, jet_order),
-    "random4": lambda jet_order=3, exact=False, seed=0, t=None:
-        random_chart(4, seed, jet_order),
-    "random6": lambda jet_order=3, exact=False, seed=0, t=None:
-        random_chart(6, seed, jet_order),
-}
-MODEL_BUILDERS["flat"] = MODEL_BUILDERS["flat4"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,15 +17,15 @@ from .conformal import (ConformalFactor, _hess_j, _w_check_sq, _wp,
                         clone_context, invariance_residual, linearize,
                         linearize_fd, naturality_rank_test, rescale,
                         verify_ac_identities, verify_pfaffian_identity)
-from .config import check_jet_order
+from .config import check_jet_order, load_model_file
 from .errors import ConfigError, ExactnessError
 from .geometry import FrameContext, jet_ring
 from .invariants import (InvariantPolynomial, conformal_killing_K,
                          functional_density)
 from . import invariants as inv
 from .jets import scalar_float
-from .models import (MODEL_BUILDERS, berger_product, flat_chart,
-                     fs_cp2_chart, killing_field_T, product_8d, random_chart,
+from .models import (berger_product, flat_chart, fs_cp2_chart,
+                     killing_field_T, product_8d, random_chart,
                      random_conformal_factor, round_sphere_chart)
 from .rationals import entries_array
 from .report import Check, VerificationReport, check_exact, check_residual
@@ -35,63 +36,75 @@ from .tensors import (AltForm, Tensor, antisymmetrize, contract, contract_with,
                       residual, tensors_equal)
 
 
-_MODEL_DIMS = {"flat": 4, "flat2": 2, "flat4": 4, "flat6": 6, "random4": 4,
-               "random6": 6, "round_s4": 4, "fs_cp2": 4, "berger": 3,
-               "berger_product": 4, "prod8": 8}
+class Model(NamedTuple):
+    """A ``--model`` chart: its dimension, the family whose members stand
+    in for it in other dimensions, whether each trial draws a new chart,
+    and its builder ``(dim, seed, jet_order) -> ChartContext``."""
+    dim: int
+    family: str | None
+    per_trial: bool
+    build: Callable
 
 
-def _coerce_model_dim(model: str, want: int) -> str:
-    """Swap the flat/random families to the dimension a suite requires;
-    reject anything else of the wrong dimension."""
-    if model.endswith(".json"):
-        return model
-    have = _MODEL_DIMS.get(model)
-    if have == want or have is None:
-        return model
-    family = "flat" if model.startswith("flat") else \
-        "random" if model.startswith("random") else None
-    if family:
-        swapped = f"{family}{want}"
-        if swapped in MODEL_BUILDERS:
-            return swapped
-    raise ConfigError(f"model {model!r} has dimension {have}, but this "
-                      f"suite runs in dimension {want}")
+def _flat(dim, seed, jet_order):
+    return flat_chart(dim, jet_order, exact=False)
 
 
-def _ctx_for_model(model: str, *, seed: int, jet_order: int,
-                   exact: bool = False, t=Fraction(4), dim: int | None = None,
-                   charts_only: bool = False):
-    """Resolve a model name (or config path) into a context builder.  With
-    ``charts_only`` the model must be a chart, and an exact one (from a
-    config) is demoted to floats once."""
-    from . import config as config_mod
+MODELS = {
+    "flat": Model(4, "flat", False, _flat),
+    "flat2": Model(2, "flat", False, _flat),
+    "flat4": Model(4, "flat", False, _flat),
+    "flat6": Model(6, "flat", False, _flat),
+    "round_s4": Model(4, None, False, lambda dim, seed, jet_order:
+                      round_sphere_chart(dim, jet_order, exact=False)),
+    "fs_cp2": Model(4, None, False, lambda dim, seed, jet_order:
+                    fs_cp2_chart(jet_order)),
+    "random4": Model(4, "random", True, random_chart),
+    "random6": Model(6, "random", True, random_chart),
+}
 
-    def _guard(ctx):
-        if charts_only and ctx.is_homogeneous:
-            raise ConfigError(
-                f"model {model!r} is homogeneous; this suite differentiates "
-                "polynomial conformal factors and needs a chart model")
-        if charts_only and ctx.ring.exact:
-            ctx = _to_float_ctx(ctx)
-        return lambda i: ctx
 
-    if model.endswith(".json"):
-        fixed = config_mod.load_model_file(model)
-        if dim is not None and fixed.dim != dim:
-            raise ConfigError(f"model config has dimension {fixed.dim}, "
-                              f"but this suite runs in dimension {dim}")
-        return _guard(fixed)
-    if dim is not None:
-        model = _coerce_model_dim(model, dim)
-    if model not in MODEL_BUILDERS:
-        raise ConfigError(f"unknown model {model!r}; known: "
-                          f"{sorted(MODEL_BUILDERS)} or a .json path")
-    if model.startswith("random"):
-        rdim = int(model[len("random"):])
-        return lambda i: random_chart(rdim, seed=seed * 1009 + i,
-                                      jet_order=jet_order)
-    return _guard(MODEL_BUILDERS[model](jet_order=jet_order, exact=exact,
-                                        seed=seed, t=t))
+def _model(model: str, dim: int) -> Model:
+    """The entry named ``model``, or its family's member of dimension
+    ``dim``; a ConfigError listing the names of that dimension otherwise."""
+    entry = MODELS.get(model)
+    if entry is not None and entry.dim != dim and entry.family:
+        entry = next((m for m in MODELS.values()
+                      if m.family == entry.family and m.dim == dim), entry)
+    if entry is not None and entry.dim == dim:
+        return entry
+    what = f"unknown model {model!r}" if entry is None else \
+        f"model {model!r} has dimension {entry.dim}, but this suite runs " \
+        f"in dimension {dim}"
+    fit = ", ".join(sorted(n for n, m in MODELS.items() if m.dim == dim))
+    raise ConfigError(f"{what}; the models of dimension {dim} are {fit}, "
+                      "or a .json path")
+
+
+def _ctx_for_model(model: str, *, seed: int, jet_order: int, dim: int):
+    """(build, per_trial) for a model name or config path: ``build(i)`` is
+    trial i's float chart, a new one per trial only when ``per_trial``.  A
+    config must hold a chart, and an exact one is demoted to floats once."""
+    if not model.endswith(".json"):
+        entry = _model(model, dim)
+        if entry.per_trial:
+            return (lambda i: entry.build(dim, seed * 1009 + i, jet_order),
+                    True)
+        ctx = entry.build(dim, seed, jet_order)
+        return (lambda i: ctx), False
+    ctx = load_model_file(model)
+    if ctx.dim != dim:
+        raise ConfigError(f"model config has dimension {ctx.dim}, "
+                          f"but this suite runs in dimension {dim}")
+    if ctx.is_homogeneous:
+        raise ConfigError(
+            f"model {model!r} is homogeneous; this suite differentiates "
+            "polynomial conformal factors and needs a chart model")
+    if ctx.ring.exact:
+        metric = ctx.metric.map(lambda j: j.to_float()).pack()
+        ctx = clone_context(ctx, metric,
+                            ring=jet_ring(ctx.jet_algebra, False))
+    return (lambda i: ctx), False
 
 
 # -- core identities -------------------------------------------------------------
@@ -252,14 +265,16 @@ def _berger_displays(t: Fraction):
     return na, nb, ng, ric, wey, cot
 
 
-def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
-                 sweep_ts=(Fraction(1), Fraction(4), Fraction(9),
-                           Fraction(1, 4))) -> VerificationReport:
+def suite_berger(t=Fraction(4), seed: int = 0,
+                 exact: bool = True) -> VerificationReport:
+    # this suite asserts exact equalities, so it runs in rationals only
+    if not exact:
+        raise ConfigError("the berger suite runs in exact rational "
+                          "arithmetic only and does not take --float")
     t = Fraction(t)
     rep = VerificationReport("berger", f"berger_product_t={t}", seed)
     if t <= 0:
         raise ConfigError("Berger parameter t must be positive")
-    # this suite asserts exact equalities, so it always runs in rationals
     if rational_sqrt(t) is None:
         raise ExactnessError(
             f"the berger suite runs in exact rational arithmetic and needs "
@@ -330,11 +345,8 @@ def suite_berger(t=Fraction(4), seed: int = 0, exact: bool = True,
     ssr = hodge_star(ctx, sr)
     rep.add(check_exact("rho = -(star star rho) (general-dimension route agrees)",
                         tensors_equal(rho.components, ssr.scale(-1))))
-    # parameter sweep
-    for tv in sweep_ts:
-        tv = Fraction(tv)
-        if rational_sqrt(tv) is None:
-            continue
+    # parameter sweep over square t, so sqrt(t) stays rational
+    for tv in (Fraction(1), Fraction(4), Fraction(9), Fraction(1, 4)):
         c2 = berger_product(tv, exact=True)
         s2 = c2.stack
         phi_ = InvariantPolynomial.pair_swap()
@@ -361,8 +373,7 @@ def suite_thm_invariance(model: str = "random4", trials: int = 20,
                          seed: int = 7, tol: float = 1e-8,
                          jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("thm_invariance", model, seed)
-    build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
-                           dim=4, charts_only=True)
+    build, _ = _ctx_for_model(model, seed=seed, jet_order=jet_order, dim=4)
     phi = InvariantPolynomial.pair_swap()
     worst_xi = worst_rho = 0.0
     for i in range(trials):
@@ -389,19 +400,13 @@ def suite_thm_invariance(model: str = "random4", trials: int = 20,
     return rep
 
 
-def _to_float_ctx(ctx):
-    """Demote an exact chart context to floats, its metric packed."""
-    metric = ctx.metric.map(lambda j: j.to_float()).pack()
-    return clone_context(ctx, metric, ring=jet_ring(ctx.jet_algebra, False))
-
-
 def suite_thm_pfaffian(model: str = "random4", trials: int = 20,
                        seed: int = 11, tol: float = 1e-8,
                        jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("thm_pfaffian", model, seed)
-    build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
-                           dim=4, charts_only=True)
-    if not model.startswith("random"):
+    build, per_trial = _ctx_for_model(model, seed=seed, jet_order=jet_order,
+                                      dim=4)
+    if not per_trial:
         trials = 1          # fixed model, no per-trial randomness
     sub_worst = {}
     for i in range(trials):
@@ -420,11 +425,12 @@ def suite_thm_pfaffian(model: str = "random4", trials: int = 20,
 
 
 def suite_ac_identities(model: str = "random6", trials: int = 10,
-                        seed: int = 13, tol: float = 1e-7, jet_order: int = 3,
-                        k: int = 2) -> VerificationReport:
+                        seed: int = 13, tol: float = 1e-7,
+                        jet_order: int = 3) -> VerificationReport:
     rep = VerificationReport("ac_identities", model, seed)
-    build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
-                           dim=2 * k + 2, charts_only=True)
+    k = 2
+    build, _ = _ctx_for_model(model, seed=seed, jet_order=jet_order,
+                              dim=2 * k + 2)
     sub_worst = {}
     for i in range(trials):
         ctx = build(i)
@@ -537,8 +543,7 @@ def suite_lemmas(trials: int = 10, seed: int = 5, tol: float = 1e-7,
                  jet_order: int = 3,
                  model: str = "random4") -> VerificationReport:
     rep = VerificationReport("lemmas", model, seed)
-    build = _ctx_for_model(model, seed=seed, jet_order=jet_order,
-                           dim=4, charts_only=True)
+    build, _ = _ctx_for_model(model, seed=seed, jet_order=jet_order, dim=4)
     fd_names = ("linearize: jet-exact vs finite-difference",)
     sub_worst = {}
     for i in range(trials):
@@ -564,12 +569,11 @@ def suite_lemmas(trials: int = 10, seed: int = 5, tol: float = 1e-7,
 # -- dim-4 naturality suite ------------------------------------------------------
 
 
-def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
-                     trials: int = 6,
+def suite_naturality(seed: int = 17, jet_order: int = 4, trials: int = 6,
                      model: str = "random4") -> VerificationReport:
     rep = VerificationReport("naturality", model, seed)
-    build = _ctx_for_model(model, seed=seed * 31, jet_order=jet_order,
-                           dim=4, charts_only=True)
+    build, _ = _ctx_for_model(model, seed=seed * 31, jet_order=jet_order,
+                              dim=4)
     rng = np.random.default_rng(seed)
     worst = {"bach_display": 0.0, "bach_sym_tf": 0.0, "bach_inv": 0.0,
              "wcheck": 0.0, "lin_wp": 0.0, "lin_pp": 0.0, "lin_jp": 0.0,
@@ -659,8 +663,7 @@ def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
     rep.add(check_residual("displayed linearization of tf Hess J",
                            worst["lin_hj"], 1e-8))
     # div B = 0 needs fifth metric derivatives
-    build5 = _ctx_for_model(model, seed=seed * 57, jet_order=5, dim=4,
-                            charts_only=True)
+    build5, _ = _ctx_for_model(model, seed=seed * 57, jet_order=5, dim=4)
     worst_div = 0.0
     for i in range(3):
         ctx5 = build5(i)
@@ -677,7 +680,7 @@ def suite_naturality(samples: int = 40, seed: int = 17, jet_order: int = 4,
             random_conformal_factor(4, seed * 971 + i))
         return ctx, ups
 
-    rep.extend(naturality_rank_test(make_sample, samples,
+    rep.extend(naturality_rank_test(make_sample,
                                     rng=np.random.default_rng(seed)))
     return rep
 

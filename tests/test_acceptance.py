@@ -87,7 +87,7 @@ def test_criterion_5_lemmas():
 
 def test_criterion_6_naturality():
     t0 = time.perf_counter()
-    rep = suite_naturality(samples=40, seed=17, jet_order=4)
+    rep = suite_naturality(seed=17, jet_order=4)
     dt = time.perf_counter() - t0
     assert rep.extras.get("rank") == 4
     _report(6, "dim-4 naturality: Bach checks and rank-4 linear system",

@@ -7,7 +7,6 @@ import pytest
 
 from curvlab import cli, suites
 from curvlab.cli import main
-from curvlab.models import MODEL_BUILDERS
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -45,11 +44,35 @@ class TestExitCodes:
     def test_model_help_lists_every_model(self, capsys):
         assert main(["verify", "--help"]) == 0
         out = capsys.readouterr().out
-        assert all(name in out for name in MODEL_BUILDERS)
+        assert all(name in out for name in suites.MODELS)
 
-    def test_unknown_model_exits_two(self):
+    def test_unknown_model_exits_two(self, capsys):
         assert main(["verify", "--suite", "thm_invariance",
                      "--model", "mystery"]) == 2
+        assert "unknown model 'mystery'; the models of dimension 4 are " \
+            "flat, flat4, fs_cp2, random4, round_s4" in capsys.readouterr().err
+
+    def test_frame_model_name_exits_two(self, capsys):
+        """--model takes charts only; a frame name is unknown to it."""
+        assert main(["verify", "--suite", "lemmas",
+                     "--model", "berger_product"]) == 2
+        assert "unknown model 'berger_product'; the models of dimension 4 " \
+            "are flat, flat4, fs_cp2, random4, round_s4" in \
+            capsys.readouterr().err
+
+    def test_model_of_wrong_dimension_exits_two(self, capsys):
+        assert main(["verify", "--suite", "ac_identities",
+                     "--model", "round_s4"]) == 2
+        assert "model 'round_s4' has dimension 4, but this suite runs in " \
+            "dimension 6; the models of dimension 6 are flat6, random6" \
+            in capsys.readouterr().err
+
+    def test_float_berger_exits_two(self, capsys):
+        """The berger suite asserts exact equalities; --float is refused
+        rather than ignored."""
+        assert main(["verify", "--suite", "berger", "--t", "4",
+                     "--float"]) == 2
+        assert "does not take --float" in capsys.readouterr().err
 
     def test_exact_with_irrational_t_exits_two(self, capsys):
         code = main(["verify", "--suite", "berger", "--t", "2", "--exact"])
@@ -169,6 +192,18 @@ class TestModelConfigPath:
         path.write_text(json.dumps(cfg))
         assert main(["verify", "--suite", "thm_invariance",
                      "--model", str(path), "--trials", "1"]) == 0
+
+    def test_config_named_random_is_one_chart(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A config path is a fixed chart whatever its name: thm_pfaffian
+        runs it once, not once per trial."""
+        monkeypatch.chdir(tmp_path)
+        Path("random_s4.json").write_text(
+            (CONFIGS / "round_s4_chart.json").read_text())
+        assert main(["verify", "--suite", "thm_pfaffian",
+                     "--model", "random_s4.json"]) == 0
+        out = capsys.readouterr().out
+        assert "[1 charts]" in out and "[20 charts]" not in out
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_config_jet_order_below_one_exits_two(self, order, tmp_path,

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from curvlab.errors import ConfigError, ExactnessError
-from curvlab.models import (MODEL_BUILDERS, berger_product, fs_cp2_chart,
-                            killing_field_T, random_chart,
-                            random_conformal_factor)
-from curvlab.suites import run_suite
+from curvlab.models import (berger_product, fs_cp2_chart, killing_field_T,
+                            random_chart, random_conformal_factor)
+from curvlab.suites import MODELS, _ctx_for_model, run_suite
 from curvlab.tensors import is_zero_tensor, max_abs, residual
 
 
 class TestRegistry:
     def test_build_flat(self):
-        ctx = MODEL_BUILDERS["flat4"](jet_order=2)
+        ctx = MODELS["flat4"].build(4, 0, 2)
         assert ctx.dim == 4 and is_zero_tensor(ctx.stack.rm)
 
     def test_unknown_model(self):
@@ -21,10 +20,22 @@ class TestRegistry:
             run_suite("thm_invariance", model="klein_bottle", trials=1)
 
     def test_sweep(self):
-        ctxs = [MODEL_BUILDERS["berger_product"](t=t)
-                for t in (Fraction(1), Fraction(4))]
+        ctxs = [berger_product(t) for t in (Fraction(1), Fraction(4))]
         assert is_zero_tensor(ctxs[0].stack.weyl)        # t = 1 is round
         assert not is_zero_tensor(ctxs[1].stack.weyl)
+
+    @pytest.mark.parametrize("name, per_trial", [
+        ("flat", False), ("flat2", False), ("random4", True)])
+    def test_family_takes_the_suite_dimension(self, name, per_trial):
+        build, drawn = _ctx_for_model(name, seed=1, jet_order=2, dim=6)
+        assert drawn is per_trial
+        assert build(0).dim == 6
+        assert (build(0) is build(1)) is not per_trial
+
+    def test_each_model_builds_its_dimension(self):
+        for name, m in MODELS.items():
+            ctx = m.build(m.dim, 0, 2)
+            assert ctx.dim == m.dim and not ctx.ring.exact, name
 
 
 class TestBerger:
@@ -88,8 +99,8 @@ class TestRandomEnsemble:
 
 
 def test_flat_alias_resolves():
-    ctx = MODEL_BUILDERS["flat"]()
-    assert ctx.dim == 4
+    m = MODELS["flat"]
+    assert m.dim == 4 and m.build(m.dim, 0, 3).dim == 4
     rep, = run_suite("thm_pfaffian", model="flat", trials=1)
     assert rep.passed and rep.model == "flat"
 
